@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.core.stages import MATCH_CACHE_VERSION
 from repro.primitives.matcher import PrimitiveMatch
+from repro.spice import netlist as spice_netlist
 from repro.spice.flatten import SEP, DesignTree, InstanceRecord
 from repro.spice.netlist import is_power_net
 
@@ -52,11 +53,36 @@ from repro.spice.netlist import is_power_net
 HIER_MATCH_PREFIX = "hier-matches"
 
 
-#: net name → predicate truth vector.  The predicates are pure
-#: functions of the name and the PORT_PREDICATES table is a module
-#: constant, so the memo is safe to share across runs; power rails and
-#: testbench nets recur in every deck, making warm runs nearly free.
+#: net name → predicate truth vector.  The predicates are functions of
+#: the name under the rail conventions, so the memo is shared across
+#: runs until :func:`_check_rail_conventions` sees those change; power
+#: rails and testbench nets recur in every deck, making warm runs
+#: nearly free.
 _PRED_PROFILE_MEMO: dict[str, tuple[bool, ...]] = {}
+#: Cleared when full.  The hier benchmark's 12 decks fill ~1k entries.
+_PRED_PROFILE_MEMO_MAX = 4096
+
+#: ``(SUPPLY_NET_RE, GROUND_NET_RE)`` the hier memos were filled under.
+_MEMO_RAILS: tuple = ()
+
+
+def _check_rail_conventions() -> None:
+    """Clear the hier memos when the rail regexes are no longer the
+    ones they were filled under.
+
+    Predicate profiles and definition summaries depend on which names
+    read as supply or ground, and callers may customize
+    :data:`~repro.spice.netlist.SUPPLY_NET_RE` /
+    :data:`~repro.spice.netlist.GROUND_NET_RE` between runs.  The
+    memos are not cleared on every run: they pay by carrying rail and
+    testbench nets from deck to deck.
+    """
+    global _MEMO_RAILS
+    rails = (spice_netlist.SUPPLY_NET_RE, spice_netlist.GROUND_NET_RE)
+    if rails != _MEMO_RAILS:
+        _PRED_PROFILE_MEMO.clear()
+        _DEF_ANN_MEMO.clear()
+        _MEMO_RAILS = rails
 
 
 def _predicate_profile(net: str) -> tuple[bool, ...]:
@@ -71,6 +97,8 @@ def _predicate_profile(net: str) -> tuple[bool, ...]:
     if profile is None:
         from repro.primitives.library import PORT_PREDICATES
 
+        if len(_PRED_PROFILE_MEMO) >= _PRED_PROFILE_MEMO_MAX:
+            _PRED_PROFILE_MEMO.clear()
         profile = _PRED_PROFILE_MEMO[net] = tuple(
             bool(PORT_PREDICATES[key](net)) for key in sorted(PORT_PREDICATES)
         )
@@ -194,6 +222,7 @@ class HierMatchCache:
         artifact_cache=None,
         profiler=None,
     ):
+        _check_rail_conventions()
         self._tree = tree
         self._cache = artifact_cache
         self._profiler = profiler
@@ -602,10 +631,19 @@ class HierMatchCache:
 # ---------------------------------------------------------------------------
 
 #: (annotator fp, definition fp, multiplier) → summary.  Content-keyed,
-#: so it is safe to share process-wide; definitions are few, so the
-#: memo stays tiny.  Repeat runs in one process (fleets, benchmarks)
-#: skip the per-definition forward without needing a disk cache.
+#: so it is shared process-wide until the rail conventions change (see
+#: :func:`_check_rail_conventions`).  Repeat runs in one process
+#: (fleets, benchmarks) skip the per-definition forward without needing
+#: a disk cache.
 _DEF_ANN_MEMO: dict[tuple[str, str, float], DefinitionAnnotation] = {}
+#: Cleared when full.  The hier benchmark's 12 decks fill 8 entries.
+_DEF_ANN_MEMO_MAX = 256
+
+
+def _remember_summary(key: tuple[str, str, float], summary) -> None:
+    if len(_DEF_ANN_MEMO) >= _DEF_ANN_MEMO_MAX:
+        _DEF_ANN_MEMO.clear()
+    _DEF_ANN_MEMO[key] = summary
 
 
 def annotate_definitions(
@@ -626,6 +664,7 @@ def annotate_definitions(
     from repro.graph.bipartite import CircuitGraph
     from repro.spice.preprocess import preprocess
 
+    _check_rail_conventions()
     groups = tree.groups()
     try:
         ann_fp = annotator_fingerprint(annotator)
@@ -675,7 +714,7 @@ def annotate_definitions(
                 summary = rescoped(stored, paths)
                 summaries[index] = summary
                 if index in memo_keys:
-                    _DEF_ANN_MEMO[memo_keys[index]] = summary
+                    _remember_summary(memo_keys[index], summary)
                 continue
         pending.append(index)
 
@@ -685,7 +724,7 @@ def annotate_definitions(
             body = items[index][3]
             reduced, _report = preprocess(body)
             graphs.append(CircuitGraph.from_circuit(reduced))
-        if len(graphs) > 1 and callable(getattr(annotator, "annotate_batch", None)):
+        if callable(getattr(annotator, "annotate_batch", None)):
             annotations = annotator.annotate_batch(graphs)
         else:
             annotations = [annotator.annotate(graph) for graph in graphs]
@@ -705,7 +744,7 @@ def annotate_definitions(
             )
             summaries[index] = summary
             if index in memo_keys:
-                _DEF_ANN_MEMO[memo_keys[index]] = summary
+                _remember_summary(memo_keys[index], summary)
             if cache is not None:
                 cache.store(keys[index], summary)
     return tuple(summaries[i] for i in range(len(items)) if i in summaries)

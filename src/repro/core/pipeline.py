@@ -78,6 +78,7 @@ from repro.core.stages import (
     StageName,
     annotator_fingerprint,
     content_fingerprint,
+    fold_timings,
     load_artifacts,
     reset_power_net_memo,
 )
@@ -722,7 +723,6 @@ class GanaPipeline:
         net_roles: dict[str, NetRole] | list[dict[str, NetRole] | None] | None = None,
         infer_testbench: bool = True,
         workers: int | None = None,
-        chunksize: int | None = None,
         mode: str = "strict",
         on_error: str = "raise",
         timeout: float | None = None,
@@ -768,25 +768,28 @@ class GanaPipeline:
         re-pickling the model (see
         :func:`repro.runtime.parallel.shutdown_pools`).
 
-        Batched GCN inference: when the annotator supports
-        :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch` (and
-        no ``timeout``/``artifact_cache`` complicates the split), each
-        worker receives a contiguous *chunk* of netlists, runs every
-        deck up to the graph stage, classifies all of the chunk's
-        graphs in one block-diagonal packed forward, then finishes each
-        deck from the precomputed annotation.  Results are unchanged
-        (class predictions are identical; softmax probabilities agree
-        to fp64 rounding — see ``repro/gcn/batch.py``); the packed GCN
-        seconds are attributed to each item proportional to its vertex
-        count.  Any packed failure falls back to the ordinary per-item
-        flow for that chunk.
+        One dispatch path: the batch becomes a list of *chunks*, each
+        run by :func:`_run_pipeline_chunk` — in-process on one worker,
+        otherwise one pool task per chunk.  A chunk holds one deck when
+        the batch runs in-process or sets ``timeout`` or
+        ``artifact_cache``; otherwise each worker receives one
+        contiguous chunk, runs every deck up to the graph stage,
+        classifies all of the chunk's graphs in one block-diagonal
+        packed forward (when the annotator supports
+        :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch`),
+        then finishes each deck from the precomputed annotation.
+        Results are unchanged (class predictions are identical; softmax
+        probabilities agree to fp64 rounding — see
+        ``repro/gcn/batch.py``); the packed GCN seconds are attributed
+        to each item proportional to its vertex count.  Any packed
+        failure falls back to per-item inference for that chunk.
 
         ``artifact_cache`` (an
         :class:`~repro.runtime.cache.ArtifactCache` or directory path)
         is forwarded to every item's :meth:`run`: the cache object is
         just a directory handle, so it pickles to pool workers and the
         whole fleet shares one on-disk artifact store.  (Cache-backed
-        fleets use the per-item flow, so batched inference never
+        fleets run one deck per chunk, so batched inference never
         bypasses or pollutes the content-addressed store.)
         """
         if on_error not in ("raise", "report"):
@@ -819,74 +822,57 @@ class GanaPipeline:
             }
             for i, netlist in enumerate(netlists)
         ]
-        if resolve_workers(workers) <= 1 or len(jobs) <= 1:
-            return [_run_pipeline_job(self, job) for job in jobs]
-        batched = (
-            timeout is None
-            and artifact_cache is None
-            and callable(getattr(self.annotator, "annotate_batch", None))
-        )
+        n_workers = min(resolve_workers(workers), len(jobs))
+        if n_workers <= 1 or timeout is not None or artifact_cache is not None:
+            # One deck per chunk: an in-process batch stays a plain loop
+            # over run(), and the per-item ceiling and the
+            # content-addressed store both belong to a run() of one deck.
+            chunks = [[job] for job in jobs]
+        else:
+            # Contiguous chunks, one per worker, so every worker gets one
+            # packed GCN forward for its whole share of the fleet.
+            bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
+            chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        if n_workers <= 1:
+            return [
+                result
+                for chunk in chunks
+                for result in _run_pipeline_chunk(self, chunk)
+            ]
+        pool_key = self._pool_key()
+
         # Pool supervision (on_error="report" only): a worker killed
         # outright (segfault, OOM kill, os._exit) breaks the whole
-        # executor, so parallel_map bisects the batch to quarantine the
-        # poison deck — its slot becomes a stage="worker" FailureReport
-        # while every sibling deck still completes.  With
-        # on_error="raise" the historical contract stands: blind
+        # executor, so parallel_map bisects the chunks to quarantine the
+        # one that crashed.  That chunk re-enters the same dispatch as
+        # singleton chunks, so only the poison deck becomes a
+        # stage="worker" FailureReport while every sibling completes.
+        # With on_error="raise" the historical contract stands: blind
         # retry, then the serial fallback re-raises.
-        def job_crash(job, exc):
-            return worker_crash_report(
-                exc, index=job["index"], name=job["kwargs"]["name"]
-            )
+        def chunk_crash(chunk, exc):
+            if len(chunk) == 1:
+                job = chunk[0]
+                return [
+                    worker_crash_report(
+                        exc, index=job["index"], name=job["kwargs"]["name"]
+                    )
+                ]
+            return dispatch([[job] for job in chunk])
 
-        supervise = on_error == "report"
-        if not batched:
-            return parallel_map(
-                _pipeline_worker_run,
-                jobs,
-                workers=workers,
-                chunksize=chunksize,
+        def dispatch(chunks):
+            nested = parallel_map(
+                _pipeline_worker_run_chunk,
+                chunks,
+                workers=n_workers,
                 initializer=_pipeline_worker_init,
                 initargs=(self,),
                 pool_retries=pool_retries,
-                pool_key=self._pool_key(),
-                on_crash=job_crash if supervise else None,
+                pool_key=pool_key,
+                on_crash=chunk_crash if on_error == "report" else None,
             )
-        # Contiguous chunks, one per worker, so every worker gets one
-        # packed GCN forward for its whole share of the fleet.
-        n_workers = min(resolve_workers(workers), len(jobs))
-        bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
-        chunks = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+            return [result for chunk in nested for result in chunk]
 
-        def chunk_crash(chunk, exc):
-            # The crash is somewhere in this chunk.  Re-dispatch its
-            # jobs individually (plain per-item flow, no packed GCN)
-            # so only the poison deck degrades to a FailureReport.
-            if len(chunk) == 1:
-                return [job_crash(chunk[0], exc)]
-            return parallel_map(
-                _pipeline_worker_run,
-                chunk,
-                workers=min(n_workers, len(chunk)),
-                chunksize=1,
-                initializer=_pipeline_worker_init,
-                initargs=(self,),
-                pool_retries=0,
-                pool_key=self._pool_key(),
-                on_crash=job_crash,
-            )
-
-        nested = parallel_map(
-            _pipeline_worker_run_chunk,
-            chunks,
-            workers=workers,
-            chunksize=1,
-            initializer=_pipeline_worker_init,
-            initargs=(self,),
-            pool_retries=pool_retries,
-            pool_key=self._pool_key(),
-            on_crash=chunk_crash if supervise else None,
-        )
-        return [result for chunk in nested for result in chunk]
+        return dispatch(chunks)
 
     def _pool_key(self) -> str | None:
         """Content fingerprint of the state ``_pipeline_worker_init``
@@ -1307,8 +1293,8 @@ def _run_pipeline_job(
 def _run_pipeline_chunk(
     pipeline: GanaPipeline, jobs: list[dict]
 ) -> list[PipelineResult | FailureReport]:
-    """A worker's contiguous slice of a ``run_many`` fleet, classified
-    with one packed GCN forward.
+    """One chunk of a ``run_many`` fleet, classified with one packed
+    GCN forward.
 
     Phase 1 runs every deck through the graph stage (with the usual
     per-item fault isolation); a single
@@ -1319,9 +1305,13 @@ def _run_pipeline_chunk(
     attributed to items proportional to their vertex counts, so
     per-item ``timings["gcn"]`` stays meaningful.  If the packed pass
     fails, the chunk's items fall back to ordinary per-item GCN
-    inference — identical semantics, just without the speedup.
+    inference — identical semantics, just without the speedup.  A
+    single-deck chunk, or an annotator without ``annotate_batch``,
+    runs each deck through :func:`_run_pipeline_job`.
     """
-    if len(jobs) < 2:
+    if len(jobs) < 2 or not callable(
+        getattr(pipeline.annotator, "annotate_batch", None)
+    ):
         return [_run_pipeline_job(pipeline, job) for job in jobs]
 
     from repro.runtime.profile import PipelineProfiler
@@ -1379,6 +1369,17 @@ def _run_pipeline_chunk(
     for k in pending:
         job = jobs[k]
         kwargs = job["kwargs"]
+        # Resuming seeds the pre-graph stages at 0 s.  Fold the real
+        # phase-1 numbers, plus this item's share of the packed GCN
+        # pass, into the profile before phase 2 can raise (a failure
+        # report carries the profile as it stands), and into the
+        # timings once phase 2 succeeds.
+        carried = fold_timings(
+            {**phase1[k].stage_seconds, StageName.GCN: gcn_shares.get(k, 0.0)}
+        )
+        if profilers[k] is not None:
+            for key, seconds in carried.items():
+                profilers[k].record_stage(key, seconds)
         try:
             staged = pipeline.run_staged(
                 name=kwargs["name"],
@@ -1388,19 +1389,11 @@ def _run_pipeline_chunk(
                 gcn_annotation=annotations.get(k),
                 hier=kwargs.get("hier", False),
             )
-            # Resuming seeds the pre-graph stages at 0 s; fold the real
-            # phase-1 numbers back in, plus this item's share of the
-            # packed GCN pass.
-            for stage_name, seconds in phase1[k].stage_seconds.items():
-                if not staged.stage_seconds.get(stage_name):
-                    staged.stage_seconds[stage_name] = seconds
-            staged.stage_seconds[StageName.GCN] = (
-                staged.stage_seconds.get(StageName.GCN, 0.0)
-                + gcn_shares.get(k, 0.0)
-            )
             results[k] = pipeline.result_from_staged(
                 staged, profiler=profilers[k]
             )
+            for key, seconds in carried.items():
+                results[k].timings[key] += seconds
         except Exception as exc:
             if not job["isolate"]:
                 raise
@@ -1419,11 +1412,6 @@ _WORKER_PIPELINE: GanaPipeline | None = None
 def _pipeline_worker_init(pipeline: GanaPipeline) -> None:
     global _WORKER_PIPELINE
     _WORKER_PIPELINE = pipeline
-
-
-def _pipeline_worker_run(job: dict) -> PipelineResult | FailureReport:
-    assert _WORKER_PIPELINE is not None, "worker initializer did not run"
-    return _run_pipeline_job(_WORKER_PIPELINE, job)
 
 
 def _pipeline_worker_run_chunk(

@@ -48,9 +48,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,7 +66,7 @@ import numpy as np
 
 from repro.exceptions import ArtifactError
 from repro.graph.bipartite import CircuitGraph
-from repro.runtime.cache import ArtifactCache, Memo
+from repro.runtime.cache import ArtifactCache, Memo, atomic_write
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
 from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
@@ -305,20 +303,12 @@ class Artifact:
             "fingerprint": self.fingerprint,
             "artifact": self,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+        atomic_write(
+            path,
+            lambda handle: pickle.dump(
+                envelope, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         return path
 
     @classmethod

@@ -20,7 +20,7 @@ Envelope layout — one ``epoch-NNNNN.ckpt.npz`` per checkpoint:
 * ``opt.<name>`` — the optimizer's array state.
 
 Same disk contract as :mod:`repro.runtime.cache`: writes go through
-``tempfile.mkstemp`` + ``os.replace`` so a crash mid-write can never
+:func:`~repro.runtime.cache.atomic_write` so a crash mid-write can never
 leave a half-written envelope where the next run will trip over it, and
 *any* read problem — truncation, garbage bytes, a stale format version
 — is a structured miss (a :class:`~repro.runtime.resilience.Diagnostic`
@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.runtime.cache import atomic_write
 from repro.runtime.resilience import WARNING, Diagnostic
 
 #: Bumped whenever the envelope layout changes; older envelopes are
@@ -141,19 +140,12 @@ class CheckpointStore:
             if isinstance(value, np.ndarray):
                 arrays[f"opt.{key}"] = value
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=".ckpt.", suffix=".tmp"
+            atomic_write(
+                path,
+                lambda handle: np.savez(
+                    handle, __meta__=np.array(json.dumps(meta)), **arrays
+                ),
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle, __meta__=np.array(json.dumps(meta)), **arrays
-                    )
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
         except OSError as exc:
             _LOG.warning("could not write checkpoint %s: %s", path, exc)
             return None

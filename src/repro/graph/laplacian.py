@@ -13,14 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.runtime.cache import Memo
-
-#: Per-matrix λmax memo (identity-keyed, weakref-guarded): repeated
-#: ``rescaled_laplacian``/``largest_eigenvalue(exact=True)`` calls on
-#: the same Laplacian object — every training epoch rebuilds the same
-#: filter stack — pay for Lanczos once.
-_LMAX_MEMO = Memo()
-
 
 def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
     """``L = I − D^{-1/2} A D^{-1/2}`` (Eq. 1).
@@ -47,17 +39,10 @@ def largest_eigenvalue(laplacian: sp.spmatrix, exact: bool = False) -> float:
     (Defferrard's choice; also what the paper's TensorFlow code used).
     Set ``exact=True`` to compute it with Lanczos via ARPACK — the
     "computed inexpensively using the Lanczos algorithm" path of
-    Sec. III-A.  The exact value is memoized per Laplacian *object*
-    (identity-keyed, entries dying with the matrix), so repeated calls
-    on the same adjacency never re-run the iteration.  Callers that
-    mutate a matrix in place must pass a fresh object.
+    Sec. III-A.
     """
     if not exact:
         return 2.0
-    return _LMAX_MEMO.get_or_build(laplacian, _lanczos_lmax)
-
-
-def _lanczos_lmax(laplacian: sp.spmatrix) -> float:
     n = laplacian.shape[0]
     if n <= 2:
         dense = laplacian.toarray()

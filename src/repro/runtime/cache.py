@@ -30,7 +30,7 @@ import pickle
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, BinaryIO, Callable, TypeVar
 
 import numpy as np
 
@@ -84,6 +84,30 @@ def fingerprint(spec: dict[str, Any]) -> str:
     """
     canon = json.dumps(spec, sort_keys=True, default=_canonical)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32]
+
+
+def atomic_write(path: Path, write: Callable[[BinaryIO], None]) -> None:
+    """Write ``path`` through a temp file in its directory + ``os.replace``.
+
+    ``write(handle)`` fills the temp file.  A crashed or concurrent
+    writer therefore never leaves a half-written ``path`` behind, and
+    a failed write removes its temp file.  Errors propagate: each
+    caller decides whether to swallow, log, or raise them.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:32]}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class Memo:
@@ -149,21 +173,14 @@ class ModelCache:
             "config": _config_dict(annotator.model.config),
         }
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{key}.", suffix=".tmp"
+            atomic_write(
+                path,
+                lambda handle: np.savez(
+                    handle,
+                    __meta__=np.array(json.dumps(meta)),
+                    **annotator.model.state_dict(),
+                ),
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle,
-                        __meta__=np.array(json.dumps(meta)),
-                        **annotator.model.state_dict(),
-                    )
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
         except OSError:
             return None
         return path
@@ -277,19 +294,12 @@ class ArtifactCache:
             "value": value,
         }
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=f".{key[:32]}.", suffix=".tmp"
+            atomic_write(
+                path,
+                lambda handle: pickle.dump(
+                    payload, handle, protocol=pickle.HIGHEST_PROTOCOL
+                ),
             )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(
-                        payload, handle, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
         except (OSError, pickle.PicklingError):
             return None
         return path

@@ -29,7 +29,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.exceptions import ElaborationError
-from repro.runtime.cache import Memo
 from repro.spice.netlist import Circuit, Netlist, is_power_net
 
 #: Separator between instance path components in flattened names.
@@ -116,13 +115,13 @@ class DesignTree:
         return len({(r.fingerprint, r.multiplier) for r in self.instances})
 
 
-#: Cross-call memo: Netlist object → name-keyed fingerprint dict, so a
-#: deck re-fingerprinted by several pipeline stages hashes its subckt
-#: cards once per process, not once per stage (let alone per instance).
-_DEF_FP_MEMO = Memo()
+def definition_fingerprints(netlist: Netlist) -> dict[str, str]:
+    """Canonical content fingerprint per subckt definition.
 
-
-def _compute_definition_fingerprints(netlist: Netlist) -> dict[str, str]:
+    Each ``.subckt`` body is hashed exactly once per call — the
+    name-keyed memo inside covers repeated instantiation.  Keys are
+    lower-cased definition names.
+    """
     memo: dict[str, str] = {}
 
     def fp_of(name: str, stack: tuple[str, ...]) -> str:
@@ -154,17 +153,6 @@ def _compute_definition_fingerprints(netlist: Netlist) -> dict[str, str]:
     for name in netlist.subckts:
         fp_of(name, ())
     return memo
-
-
-def definition_fingerprints(netlist: Netlist) -> dict[str, str]:
-    """Canonical content fingerprint per subckt definition.
-
-    Each ``.subckt`` body is hashed exactly once per netlist — the
-    name-keyed memo inside covers repeated instantiation, and a
-    process-wide identity memo covers repeated calls on the same
-    :class:`Netlist` object.  Keys are lower-cased definition names.
-    """
-    return dict(_DEF_FP_MEMO.get_or_build(netlist, _compute_definition_fingerprints))
 
 
 def _flatten_into(

@@ -215,6 +215,50 @@ class TestDefinitionAnnotations:
         assert [d.fingerprint for d in again] == [d.fingerprint for d in first]
 
 
+#: Two mirror cells whose source port is bound to ``railx`` and to
+#: ``vdd!``.  Only a customized supply regex makes ``railx`` a rail, and
+#: only then may the two instances share one match list.
+RAIL_DEPENDENT_DECK = """
+* mirror cells on a convention-dependent rail
+.global vdd! gnd!
+.subckt mirror ref out s
+m1 ref ref s s nmos w=1u l=100n
+m2 out ref s s nmos w=1u l=100n
+m3 ref out out s nmos w=1u l=100n
+.ends
+x1 a1 b1 railx mirror
+x2 a2 b2 vdd! mirror
+.end
+"""
+
+
+class TestRailConventions:
+    def test_stock_run_after_custom_rails_sees_no_stale_profile(
+        self, ota_pipeline, monkeypatch
+    ):
+        import re
+
+        from repro.core import hier_annotate as ha
+        from repro.spice import netlist
+
+        ha._PRED_PROFILE_MEMO.clear()
+        monkeypatch.setattr(
+            netlist,
+            "SUPPLY_NET_RE",
+            re.compile(r"^(vdd[!]?|railx)$", re.IGNORECASE),
+        )
+        ota_pipeline.run(RAIL_DEPENDENT_DECK, hier=True)
+        custom_profile = ha._PRED_PROFILE_MEMO["railx"]
+
+        monkeypatch.undo()
+        hier = ota_pipeline.run(RAIL_DEPENDENT_DECK, hier=True)
+        assert ha._PRED_PROFILE_MEMO.get("railx") != custom_profile
+        flat = ota_pipeline.run(RAIL_DEPENDENT_DECK)
+        assert pipeline_result_fingerprint(hier) == pipeline_result_fingerprint(
+            flat
+        )
+
+
 class TestHierTreeMode:
     def test_instance_nesting_in_hierarchy(self, ota_pipeline):
         result = ota_pipeline.run(OTA_ARRAY_DECK, hier_tree=True)

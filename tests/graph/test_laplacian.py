@@ -93,28 +93,6 @@ class TestLargestEigenvalue:
         lap = normalized_laplacian(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert largest_eigenvalue(lap, exact=True) == pytest.approx(2.0)
 
-    def test_exact_memoized_per_matrix(self, monkeypatch):
-        """Repeated exact λmax on the same Laplacian runs Lanczos once."""
-        import repro.graph.laplacian as mod
-
-        lap = normalized_laplacian(_path_graph(20))
-        calls = {"n": 0}
-        real = mod.spla.eigsh
-
-        def counting_eigsh(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mod.spla, "eigsh", counting_eigsh)
-        first = largest_eigenvalue(lap, exact=True)
-        second = largest_eigenvalue(lap, exact=True)
-        assert first == second
-        assert calls["n"] == 1
-        # A distinct (even if equal-valued) matrix is its own entry.
-        other = normalized_laplacian(_path_graph(20))
-        largest_eigenvalue(other, exact=True)
-        assert calls["n"] == 2
-
 
 class TestRescaledLaplacian:
     def test_spectrum_in_minus_one_one(self):

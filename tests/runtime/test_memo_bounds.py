@@ -1,0 +1,108 @@
+"""Process-global memos in one long-lived process.
+
+Two hundred varied generated decks, flat and hierarchy-scoped, go
+through one process.  Every memo must stay within its bound, and a
+result must not depend on what earlier decks left in the memos.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import hier_annotate, stages
+from repro.core.pipeline import GanaPipeline
+from repro.core.stages import pipeline_result_fingerprint
+from repro.primitives import index, library
+from repro.spice import netlist
+from repro.spice.parser import parse_netlist
+from repro.spice.writer import write_netlist
+from repro.testing.generator import GenConfig, generate_deck
+
+#: Larger hierarchies than the generator default, so the 200 decks
+#: carry more distinct net names than the predicate-profile cap.
+CONFIG = GenConfig(max_subckts=4, max_instances=8)
+
+#: Memos bounded by a size cap: (module, memo, cap).
+SIZED = (
+    (netlist, "_POWER_NET_MEMO", "_POWER_NET_MEMO_MAX"),
+    (hier_annotate, "_PRED_PROFILE_MEMO", "_PRED_PROFILE_MEMO_MAX"),
+    (hier_annotate, "_DEF_ANN_MEMO", "_DEF_ANN_MEMO_MAX"),
+)
+
+#: Identity-keyed memos: one entry per live annotator or template.
+KEYED = (
+    (stages, "_ANNOTATOR_FP_MEMO"),
+    (library, "_TEMPLATE_FP_MEMO"),
+    (index, "_PROFILE_MEMO"),
+)
+
+
+class _Recording(dict):
+    """A memo dict that also remembers every key ever stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def __setitem__(self, key, value):
+        self.seen.add(key)
+        super().__setitem__(key, value)
+
+
+def _own_names(text: str, tag: int) -> str:
+    """Tag the deck's top-level signal nets and instance names, so no
+    two decks share a flattened net name."""
+    deck = parse_netlist(text)
+    rename = {
+        net: f"{net}d{tag}"
+        for net in deck.top.nets
+        if not netlist.is_power_net(net) and net not in deck.globals_
+    }
+    deck.top.devices = [dev.renamed(dev.name, rename) for dev in deck.top.devices]
+    deck.top.instances = [
+        inst.renamed(f"{inst.name}d{tag}", rename) for inst in deck.top.instances
+    ]
+    return write_netlist(deck)
+
+
+def _clear_all_memos() -> None:
+    for module, name, _cap in SIZED:
+        getattr(module, name).clear()
+    for module, name in KEYED:
+        getattr(module, name).clear()
+
+
+@pytest.mark.slow
+def test_memos_stay_bounded_and_never_change_a_result(
+    quick_ota_annotator, monkeypatch
+):
+    for module, name, _cap in SIZED[1:]:
+        monkeypatch.setattr(module, name, _Recording())
+    pipeline = GanaPipeline(annotator=quick_ota_annotator)
+    keyed_bound = None
+    for seed in range(200):
+        deck = generate_deck(seed, CONFIG)
+        text = _own_names(deck.text, seed)
+        for hier in (False, True):
+            result = pipeline.run(text, mode=deck.mode, hier=hier)
+            for module, name, cap in SIZED:
+                assert len(getattr(module, name)) <= getattr(module, cap), name
+            if seed % 20 == 0:
+                _clear_all_memos()
+                fresh = pipeline.run(text, mode=deck.mode, hier=hier)
+                assert pipeline_result_fingerprint(
+                    result
+                ) == pipeline_result_fingerprint(fresh), (seed, hier)
+                if result.hier is not None:
+                    assert (
+                        result.hier.definition_annotations
+                        == fresh.hier.definition_annotations
+                    ), seed
+        sizes = {name: len(getattr(module, name)) for module, name in KEYED}
+        if keyed_bound is None:
+            keyed_bound = sizes
+        for name, size in sizes.items():
+            assert size <= keyed_bound[name], name
+    # Without their caps, the hier memos would have outgrown them.
+    for module, name, cap in SIZED[1:]:
+        assert len(getattr(module, name).seen) > getattr(module, cap), name

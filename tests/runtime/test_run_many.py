@@ -207,6 +207,40 @@ class TestBatchedChunkFlow:
         ]
         _assert_same_results(results, serial)
 
+    def test_late_failure_reports_pre_graph_seconds(
+        self, pipeline, decks, monkeypatch
+    ):
+        """A deck that fails after the graph stage inside a packed chunk
+        still reports the preprocess and graph seconds it spent."""
+        import repro.core.pipeline as pipeline_module
+        from repro.core.pipeline import _run_pipeline_chunk
+
+        real_post1 = pipeline_module.postprocess_ccc
+        calls = {"n": 0}
+
+        def post1_fails_on_second_deck(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("post1 exploded")
+            return real_post1(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pipeline_module, "postprocess_ccc", post1_fails_on_second_deck
+        )
+        jobs = _jobs_for(decks[:3], ["a", "b", "c"])
+        for job in jobs:
+            job["isolate"] = True
+            job["kwargs"]["profile"] = True
+        first, report, third = _run_pipeline_chunk(pipeline, jobs)
+        assert first.ok and third.ok and not report.ok
+        assert report.stage == "post1"
+        assert report.profile["stages"]["preprocess"] > 0
+        assert report.profile["stages"]["graph"] > 0
+        # Successful siblings still count each stage once.
+        assert first.profile["stages"] == pytest.approx(
+            first.timings, abs=1e-6
+        )
+
     def test_run_many_reuses_warm_pool(self, pipeline, decks):
         from repro.runtime import parallel
 

@@ -244,29 +244,6 @@ x2 n2 cell m=2
 
 
 class TestFingerprintMemo:
-    def test_same_netlist_object_hashed_once(self, monkeypatch):
-        import importlib
-
-        # the package re-exports the flatten() function under the same
-        # name, so fetch the module itself
-        mod = importlib.import_module("repro.spice.flatten")
-
-        calls = {"n": 0}
-        real = mod._compute_definition_fingerprints
-
-        def counting(netlist):
-            calls["n"] += 1
-            return real(netlist)
-
-        monkeypatch.setattr(
-            mod, "_compute_definition_fingerprints", counting
-        )
-        netlist = parse_netlist(HIERARCHICAL_DECK)
-        first = mod.definition_fingerprints(netlist)
-        second = mod.definition_fingerprints(netlist)
-        assert calls["n"] == 1
-        assert first == second
-
     def test_distinct_objects_rehash(self):
         from repro.spice.flatten import definition_fingerprints
 
