@@ -152,5 +152,8 @@ def task_fallback_recognizer(
         if {"lna", "mixer", "osc"} & set(class_names)
         else generate_ota_bias_dataset
     )
-    items = generator(n_train, seed=seed)
+    # Serial on purpose: this also runs inside run_many pool workers,
+    # and a pool forked from a pool worker keeps the interpreter from
+    # exiting.
+    items = generator(n_train, seed=seed, workers=1)
     return subblock_template_library(items, max_templates=max_templates)

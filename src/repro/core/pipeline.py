@@ -34,9 +34,8 @@ the seven concrete stages defined here (:class:`ParseStage` …
 full surface — per-stage artifact caching and incremental recompute
 (``artifact_cache``), early stop (``stop_after``), resume from saved
 artifacts (``resume_from``), artifact export (``save_artifacts``).
-The pre-refactor single-function implementation is kept verbatim as
-:meth:`GanaPipeline._run_monolith`, the behavioral reference the
-golden tests compare against.
+Committed golden outputs under ``tests/golden/`` pin what the runner
+produces on every example and corpus deck.
 """
 
 from __future__ import annotations
@@ -78,9 +77,7 @@ from repro.core.stages import (
     StageName,
     annotator_fingerprint,
     content_fingerprint,
-    fold_timings,
     load_artifacts,
-    reset_power_net_memo,
 )
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.features import NetRole
@@ -327,9 +324,15 @@ class GanaPipeline:
     detect_bpf: bool = True
     degrade: bool = True
     confidence_floor: float = 0.0
-    #: Lazily built (and then cached) template recognizer used as the
-    #: degradation fallback; inject one to control its topology library.
+    #: Injected template recognizer for the degradation fallback, to
+    #: control its topology library; None builds the task's default.
     fallback_recognizer: TemplateRecognizer | None = None
+    #: The default fallback, built on first use.  It depends only on
+    #: ``class_names``, so unlike an injected one it keeps the pool key
+    #: and the gcn-stage cache key stable.
+    _built_fallback: TemplateRecognizer | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def class_names(self) -> tuple[str, ...]:
@@ -409,8 +412,7 @@ class GanaPipeline:
         library reuses the parse/preprocess/graph/GCN artifacts and
         recomputes only Postprocessing I onwards.  ``save_artifacts``
         writes every stage's artifact under the given directory (for
-        later ``run_staged(resume_from=...)``).  Both default to off;
-        the default call is byte-identical to the legacy monolith.
+        later ``run_staged(resume_from=...)``).  Both default to off.
         """
         profiler = None
         if profile:
@@ -543,137 +545,14 @@ class GanaPipeline:
             hier=getattr(final, "hier", None),
         )
 
-    def _run_monolith(
-        self,
-        netlist: str | Netlist | Circuit,
-        net_roles: dict[str, NetRole] | None = None,
-        port_labels: dict[str, str] | None = None,
-        name: str = "",
-        infer_testbench: bool = True,
-        mode: str = "strict",
-        profile: bool = False,
-    ) -> PipelineResult:
-        """The pre-staged single-function implementation, kept verbatim.
-
-        This is the behavioral reference for the staged runner: the
-        golden tests assert :meth:`run` produces a semantically
-        identical :class:`PipelineResult` on every example netlist.  Do
-        not add features here — it exists to be compared against.
-        """
-        reset_power_net_memo()
-        timings: dict[str, float] = {}
-        diagnostics: list[Diagnostic] = []
-        lenient = mode == "lenient"
-        profiler = None
-        if profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
-
-        with stage("preprocess", timings, diagnostics):
-            with stage("parse", diagnostics=diagnostics):
-                if isinstance(netlist, str):
-                    netlist = parse_netlist(netlist, mode=mode)
-                if isinstance(netlist, Netlist):
-                    diagnostics.extend(netlist.diagnostics)
-                    flat = flatten(
-                        netlist, diagnostics=diagnostics if lenient else None
-                    )
-                else:
-                    flat = netlist
-            if infer_testbench and any(d.kind.is_source for d in flat.devices):
-                from repro.core.testbench import (
-                    infer_net_roles,
-                    infer_port_labels,
-                )
-
-                inferred_labels = infer_port_labels(flat)
-                inferred_labels.update(port_labels or {})
-                port_labels = inferred_labels
-                inferred_roles = infer_net_roles(flat)
-                inferred_roles.update(net_roles or {})
-                net_roles = inferred_roles
-            reduced, report = preprocess(flat)
-
-        with stage("graph", timings, diagnostics):
-            graph = CircuitGraph.from_circuit(reduced)
-
-        degraded_reason: str | None = None
-        with stage("gcn", timings, diagnostics):
-            try:
-                gcn_annotation = self.annotator.annotate(
-                    graph, net_roles=net_roles
-                )
-            except Exception as exc:
-                if not self.degrade:
-                    raise
-                degraded_reason = (
-                    f"GCN inference failed "
-                    f"({type(exc).__name__}: {exc}); fell back to the "
-                    f"template-library classifier"
-                )
-            else:
-                if (
-                    self.degrade
-                    and self.confidence_floor > 0.0
-                    and gcn_annotation.probabilities is not None
-                    and graph.n_vertices > 0
-                ):
-                    top = gcn_annotation.probabilities.max(axis=1)
-                    if float(top.max()) < self.confidence_floor:
-                        degraded_reason = (
-                            f"every vertex confidence below the "
-                            f"{self.confidence_floor:g} floor; fell back "
-                            f"to the template-library classifier"
-                        )
-            if degraded_reason is not None:
-                gcn_annotation = self._degraded_annotation(graph)
-
-        with stage("post1", timings, diagnostics):
-            post1 = postprocess_ccc(
-                gcn_annotation,
-                self.library,
-                detect_bpf=self.detect_bpf,
-                profiler=profiler,
-            )
-
-        with stage("post2", timings, diagnostics):
-            post2 = apply_port_rules(post1, port_labels or {})
-
-        with stage("hierarchy", timings, diagnostics):
-            hierarchy, constraints = build_hierarchy(
-                post2, system_name=name or flat.name
-            )
-
-        profile_dict = None
-        if profiler is not None:
-            for stage_name, seconds in timings.items():
-                profiler.record_stage(stage_name, seconds)
-            profile_dict = profiler.as_dict()
-
-        return PipelineResult(
-            graph=graph,
-            gcn_annotation=gcn_annotation,
-            post1=post1,
-            post2=post2,
-            hierarchy=hierarchy,
-            constraints=constraints,
-            preprocess_report=report,
-            timings=timings,
-            diagnostics=diagnostics,
-            degraded=degraded_reason is not None,
-            degraded_reason=degraded_reason,
-            profile=profile_dict,
-        )
-
     # -- graceful degradation ---------------------------------------------
 
     def _fallback(self) -> TemplateRecognizer:
-        if self.fallback_recognizer is None:
-            self.fallback_recognizer = task_fallback_recognizer(
-                self.class_names
-            )
-        return self.fallback_recognizer
+        if self.fallback_recognizer is not None:
+            return self.fallback_recognizer
+        if self._built_fallback is None:
+            self._built_fallback = task_fallback_recognizer(self.class_names)
+        return self._built_fallback
 
     def _degraded_annotation(self, graph: CircuitGraph) -> Annotation:
         """Template-library classification shaped like a GCN annotation.
@@ -1369,14 +1248,15 @@ def _run_pipeline_chunk(
     for k in pending:
         job = jobs[k]
         kwargs = job["kwargs"]
-        # Resuming seeds the pre-graph stages at 0 s.  Fold the real
+        # Resuming seeds the pre-graph stages at 0 s.  Add the real
         # phase-1 numbers, plus this item's share of the packed GCN
-        # pass, into the profile before phase 2 can raise (a failure
-        # report carries the profile as it stands), and into the
+        # pass, to the profile before phase 2 can raise (a failure
+        # report carries the profile as it stands), and to the
         # timings once phase 2 succeeds.
-        carried = fold_timings(
-            {**phase1[k].stage_seconds, StageName.GCN: gcn_shares.get(k, 0.0)}
-        )
+        carried = {
+            **phase1[k].timings(),
+            StageName.GCN.value: gcn_shares.get(k, 0.0),
+        }
         if profilers[k] is not None:
             for key, seconds in carried.items():
                 profilers[k].record_stage(key, seconds)

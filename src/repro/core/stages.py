@@ -110,11 +110,8 @@ class StageName(enum.Enum):
 #: All stages, in execution order.
 STAGE_ORDER: tuple[StageName, ...] = tuple(StageName)
 
-#: The keys of ``PipelineResult.timings``: ``parse`` folds into
-#: ``preprocess`` (the legacy monolith timed them as one block).
-TIMING_STAGES: tuple[str, ...] = tuple(
-    s.value for s in STAGE_ORDER if s is not StageName.PARSE
-)
+#: The keys of ``PipelineResult.timings``: one per stage.
+TIMING_STAGES: tuple[str, ...] = tuple(s.value for s in STAGE_ORDER)
 
 
 def coerce_stage(value: "StageName | str") -> StageName:
@@ -128,19 +125,6 @@ def coerce_stage(value: "StageName | str") -> StageName:
         raise ValueError(
             f"unknown pipeline stage {value!r}; expected one of: {known}"
         ) from None
-
-
-def fold_timings(stage_seconds: dict[StageName, float]) -> dict[str, float]:
-    """Per-stage seconds → legacy timing keys (parse under preprocess)."""
-    out: dict[str, float] = {}
-    for name, seconds in stage_seconds.items():
-        key = (
-            StageName.PREPROCESS.value
-            if name is StageName.PARSE
-            else name.value
-        )
-        out[key] = out.get(key, 0.0) + seconds
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +580,9 @@ class StagedRun:
         raise ArtifactError("run produced no artifacts")
 
     def timings(self) -> dict[str, float]:
-        """Legacy-shaped timing dict (parse folded into preprocess)."""
-        return fold_timings(self.stage_seconds)
+        """Seconds per stage, keyed by stage name (0.0 for stages
+        loaded from the cache or seeded by ``resume``)."""
+        return {name.value: s for name, s in self.stage_seconds.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +656,8 @@ class StagedRunner:
                 prev = seeded
         if prev is not None:
             ctx.diagnostics[:] = list(prev.diagnostics)
-        # Stages skipped via seeded artifacts cost nothing but must
-        # still appear in the timing dict (legacy key-set contract).
+        # Stages skipped via seeded artifacts cost nothing but still
+        # appear in the timing dict, so every run reports each stage.
         for impl in self.stages[:start]:
             ctx.stage_seconds.setdefault(impl.name, 0.0)
 
@@ -688,7 +673,7 @@ class StagedRunner:
                 started = time.perf_counter()
                 artifact = self._load_hit(ctx, keys.get(name), name)
                 if artifact is None:
-                    with stage_guard(name, None, ctx.diagnostics):
+                    with stage_guard(name, ctx.diagnostics):
                         artifact = impl.run(prev, ctx)
                     key = keys.get(name)
                     if key is not None:
@@ -753,7 +738,7 @@ class StagedRunner:
             for impl in self.stages[start : i + 1]:
                 ctx.cache_hits.append(impl.name)
                 # Hits cost ~one deserialize; charge them zero so the
-                # timing dict keeps the legacy key set either way.
+                # timing dict reports each stage either way.
                 ctx.stage_seconds.setdefault(impl.name, 0.0)
             ctx.diagnostics[:] = list(artifact.diagnostics)
             return i + 1, artifact
@@ -786,8 +771,8 @@ class StagedRunner:
         """Attach the partial profile so FailureReport can carry it."""
         if ctx.profiler is None:
             return
-        for key, seconds in fold_timings(ctx.stage_seconds).items():
-            ctx.profiler.record_stage(key, seconds)
+        for name, seconds in ctx.stage_seconds.items():
+            ctx.profiler.record_stage(name, seconds)
         if not hasattr(exc, "_gana_profile"):
             try:
                 exc._gana_profile = ctx.profiler.as_dict()
@@ -855,8 +840,8 @@ def pipeline_result_fingerprint(result: Any) -> str:
     """Semantic digest of a ``PipelineResult``: everything except
     wall-clock (timings / profile).  Two runs that recognized the same
     design identically — annotations, constraints, hierarchy,
-    diagnostics, degradation — share this fingerprint; the golden tests
-    use it to assert the staged path matches the legacy monolith."""
+    diagnostics, degradation — share this fingerprint; the oracles use
+    it to assert that twin paths agree."""
     return content_fingerprint(
         "pipeline-result",
         result.gcn_annotation,

@@ -47,22 +47,6 @@ def vertex_degrees(signatures: list[Signature]) -> list[int]:
     return [sum(sig.values()) for sig in signatures]
 
 
-def neighbor_kind_histograms(signatures: list[Signature]) -> list[Counter]:
-    """Neighbor-type histogram invariant: kind → count, per vertex.
-
-    A coarser projection of the full signature (the edge label is
-    dropped), useful as a cheap compatibility check before the full
-    multiset cover test.
-    """
-    histograms: list[Counter] = []
-    for sig in signatures:
-        hist: Counter = Counter()
-        for (_label, kind), count in sig.items():
-            hist[kind] += count
-        histograms.append(hist)
-    return histograms
-
-
 def frozen_signatures(
     signatures: list[Signature],
 ) -> list[tuple]:

@@ -5,8 +5,8 @@ spends its time without reaching for cProfile.  A
 :class:`PipelineProfiler` rides through ``GanaPipeline.run(...,
 profile=True)`` and collects
 
-* **stages** — wall-clock seconds per pipeline stage (preprocess,
-  graph, gcn, post1, post2, hierarchy), the same numbers
+* **stages** — wall-clock seconds per pipeline stage (parse,
+  preprocess, graph, gcn, post1, post2, hierarchy), the same numbers
   ``PipelineResult.timings`` reports;
 * **per_template** — per primitive template: VF2 launches, matches
   found, cumulative seconds, and how often the kind-histogram test

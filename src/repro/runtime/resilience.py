@@ -210,24 +210,18 @@ def worker_crash_report(
 
 
 @contextmanager
-def stage(
-    name: str,
-    timings: dict[str, float] | None = None,
-    diagnostics: list[Diagnostic] | None = None,
-):
+def stage(name: str, diagnostics: list[Diagnostic] | None = None):
     """Tag escaping exceptions with the pipeline stage they came from.
 
     ``name`` is a plain string or a
     :class:`repro.core.stages.StageName` member (the canonical stage
     vocabulary) — the tag is always stored as its string value.  The
     innermost tag wins (set only if absent), so nesting a fine
-    ``stage("parse")`` inside a coarse ``stage("preprocess", timings)``
-    yields ``parse`` as the failure stage while the timing lands under
-    the coarse key.  ``diagnostics`` gathered before the failure ride
-    along on the exception for :func:`failure_report`.
+    ``stage("parse")`` inside a coarse ``stage("preprocess")`` yields
+    ``parse`` as the failure stage.  ``diagnostics`` gathered before
+    the failure ride along on the exception for :func:`failure_report`.
     """
     name = getattr(name, "value", name)
-    start = time.perf_counter()
     try:
         yield
     except Exception as exc:
@@ -236,9 +230,6 @@ def stage(
         if diagnostics is not None and not hasattr(exc, "_gana_diagnostics"):
             exc._gana_diagnostics = tuple(diagnostics)
         raise
-    finally:
-        if timings is not None:
-            timings[name] = time.perf_counter() - start
 
 
 @dataclass

@@ -16,7 +16,6 @@ indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
                       naive ``indexed=False`` reference, per template
 packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
                       packed forward) vs per-sample ``annotate``
-staged_vs_monolith    ``GanaPipeline.run`` (staged) vs ``_run_monolith``
 hier_vs_flat          ``run(hier=True)`` vs the flat run
 warm_cache            warm :class:`ArtifactCache` re-run (all stages
                       cache-hit) vs the cold run
@@ -291,22 +290,6 @@ def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
             )
 
 
-@_oracle("staged runner equals the monolith reference", needs_pipeline=True)
-def check_staged_vs_monolith(deck: GeneratedDeck, ctx: OracleContext) -> None:
-    pipeline = ctx.pipeline
-    staged = pipeline.run(deck.text, mode=deck.mode)
-    monolith = pipeline._run_monolith(deck.text, mode=deck.mode)
-    got = pipeline_result_fingerprint(staged)
-    want = pipeline_result_fingerprint(monolith)
-    if got != want:
-        _diverge(
-            "staged_vs_monolith",
-            f"result fingerprints differ: staged {got[:12]} vs monolith {want[:12]}",
-        )
-    if staged.degraded != monolith.degraded:
-        _diverge("staged_vs_monolith", "degradation flags differ")
-
-
 @_oracle("hierarchy-scoped annotation is byte-identical to the flat path", needs_pipeline=True)
 def check_hier_vs_flat(deck: GeneratedDeck, ctx: OracleContext) -> None:
     pipeline = ctx.pipeline
@@ -339,11 +322,11 @@ def check_warm_cache(deck: GeneratedDeck, ctx: OracleContext) -> None:
         if s not in warm_staged.cache_hits
     ]
     # The gcn stage (and everything downstream of it) deliberately
-    # opts out of the content-addressed store once the pipeline holds
-    # a lazily-built fallback recognizer (no stable fingerprint) or
-    # the run degraded — mirror that contract: parse/preprocess/graph
-    # must always hit warm; gcn+ only while gcn stays cacheable.
-    gcn_cacheable = not cold.degraded and not (
+    # opts out of the content-addressed store when the pipeline holds
+    # an injected fallback recognizer (no stable fingerprint) — mirror
+    # that contract: parse/preprocess/graph must always hit warm; gcn+
+    # only while gcn stays cacheable.
+    gcn_cacheable = not (
         pipeline.fallback_recognizer is not None and pipeline.degrade
     )
     always_cached = {"parse", "preprocess", "graph"}

@@ -31,7 +31,8 @@ class TestRun:
     def test_timings_cover_stages(self, pipeline, ota_case):
         result = pipeline.run(ota_case.circuit)
         assert set(result.timings) == {
-            "preprocess", "graph", "gcn", "post1", "post2", "hierarchy",
+            "parse", "preprocess", "graph", "gcn", "post1", "post2",
+            "hierarchy",
         }
         assert all(v >= 0 for v in result.timings.values())
 

@@ -32,7 +32,6 @@ class TestRegistry:
             "include_roundtrip",
             "indexed_matching",
             "packed_gcn",
-            "staged_vs_monolith",
             "hier_vs_flat",
             "warm_cache",
             "metamorphic",
@@ -42,7 +41,6 @@ class TestRegistry:
         assert PIPELINE == sorted(
             [
                 "packed_gcn",
-                "staged_vs_monolith",
                 "hier_vs_flat",
                 "warm_cache",
                 "metamorphic",

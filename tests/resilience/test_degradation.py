@@ -4,10 +4,19 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.pipeline import GanaPipeline
+from repro.core.stages import STAGE_ORDER
 from repro.datasets.ota import generate_ota, ota_variants
+from repro.runtime.cache import ArtifactCache
 from repro.spice.writer import write_circuit
 
 OTA_CLASSES = ("ota", "bias")
@@ -76,12 +85,26 @@ class TestDegradation:
 
     def test_fallback_recognizer_is_cached(self, deck):
         pipeline = GanaPipeline(annotator=_BrokenAnnotator())
+        pipeline.run(deck)
+        first = pipeline._fallback()
+        pipeline.run(deck)
+        assert pipeline._fallback() is first
+        # The public field names an injected recognizer only.
         assert pipeline.fallback_recognizer is None
-        pipeline.run(deck)
-        first = pipeline.fallback_recognizer
-        assert first is not None
-        pipeline.run(deck)
-        assert pipeline.fallback_recognizer is first
+
+    def test_degraded_run_keeps_pool_and_stage_cache_keys(
+        self, quick_ota_annotator, deck, tmp_path
+    ):
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        key = pipeline._pool_key()
+        pipeline.confidence_floor = 1.5
+        assert pipeline.run(deck).degraded
+        pipeline.confidence_floor = 0.0
+        assert pipeline._pool_key() == key
+        cache = ArtifactCache(tmp_path)
+        pipeline.run_staged(deck, artifact_cache=cache)
+        warm = pipeline.run_staged(deck, artifact_cache=cache)
+        assert set(warm.cache_hits) == set(STAGE_ORDER)
 
     def test_degraded_probabilities_are_one_hot(self, deck):
         pipeline = GanaPipeline(annotator=_BrokenAnnotator())
@@ -91,3 +114,49 @@ class TestDegradation:
         assert probs.shape[1] == len(OTA_CLASSES)
         assert ((probs == 0.0) | (probs == 1.0)).all()
         assert (probs.sum(axis=1) == 1.0).all()
+
+
+#: Every deck degrades (the floor is unattainable) inside a two-worker
+#: run_many, so the template fallback is built in the pool workers.
+_DEGRADE_IN_POOL = """
+from repro.core.pipeline import GanaPipeline
+from repro.datasets.ota import generate_ota, ota_variants
+from repro.datasets.synth import pretrain_annotator
+from repro.spice.writer import write_circuit
+
+decks = [
+    write_circuit(generate_ota(spec, name=f"pool{i}").circuit)
+    for i, spec in enumerate(ota_variants(4, seed="degrade-in-pool"))
+]
+annotator = pretrain_annotator("ota", quick=True, train_size=150, seed=0)
+pipeline = GanaPipeline(annotator=annotator, confidence_floor=1.5)
+results = pipeline.run_many(decks, workers=2, on_error="report")
+assert all(r.ok and r.degraded for r in results), results
+"""
+
+
+def test_degrading_in_pool_workers_lets_the_interpreter_exit(
+    quick_ota_annotator,
+):
+    # The session fixture has stored the model in the (inherited)
+    # GANA_CACHE_DIR, so the child loads it instead of training.
+    # GANA_WORKERS=2 makes any nested pool a real one on every host.
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "GANA_WORKERS": "2", "PYTHONPATH": str(src)}
+    # A session of its own, so a hang can be killed with every pool
+    # worker the child forked.
+    child = subprocess.Popen(
+        [sys.executable, "-c", _DEGRADE_IN_POOL],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the interpreter did not exit within 60 s")
+    assert child.returncode == 0, err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import GanaPipeline
+from repro.core.stages import TIMING_STAGES
 from repro.datasets.ota import OtaSpec, generate_ota, ota_variants
 from repro.spice.writer import write_circuit
 
@@ -38,9 +39,7 @@ def _assert_same_results(batch, serial):
         )
         assert got.hierarchy.render() == want.hierarchy.render()
         assert set(got.timings) == set(want.timings)
-        assert set(got.timings) == {
-            "preprocess", "graph", "gcn", "post1", "post2", "hierarchy",
-        }
+        assert set(got.timings) == set(TIMING_STAGES)
 
 
 class TestRunMany:
@@ -211,7 +210,7 @@ class TestBatchedChunkFlow:
         self, pipeline, decks, monkeypatch
     ):
         """A deck that fails after the graph stage inside a packed chunk
-        still reports the preprocess and graph seconds it spent."""
+        still reports the parse, preprocess and graph seconds it spent."""
         import repro.core.pipeline as pipeline_module
         from repro.core.pipeline import _run_pipeline_chunk
 
@@ -234,6 +233,7 @@ class TestBatchedChunkFlow:
         first, report, third = _run_pipeline_chunk(pipeline, jobs)
         assert first.ok and third.ok and not report.ok
         assert report.stage == "post1"
+        assert report.profile["stages"]["parse"] > 0
         assert report.profile["stages"]["preprocess"] > 0
         assert report.profile["stages"]["graph"] > 0
         # Successful siblings still count each stage once.
