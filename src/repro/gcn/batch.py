@@ -44,6 +44,7 @@ from repro.exceptions import ModelConfigError
 from repro.gcn.chebyshev import chebyshev_basis
 from repro.gcn.layers import SampleContext
 from repro.gcn.samples import GraphSample
+from repro.utils.sparse import csr_from_arrays
 
 
 def block_diag_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
@@ -78,19 +79,7 @@ def block_diag_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
         + [b.indptr[1:].astype(idx_dtype, copy=False) + off
            for b, off in zip(blocks, nnz_offsets)]
     )
-    # The arrays are valid canonical CSR by construction, so skip the
-    # constructor's format checks and index-dtype scans (a measurable
-    # share of pack time); fall back to the checking constructor if the
-    # private fast path ever disappears.
-    try:
-        out = sp.csr_matrix.__new__(sp.csr_matrix)
-        out.data = data
-        out.indices = indices
-        out.indptr = indptr
-        out._shape = (n, n)
-        return out
-    except AttributeError:  # pragma: no cover - scipy internals moved
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return csr_from_arrays(data, indices, indptr, (n, n))
 
 
 @dataclass

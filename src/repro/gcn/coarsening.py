@@ -11,12 +11,14 @@ level, giving the multilevel clustering the pool layers consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.laplacian import normalized_laplacian, rescaled_laplacian
+from repro.utils.sparse import csr_from_coo, float64_csr, row_ids, row_sums
 
 
 def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
@@ -25,24 +27,29 @@ def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
     Returns ``assign``: fine vertex → coarse cluster id (clusters have
     one or two members).  ``rng`` shuffles the visit order, as Graclus
     prescribes, so coarsenings differ between seeds but are fully
-    reproducible for a fixed one.
+    reproducible for a fixed one.  The greedy loop is sequential by
+    definition, so it runs over plain Python lists, whose float
+    arithmetic is the same IEEE double arithmetic as numpy's.
     """
-    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
+    adjacency = float64_csr(adjacency)
     n = adjacency.shape[0]
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    degrees = row_sums(adjacency)
     with np.errstate(divide="ignore"):
         inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
 
-    order = rng.permutation(n)
-    matched = np.full(n, -1, dtype=np.int64)
+    order = rng.permutation(n).tolist()
+    matched = [-1] * n
     next_cluster = 0
-    indptr, indices, data = adjacency.indptr, adjacency.indices, adjacency.data
+    indptr = adjacency.indptr.tolist()
+    indices = adjacency.indices.tolist()
+    data = adjacency.data.tolist()
+    inv_deg = inv_deg.tolist()
 
     for vertex in order:
         if matched[vertex] >= 0:
             continue
         best_neighbor = -1
-        best_score = -np.inf
+        best_score = -math.inf
         for idx in range(indptr[vertex], indptr[vertex + 1]):
             neighbor = indices[idx]
             if neighbor == vertex or matched[neighbor] >= 0:
@@ -55,7 +62,7 @@ def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
         if best_neighbor >= 0:
             matched[best_neighbor] = next_cluster
         next_cluster += 1
-    return matched
+    return np.array(matched, dtype=np.int64)
 
 
 def coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matrix:
@@ -63,17 +70,17 @@ def coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matr
 
     ``W_c = Sᵀ W S`` with the diagonal (intra-cluster weight) removed,
     since self-loops carry no information for the next matching or for
-    the Laplacian.
+    the Laplacian.  Every entry maps through ``assign``; intra-cluster
+    entries drop and the rest sum per coarse ``(row, col)``.
     """
-    n = adjacency.shape[0]
+    adjacency = float64_csr(adjacency)
     n_coarse = int(assign.max()) + 1 if assign.size else 0
-    selector = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), assign)), shape=(n, n_coarse)
+    rows = assign[row_ids(adjacency.indptr)]
+    cols = assign[adjacency.indices]
+    inter = rows != cols
+    return csr_from_coo(
+        rows[inter], cols[inter], adjacency.data[inter], n_coarse
     )
-    coarse = (selector.T @ adjacency @ selector).tocsr()
-    coarse.setdiag(0)
-    coarse.eliminate_zeros()
-    return coarse
 
 
 @dataclass
@@ -101,7 +108,7 @@ def build_pyramid(
     adjacency: sp.spmatrix, levels: int, rng
 ) -> CoarseningPyramid:
     """Coarsen ``levels`` times and precompute every level's Laplacian."""
-    adjacencies = [sp.csr_matrix(adjacency, dtype=np.float64)]
+    adjacencies = [float64_csr(adjacency)]
     assignments: list[np.ndarray] = []
     for _ in range(levels):
         current = adjacencies[-1]

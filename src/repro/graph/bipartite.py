@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import GraphConstructionError
 from repro.spice.netlist import Circuit, Device, is_power_net
+from repro.utils.sparse import csr_from_coo
 
 #: Bit positions of the 3-bit edge label ``lg ls ld`` (gate is the MSB).
 GATE_BIT = 0b100
@@ -166,16 +167,15 @@ class CircuitGraph:
     # -- matrices ------------------------------------------------------
 
     def adjacency(self) -> sp.csr_matrix:
-        """Unweighted symmetric adjacency over all vertices."""
-        n = self.n_vertices
-        rows, cols = [], []
-        for edge in self.edges:
-            u = edge.element
-            v = self.n_elements + edge.net
-            rows.extend((u, v))
-            cols.extend((v, u))
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        """Unweighted symmetric adjacency over all vertices (canonical CSR)."""
+        element, net, _label = self.edge_arrays()
+        net = net + self.n_elements
+        return csr_from_coo(
+            np.concatenate([element, net]),
+            np.concatenate([net, element]),
+            np.ones(2 * len(element)),
+            self.n_vertices,
+        )
 
     def edge_label(self, element: int, net: int) -> int | None:
         """3-bit label between an element vertex and a net (local index).

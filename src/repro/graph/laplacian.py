@@ -13,22 +13,48 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.utils.sparse import csr_from_coo, float64_csr, row_ids, row_sums
+
 
 def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
     """``L = I − D^{-1/2} A D^{-1/2}`` (Eq. 1).
 
-    Accepts any scipy sparse adjacency; returns CSR.  Degree-zero
-    vertices contribute an identity row.
+    Accepts any scipy sparse adjacency; returns canonical CSR.
+    Degree-zero vertices contribute an identity row.  Each off-diagonal
+    entry is ``−(d_i^{-1/2} · a_ij) · d_j^{-1/2}``, in that product
+    order.
     """
-    adjacency = sp.csr_matrix(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    adjacency = float64_csr(adjacency)
     with np.errstate(divide="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(degrees)
+        inv_sqrt = 1.0 / np.sqrt(row_sums(adjacency))
     inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-    d_inv_sqrt = sp.diags(inv_sqrt)
-    identity = sp.identity(n, format="csr", dtype=np.float64)
-    return sp.csr_matrix(identity - d_inv_sqrt @ adjacency @ d_inv_sqrt)
+    rows = row_ids(adjacency.indptr)
+    cols = adjacency.indices
+    scaled = (inv_sqrt[rows] * adjacency.data) * inv_sqrt[cols]
+    return _plus_identity(rows, cols, -scaled, adjacency.shape[0], 1.0)
+
+
+def _plus_identity(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    n: int,
+    shift: float,
+) -> sp.csr_matrix:
+    """Canonical CSR of ``M + shift·I`` from the entries of ``M``.
+
+    A diagonal entry becomes ``m_ii + shift``.  IEEE addition commutes
+    and ``a + (−b)`` is ``a − b``, so this is bit for bit the sparse
+    ``I − N`` or ``L − I``; entries that come to zero are dropped, as
+    sparse subtraction drops them.
+    """
+    diagonal = np.arange(n)
+    return csr_from_coo(
+        np.concatenate([rows, diagonal]),
+        np.concatenate([cols, diagonal]),
+        np.concatenate([values, np.full(n, shift)]),
+        n,
+    )
 
 
 def largest_eigenvalue(laplacian: sp.spmatrix, exact: bool = False) -> float:
@@ -56,15 +82,24 @@ def largest_eigenvalue(laplacian: sp.spmatrix, exact: bool = False) -> float:
 def rescaled_laplacian(
     laplacian: sp.spmatrix, lmax: float | None = None
 ) -> sp.csr_matrix:
-    """``L̂ = 2 L / λmax − I`` so the spectrum lands in [−1, 1] (Eq. 3)."""
-    laplacian = sp.csr_matrix(laplacian, dtype=np.float64)
+    """``L̂ = 2 L / λmax − I`` so the spectrum lands in [−1, 1] (Eq. 3).
+
+    For the normalized Laplacian of a graph without self-loops, the
+    default ``λmax = 2`` cancels the unit diagonal, which is dropped,
+    leaving ``L̂_ij = −(d_i^{-1/2} · a_ij) · d_j^{-1/2}``.
+    """
+    laplacian = float64_csr(laplacian)
     if lmax is None:
         lmax = largest_eigenvalue(laplacian)
     if lmax <= 0:
         raise ValueError(f"λmax must be positive, got {lmax}")
-    n = laplacian.shape[0]
-    identity = sp.identity(n, format="csr", dtype=np.float64)
-    return sp.csr_matrix(laplacian * (2.0 / lmax) - identity)
+    return _plus_identity(
+        row_ids(laplacian.indptr),
+        laplacian.indices,
+        laplacian.data * (2.0 / lmax),
+        laplacian.shape[0],
+        -1.0,
+    )
 
 
 def laplacian_spectrum(adjacency: sp.spmatrix) -> np.ndarray:

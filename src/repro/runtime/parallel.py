@@ -305,6 +305,10 @@ def parallel_map(
     for attempt in range(max(0, pool_retries) + 1):
         pool: ProcessPoolExecutor | None = None
         try:
+            # Before any pool is touched: a pool fed a callable it
+            # cannot pickle fails inside its executor thread, after
+            # forking its workers.
+            pickle.dumps(fn)
             if reusable:
                 pool = _checkout_pool(
                     n_workers,

@@ -22,6 +22,16 @@ def _ring(n: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(2 * n), (rows, cols)), shape=(n, n))
 
 
+def _with_isolated(adj: sp.csr_matrix, isolated: list[int]) -> sp.csr_matrix:
+    """``adj`` with edge-free vertices inserted at the given final indices."""
+    n = adj.shape[0] + len(isolated)
+    keep = np.setdiff1d(np.arange(n), isolated)
+    coo = adj.tocoo()
+    return sp.csr_matrix(
+        (coo.data, (keep[coo.row], keep[coo.col])), shape=(n, n)
+    )
+
+
 def _random_adj(seed: int, n: int, p: float = 0.3) -> sp.csr_matrix:
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < p, k=1)
@@ -124,6 +134,25 @@ class TestPyramid:
         for level, assign in enumerate(pyramid.assignments):
             assert len(assign) == pyramid.adjacencies[level].shape[0]
             assert int(assign.max()) + 1 == pyramid.adjacencies[level + 1].shape[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_isolated_vertices_in_the_middle_and_at_the_end(self, seed):
+        # A declared port no device touches is an entry-less trailing
+        # row of the circuit adjacency; real training decks have them.
+        adj = _with_isolated(_random_adj(seed, 14, p=0.25), [0, 6, 7, 17, 18])
+        assert adj.indptr[-1] == adj.indptr[-3]  # two empty trailing rows
+        pyramid = build_pyramid(adj, levels=2, rng=seeded_rng(seed))
+        for level, lap in enumerate(pyramid.laplacians):
+            dense = pyramid.adjacencies[level].toarray()
+            degrees = dense.sum(axis=1)
+            inv_sqrt = np.zeros_like(degrees)
+            inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+            expected = -(inv_sqrt[:, None] * dense) * inv_sqrt[None, :]
+            np.testing.assert_allclose(lap.toarray(), expected, rtol=1e-15, atol=0)
+            assert (lap.data != 0).all()
+        fine = pyramid.assignments[0]
+        for vertex in (0, 6, 7, 17, 18):
+            assert (fine == fine[vertex]).sum() == 1  # a singleton cluster
 
     def test_rescaled_laplacian_spectrum(self):
         pyramid = build_pyramid(_ring(10), levels=2, rng=seeded_rng(5))

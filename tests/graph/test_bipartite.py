@@ -1,7 +1,10 @@
 """Bipartite graph construction and the 3-bit edge labels (Sec. II-C)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.exceptions import GraphConstructionError
 from repro.graph.bipartite import (
@@ -103,6 +106,26 @@ class TestMatrices:
         ne = diff_ota_graph.n_elements
         assert not adj[:ne, :ne].any()
         assert not adj[ne:, ne:].any()
+
+    def test_adjacency_is_the_canonical_csr_of_the_edge_list(self, diff_ota_graph):
+        # A declared port no device touches is a trailing isolated vertex.
+        circuit = dataclasses.replace(
+            diff_ota_graph.circuit,
+            ports=(*diff_ota_graph.circuit.ports, "unused_port"),
+        )
+        graph = CircuitGraph.from_circuit(circuit)
+        rows = [e.element for e in graph.edges]
+        cols = [graph.n_elements + e.net for e in graph.edges]
+        n = graph.n_vertices
+        want = sp.csr_matrix(
+            (np.ones(2 * len(rows)), (rows + cols, cols + rows)), shape=(n, n)
+        )
+        got = graph.adjacency()
+        assert got.indptr[-1] == got.indptr[-2]  # the isolated port
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, name
+            np.testing.assert_array_equal(g, w)
 
     def test_degrees_match_adjacency(self, diff_ota_graph):
         adj = diff_ota_graph.adjacency()

@@ -18,7 +18,8 @@ from repro.core.pipeline import GanaPipeline, PipelineResult
 from repro.datasets.ota import generate_ota, ota_variants
 from repro.exceptions import SpiceSyntaxError
 from repro.runtime.cache import ModelCache
-from repro.runtime.parallel import parallel_map
+from repro.runtime import parallel
+from repro.runtime.parallel import parallel_map, shutdown_pools
 from repro.runtime.resilience import FailureReport
 from repro.spice.writer import write_circuit
 
@@ -171,11 +172,17 @@ class TestPoolRecovery:
 
     def test_unpicklable_payload_falls_back_serially(self, caplog):
         # A lambda cannot cross the process boundary; the map must
-        # still produce correct results via the logged serial path.
+        # still produce correct results via the logged serial path,
+        # without forking a pool it could never feed.
+        shutdown_pools()
         with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
             out = parallel_map(lambda x: x + 1, [1, 2, 3, 4], workers=2)
         assert out == [2, 3, 4, 5]
-        assert any("serial" in str(record.msg) for record in caplog.records)
+        assert any(
+            "falling back to the serial path" in record.getMessage()
+            for record in caplog.records
+        )
+        assert not parallel._POOLS
 
 
 class TestCacheCorruption:
