@@ -27,9 +27,8 @@ import time
 
 from _common import load_pipeline, update_bench_json
 
-#: Repeated channel instances — well above the ISSUE's >= 8 floor so
-#: the per-unique-definition costs (one representative walk, one packed
-#: definition forward) amortize visibly.
+#: Repeated channel instances — well above 8, so the per-unique-
+#: definition cost (one representative walk) amortizes visibly.
 N_CHANNELS = 16
 
 

@@ -210,7 +210,7 @@ def _report_hier_summary(result) -> None:
         return
     print(
         f"hier: {report.n_instances} instance(s) of "
-        f"{report.n_unique_groups} unique definition(s); "
+        f"{report.n_unique_groups} (definition, multiplier) group(s); "
         f"{report.reused}/{report.interior} interior CCC match sets "
         f"reused ({report.boundary} boundary)",
         file=sys.stderr,

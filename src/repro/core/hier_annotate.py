@@ -21,13 +21,6 @@ while staying byte-identical to the flat path:
   matching — the "narrow re-match band" — so the final annotation is
   the one the flat path computes, byte for byte.
 
-* :func:`annotate_definitions` runs one packed GCN forward
-  (:meth:`~repro.core.annotator.GcnAnnotator.annotate_batch`) over the
-  standalone bodies of all unique ``(fingerprint, multiplier)`` groups.
-  Its :class:`DefinitionAnnotation` summaries are advisory — per
-  definition class statistics for reporting, caching, and profiling —
-  and never touch the byte-identical output path.
-
 Definition-keyed persistence: with a backing
 :class:`~repro.runtime.cache.ArtifactCache`, shared entries are stored
 under keys embedding the definition fingerprint, so editing one subckt
@@ -62,26 +55,25 @@ _PRED_PROFILE_MEMO: dict[str, tuple[bool, ...]] = {}
 #: Cleared when full.  The hier benchmark's 12 decks fill ~1k entries.
 _PRED_PROFILE_MEMO_MAX = 4096
 
-#: ``(SUPPLY_NET_RE, GROUND_NET_RE)`` the hier memos were filled under.
+#: ``(SUPPLY_NET_RE, GROUND_NET_RE)`` the predicate memo was filled under.
 _MEMO_RAILS: tuple = ()
 
 
 def _check_rail_conventions() -> None:
-    """Clear the hier memos when the rail regexes are no longer the
-    ones they were filled under.
+    """Clear the predicate memo when the rail regexes are no longer the
+    ones it was filled under.
 
-    Predicate profiles and definition summaries depend on which names
-    read as supply or ground, and callers may customize
+    Predicate profiles depend on which names read as supply or ground,
+    and callers may customize
     :data:`~repro.spice.netlist.SUPPLY_NET_RE` /
-    :data:`~repro.spice.netlist.GROUND_NET_RE` between runs.  The
-    memos are not cleared on every run: they pay by carrying rail and
-    testbench nets from deck to deck.
+    :data:`~repro.spice.netlist.GROUND_NET_RE` between runs.  The memo
+    is not cleared on every run: it pays by carrying rail and testbench
+    nets from deck to deck.
     """
     global _MEMO_RAILS
     rails = (spice_netlist.SUPPLY_NET_RE, spice_netlist.GROUND_NET_RE)
     if rails != _MEMO_RAILS:
         _PRED_PROFILE_MEMO.clear()
-        _DEF_ANN_MEMO.clear()
         _MEMO_RAILS = rails
 
 
@@ -141,20 +133,6 @@ class _CccPlan:
     started: float = 0.0
 
 
-@dataclass(frozen=True)
-class DefinitionAnnotation:
-    """Advisory per-definition GCN summary (one packed forward)."""
-
-    definition: str
-    fingerprint: str
-    multiplier: float
-    n_instances: int
-    instance_paths: tuple[str, ...]
-    n_devices: int
-    class_counts: tuple[tuple[str, int], ...]
-    majority_class: str
-
-
 @dataclass
 class HierReport:
     """What the hierarchy-scoped path did for one run."""
@@ -171,7 +149,6 @@ class HierReport:
     replayed: int = 0
     #: ``definition → {"instances", "cccs", "reused", "seconds"}``.
     per_definition: dict[str, dict] = field(default_factory=dict)
-    definition_annotations: tuple[DefinitionAnnotation, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -188,17 +165,6 @@ class HierReport:
             "per_definition": {
                 name: dict(stats) for name, stats in self.per_definition.items()
             },
-            "definitions": [
-                {
-                    "definition": d.definition,
-                    "fingerprint": d.fingerprint[:12],
-                    "multiplier": d.multiplier,
-                    "n_instances": d.n_instances,
-                    "n_devices": d.n_devices,
-                    "majority_class": d.majority_class,
-                }
-                for d in self.definition_annotations
-            ],
         }
 
 
@@ -586,10 +552,7 @@ class HierMatchCache:
             stats["reused"] += 1
         self._plan = None
 
-    def finalize(
-        self,
-        definition_annotations: tuple[DefinitionAnnotation, ...] = (),
-    ) -> HierReport:
+    def finalize(self) -> HierReport:
         """Flush attribution, feed the profiler, and build the report."""
         self._flush(time.perf_counter())
         per_definition = {
@@ -622,136 +585,5 @@ class HierMatchCache:
             persisted_hits=self.stats["persisted_hits"],
             replayed=self.stats["replayed"],
             per_definition=per_definition,
-            definition_annotations=definition_annotations,
         )
 
-
-# ---------------------------------------------------------------------------
-# Per-definition packed GCN summaries (advisory)
-# ---------------------------------------------------------------------------
-
-#: (annotator fp, definition fp, multiplier) → summary.  Content-keyed,
-#: so it is shared process-wide until the rail conventions change (see
-#: :func:`_check_rail_conventions`).  Repeat runs in one process
-#: (fleets, benchmarks) skip the per-definition forward without needing
-#: a disk cache.
-_DEF_ANN_MEMO: dict[tuple[str, str, float], DefinitionAnnotation] = {}
-#: Cleared when full.  The hier benchmark's 12 decks fill 8 entries.
-_DEF_ANN_MEMO_MAX = 256
-
-
-def _remember_summary(key: tuple[str, str, float], summary) -> None:
-    if len(_DEF_ANN_MEMO) >= _DEF_ANN_MEMO_MAX:
-        _DEF_ANN_MEMO.clear()
-    _DEF_ANN_MEMO[key] = summary
-
-
-def annotate_definitions(
-    tree: DesignTree, annotator, cache=None
-) -> tuple[DefinitionAnnotation, ...]:
-    """One packed GCN forward over every unique definition body.
-
-    Classifies each unique ``(fingerprint, multiplier)`` group's
-    standalone body through
-    :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch` and
-    summarizes per-definition class statistics.  Advisory only: the
-    byte-identical annotation path never consumes these.  Summaries are
-    memoized in-process per (annotator, definition, multiplier); with a
-    backing ``cache`` (an :class:`~repro.runtime.cache.ArtifactCache`)
-    they also persist across processes.
-    """
-    from repro.core.stages import annotator_fingerprint
-    from repro.graph.bipartite import CircuitGraph
-    from repro.spice.preprocess import preprocess
-
-    _check_rail_conventions()
-    groups = tree.groups()
-    try:
-        ann_fp = annotator_fingerprint(annotator)
-    except Exception:
-        ann_fp = ""
-        cache = None
-    items = []
-    for (fingerprint, multiplier), paths in sorted(groups.items()):
-        body = tree.bodies.get((fingerprint, multiplier))
-        if body is None:
-            continue
-        if not any(not d.kind.is_source for d in body.devices):
-            continue
-        items.append((fingerprint, multiplier, paths, body))
-
-    def rescoped(stored: DefinitionAnnotation, paths) -> DefinitionAnnotation:
-        return DefinitionAnnotation(
-            definition=stored.definition,
-            fingerprint=stored.fingerprint,
-            multiplier=stored.multiplier,
-            n_instances=len(paths),
-            instance_paths=tuple(paths),
-            n_devices=stored.n_devices,
-            class_counts=stored.class_counts,
-            majority_class=stored.majority_class,
-        )
-
-    summaries: dict[int, DefinitionAnnotation] = {}
-    pending: list[int] = []
-    keys: dict[int, str] = {}
-    memo_keys: dict[int, tuple[str, str, float]] = {}
-    for index, (fingerprint, multiplier, paths, body) in enumerate(items):
-        if ann_fp:
-            memo_key = (ann_fp, fingerprint, multiplier)
-            memo_keys[index] = memo_key
-            memoized = _DEF_ANN_MEMO.get(memo_key)
-            if memoized is not None:
-                summaries[index] = rescoped(memoized, paths)
-                continue
-        if cache is not None:
-            key = (
-                f"hier-def-ann-{ann_fp[:12]}-{fingerprint[:12]}-{multiplier!r}"
-            )
-            keys[index] = key
-            stored = cache.load(key)
-            if isinstance(stored, DefinitionAnnotation):
-                summary = rescoped(stored, paths)
-                summaries[index] = summary
-                if index in memo_keys:
-                    _remember_summary(memo_keys[index], summary)
-                continue
-        pending.append(index)
-
-    if pending:
-        graphs = []
-        for index in pending:
-            body = items[index][3]
-            reduced, _report = preprocess(body)
-            graphs.append(CircuitGraph.from_circuit(reduced))
-        if callable(getattr(annotator, "annotate_batch", None)):
-            annotations = annotator.annotate_batch(graphs)
-        else:
-            annotations = [annotator.annotate(graph) for graph in graphs]
-        for index, annotation in zip(pending, annotations):
-            fingerprint, multiplier, paths, body = items[index]
-            counts = Counter(annotation.element_classes.values())
-            majority = counts.most_common(1)[0][0] if counts else "?"
-            summary = DefinitionAnnotation(
-                definition=_definition_name_of(tree, fingerprint),
-                fingerprint=fingerprint,
-                multiplier=multiplier,
-                n_instances=len(paths),
-                instance_paths=tuple(paths),
-                n_devices=annotation.graph.n_elements,
-                class_counts=tuple(sorted(counts.items())),
-                majority_class=majority,
-            )
-            summaries[index] = summary
-            if index in memo_keys:
-                _remember_summary(memo_keys[index], summary)
-            if cache is not None:
-                cache.store(keys[index], summary)
-    return tuple(summaries[i] for i in range(len(items)) if i in summaries)
-
-
-def _definition_name_of(tree: DesignTree, fingerprint: str) -> str:
-    for key, definition in tree.definitions.items():
-        if definition.fingerprint == fingerprint:
-            return definition.name
-    return fingerprint[:12]

@@ -127,9 +127,8 @@ class PipelineResult:
     degraded: bool = False
     degraded_reason: str | None = None
     #: Hierarchy-scoped annotation report (``--hier`` runs only):
-    #: definition/instance statistics, reuse counts, and advisory
-    #: per-definition GCN summaries.  Advisory — the annotation itself
-    #: is byte-identical to the flat path.
+    #: definition/instance statistics and reuse counts.  The annotation
+    #: itself is byte-identical to the flat path.
     hier: "HierReport | None" = None
 
     @property
@@ -1041,26 +1040,7 @@ class Post1Stage:
             ctx.cache.store(partition_key, post1.partition)
         hier_report = None
         if hier_cache is not None:
-            from repro.core.hier_annotate import annotate_definitions
-
-            definition_annotations = ()
-            try:
-                # Advisory per-definition summaries (one packed GCN
-                # forward over the unique bodies); never allowed to
-                # fail the run — the byte-identical output path does
-                # not consume them.
-                definition_annotations = annotate_definitions(
-                    tree, pipeline.annotator, cache=ctx.cache
-                )
-            except Exception:
-                _LOG.warning(
-                    "per-definition annotation failed; continuing "
-                    "without definition summaries",
-                    exc_info=True,
-                )
-            hier_report = hier_cache.finalize(
-                definition_annotations=definition_annotations
-            )
+            hier_report = hier_cache.finalize()
         return Post1Result(
             post1=post1,
             gcn_annotation=upstream.annotation,

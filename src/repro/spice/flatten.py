@@ -17,10 +17,10 @@ same flat circuit *plus* a :class:`DesignTree` — one
 parameter-resolved, port-ordered content fingerprint, hashed once per
 definition via :func:`definition_fingerprints`) and one
 :class:`InstanceRecord` per elaborated instance (path → definition,
-accumulated multiplier, resolved port bindings).  The tree is what the
-hierarchy-scoped annotation path (:mod:`repro.core.hier_annotate`)
-uses to annotate each unique definition once and replicate the result
-per call site.
+accumulated multiplier, resolved port bindings), recorded in the same
+single elaboration pass.  The tree is what the hierarchy-scoped
+annotation path (:mod:`repro.core.hier_annotate`) uses to run VF2 once
+per unique definition and replay the match lists per call site.
 """
 
 from __future__ import annotations
@@ -82,33 +82,14 @@ class InstanceRecord:
 class DesignTree:
     """Hierarchy sidecar emitted by :func:`flatten_hierarchical`.
 
-    ``definitions`` is keyed by lower-cased subckt name.  ``bodies``
-    holds one standalone elaborated :class:`Circuit` per unique
-    ``(fingerprint, multiplier)`` equivalence group — elaborated with
-    an empty prefix and identity port map, so its device and net names
-    are exactly the flat names of any member instance with the
-    instance-path prefix stripped (ports and globals excepted).
+    ``definitions`` is keyed by lower-cased subckt name; ``instances``
+    lists every elaborated instance in elaboration order.
     """
 
     top: str
     globals_: tuple[str, ...] = ()
     definitions: dict[str, SubcktDef] = field(default_factory=dict)
     instances: tuple[InstanceRecord, ...] = ()
-    bodies: dict[tuple[str, float], Circuit] = field(default_factory=dict)
-
-    def groups(self) -> dict[tuple[str, float], tuple[str, ...]]:
-        """Instance paths per ``(fingerprint, multiplier)`` group."""
-        out: dict[tuple[str, float], list[str]] = {}
-        for rec in self.instances:
-            out.setdefault((rec.fingerprint, rec.multiplier), []).append(rec.path)
-        return {key: tuple(paths) for key, paths in out.items()}
-
-    def record_for(self, path: str) -> InstanceRecord | None:
-        """The instance record at ``path``, or None."""
-        for rec in self.instances:
-            if rec.path == path:
-                return rec
-        return None
 
     def n_unique(self) -> int:
         """Number of unique (definition, multiplier) equivalence groups."""
@@ -309,11 +290,10 @@ def flatten_hierarchical(
 
     Returns the *same* flat :class:`Circuit` that :func:`flatten` would
     produce (device-for-device, name-for-name) plus a
-    :class:`DesignTree`: fingerprinted subckt definitions, the full
-    instance table, and one standalone elaborated body per unique
-    ``(fingerprint, multiplier)`` group.  Lenient-mode skipped
-    instances are absent from the instance table, matching their
-    absence from the flat circuit.
+    :class:`DesignTree`: fingerprinted subckt definitions and the full
+    instance table, recorded during the one elaboration pass.
+    Lenient-mode skipped instances are absent from the instance table,
+    matching their absence from the flat circuit.
     """
     def_fps = definition_fingerprints(netlist)
     out = Circuit(name=netlist.top.name, ports=netlist.top.ports)
@@ -340,37 +320,12 @@ def flatten_hierarchical(
         )
         for key, circuit in netlist.subckts.items()
     }
-    tree = DesignTree(
+    return out, DesignTree(
         top=netlist.top.name,
         globals_=netlist.globals_,
         definitions=definitions,
         instances=tuple(records),
     )
-    for rec in records:
-        group = (rec.fingerprint, rec.multiplier)
-        if group in tree.bodies:
-            continue
-        child = netlist.subckts.get(rec.definition)
-        if child is None:
-            continue
-        body = Circuit(name=child.name, ports=child.ports)
-        scratch: list = []
-        try:
-            _flatten_into(
-                netlist,
-                child,
-                prefix="",
-                net_map={p: p for p in child.ports},
-                out=body,
-                depth=0,
-                stack=(child.name,),
-                multiplier=rec.multiplier,
-                diagnostics=scratch,
-            )
-        except ElaborationError:
-            continue  # body unavailable; instances fall back to direct matching
-        tree.bodies[group] = body
-    return out, tree
 
 
 def instance_path(flat_name: str) -> tuple[str, ...]:

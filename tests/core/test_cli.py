@@ -164,25 +164,26 @@ class TestExportDir:
         assert isinstance(payload, list)
 
 
+@pytest.fixture()
+def quick_model(tmp_path, monkeypatch):
+    import repro.datasets.synth as synth
+
+    original = synth.pretrain_annotator
+    monkeypatch.setattr(
+        synth,
+        "pretrain_annotator",
+        lambda task, quick=True, seed=0, **kw: original(
+            task, quick=quick, seed=seed, train_size=16
+        ),
+    )
+    model_path = tmp_path / "m.npz"
+    main(["train", "--task", "ota", "--quick", "--out", str(model_path)])
+    return model_path
+
+
 class TestStagedFlags:
     """ISSUE 4: --stop-after / --resume-from / --save-artifacts /
     --artifact-cache on the annotate subcommand."""
-
-    @pytest.fixture()
-    def quick_model(self, tmp_path, monkeypatch):
-        import repro.datasets.synth as synth
-
-        original = synth.pretrain_annotator
-        monkeypatch.setattr(
-            synth,
-            "pretrain_annotator",
-            lambda task, quick=True, seed=0, **kw: original(
-                task, quick=quick, seed=seed, train_size=16
-            ),
-        )
-        model_path = tmp_path / "m.npz"
-        main(["train", "--task", "ota", "--quick", "--out", str(model_path)])
-        return model_path
 
     def test_stop_after_choices_are_canonical(self):
         from repro.core.stages import STAGE_ORDER
@@ -254,6 +255,49 @@ class TestStagedFlags:
         code = main(["annotate"])
         assert code == 2
         assert "resume-from" in capsys.readouterr().err
+
+
+#: One subckt, instantiated once plain and once with ``m=2``.
+OTACELL_MULTIPLIER_DECK = """
+* one ota cell definition, two multipliers
+.global vdd! gnd!
+.subckt otacell vinp vinn voutp voutn
+m0 n1 n1 gnd! gnd! nmos w=1u l=100n
+m1 id n1 gnd! gnd! nmos w=1u l=100n
+m2 voutn vinp id gnd! nmos w=2u l=100n
+m3 voutp vinn id gnd! nmos w=2u l=100n
+m4 voutn vbp vdd! vdd! pmos w=4u l=100n
+m5 voutp vbp vdd! vdd! pmos w=4u l=100n
+.ends
+x0 a0 b0 c0 d0 otacell
+x1 a1 b1 c1 d1 otacell m=2
+.end
+"""
+
+
+class TestHierOutput:
+    def test_hier_json_and_summary(self, tmp_path, quick_model, capsys):
+        from repro.core.hier_annotate import HierReport
+
+        deck = tmp_path / "otacells.sp"
+        deck.write_text(OTACELL_MULTIPLIER_DECK)
+        capsys.readouterr()  # drop the train command's output
+        argv = [
+            "annotate", str(deck), "--task", "ota",
+            "--model", str(quick_model), "--json",
+        ]
+        assert main(argv + ["--hier"]) == 0
+        captured = capsys.readouterr()
+        hier = json.loads(captured.out)["hier"]
+        assert set(hier) == set(HierReport().as_dict())
+        assert "definitions" not in hier
+        assert (
+            "hier: 2 instance(s) of 2 (definition, multiplier) group(s);"
+            in captured.err
+        )
+
+        assert main(argv + ["--flat"]) == 0
+        assert json.loads(capsys.readouterr().out)["hier"] is None
 
 
 class TestErrorHandling:

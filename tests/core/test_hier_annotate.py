@@ -4,11 +4,13 @@ Golden byte-identity: the ``--hier`` path must produce exactly the
 annotation the flat path computes on every example netlist — repeated
 instances only make it faster, never different.  Plus: the
 HierMatchCache reuse/replay machinery, definition-keyed persistence
-and invalidation, advisory per-definition GCN summaries, and the
+and invalidation, one GCN forward and one elaboration per run, and the
 instance-table hierarchy mode.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -190,29 +192,73 @@ class TestDefinitionKeyedPersistence:
         assert fp1 != fp2  # old entries become unreachable, sweepable
 
 
-class TestDefinitionAnnotations:
-    def test_summaries_cover_unique_groups(self, ota_pipeline):
-        report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
-        assert len(report.definition_annotations) == 1
-        summary = report.definition_annotations[0]
-        assert summary.definition == "otacell"
-        assert summary.n_instances == 3
-        assert set(summary.instance_paths) == {"x0", "x1", "x2"}
-        assert summary.n_devices > 0
-        assert summary.majority_class
-        assert dict(summary.class_counts)
+def _nested_chain_deck(depth: int) -> str:
+    """``depth`` nested subckt levels: each holds three MOSFETs and one
+    instance of the level below."""
+    lines = ["* nested chain", ".global vdd! gnd!"]
+    for level in range(depth):
+        lines += [
+            f".subckt level{level} a b",
+            "m0 n1 n1 gnd! gnd! nmos w=1u l=100n",
+            "m1 b n1 gnd! gnd! nmos w=1u l=100n",
+            "m2 n1 a vdd! vdd! pmos w=2u l=100n",
+        ]
+        if level:
+            lines.append(f"x0 b c level{level - 1}")
+        lines.append(".ends")
+    lines += [f"xtop in out level{depth - 1}", ".end"]
+    return "\n".join(lines) + "\n"
 
-    def test_in_process_memo_populated(self, quick_ota_annotator):
-        from repro.core import hier_annotate as ha
 
-        _flat, tree = flatten_hierarchical(parse_netlist(OTA_ARRAY_DECK))
-        first = ha.annotate_definitions(tree, quick_ota_annotator)
-        assert first
-        key_count = len(ha._DEF_ANN_MEMO)
-        assert key_count > 0
-        again = ha.annotate_definitions(tree, quick_ota_annotator)
-        assert len(ha._DEF_ANN_MEMO) == key_count
-        assert [d.fingerprint for d in again] == [d.fingerprint for d in first]
+class TestOnePassPerRun:
+    """A hier run does the flat run's GCN and elaboration work, once."""
+
+    def test_one_gcn_forward(self, ota_pipeline, monkeypatch):
+        from repro.core.annotator import GcnAnnotator
+
+        # Widths no other test uses: nothing this process has memoized
+        # can stand in for a forward.
+        deck = OTA_ARRAY_DECK.replace("w=4u", "w=7u")
+        calls = []
+        original = GcnAnnotator.annotate_batch
+
+        def counting(self, graphs, *args, **kwargs):
+            calls.append(len(graphs))
+            return original(self, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(GcnAnnotator, "annotate_batch", counting)
+        ota_pipeline.run(deck, hier=True)
+        hier_calls = len(calls)
+        calls.clear()
+        ota_pipeline.run(deck)
+        assert hier_calls == len(calls) == 1
+
+    def test_deep_chain_elaborated_once(self, ota_pipeline, monkeypatch):
+        # ``repro.spice`` re-exports the ``flatten`` function under the
+        # submodule's name, so fetch the module itself.
+        flatten_module = importlib.import_module("repro.spice.flatten")
+        deck = _nested_chain_deck(20)
+        hier = ota_pipeline.run(deck, hier=True)
+        flat = ota_pipeline.run(deck)
+        assert hier.hier.n_instances == 20
+        assert pipeline_result_fingerprint(hier) == pipeline_result_fingerprint(flat)
+
+        calls = []
+        original = flatten_module._flatten_into
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # The recursion looks the function up on the module, so every
+        # level's call is counted.
+        monkeypatch.setattr(flatten_module, "_flatten_into", counting)
+        netlist = parse_netlist(deck)
+        flatten_module.flatten(netlist)
+        flat_calls = len(calls)
+        calls.clear()
+        flatten_module.flatten_hierarchical(netlist)
+        assert len(calls) == flat_calls == 1 + 20
 
 
 #: Two mirror cells whose source port is bound to ``railx`` and to

@@ -199,14 +199,6 @@ class TestDesignTree:
             "in": "xbuf/mid",
             "out": "b",
         }
-
-    def test_bodies_per_unique_group(self):
-        _flat, tree = self._elaborate()
-        groups = tree.groups()
-        inv_fp = tree.definitions["inverter"].fingerprint
-        assert groups[(inv_fp, 1.0)] == ("xbuf/x1", "xbuf/x2")
-        body = tree.bodies[(inv_fp, 1.0)]
-        assert sorted(d.name for d in body.devices) == ["mn", "mp"]
         assert tree.n_unique() == 2  # inverter + buffer groups
 
     def test_multiplier_splits_groups(self):
@@ -218,10 +210,10 @@ x1 n1 cell
 x2 n2 cell m=2
 .end
 """
-        _flat, tree = self._elaborate(deck)
-        fp = tree.definitions["cell"].fingerprint
-        assert set(tree.groups()) == {(fp, 1.0), (fp, 2.0)}
-        assert tree.bodies[(fp, 2.0)].devices[0].value == 500.0
+        flat, tree = self._elaborate(deck)
+        assert {rec.multiplier for rec in tree.instances} == {1.0, 2.0}
+        assert tree.n_unique() == 2
+        assert flat.device("x2/r1").value == 500.0
 
     def test_lenient_skips_mirror_flat_circuit(self):
         from repro.spice.flatten import flatten_hierarchical
@@ -236,11 +228,6 @@ x2 n2 cell m=2
         assert sorted(d.name for d in flat.devices) == sorted(
             d.name for d in flatten(parse_netlist(HIERARCHICAL_DECK)).devices
         )
-
-    def test_record_for(self):
-        _flat, tree = self._elaborate()
-        assert tree.record_for("xbuf/x1").definition == "inverter"
-        assert tree.record_for("nope") is None
 
 
 class TestFingerprintMemo:
