@@ -172,7 +172,7 @@ class HierMatchCache:
     """Definition-scoped VF2 dedup behind the ``match_cache`` protocol.
 
     Stateful adapter: :func:`~repro.primitives.matcher.annotate_components`
-    calls ``subgraph_key(subgraph)`` then ``load``/``store`` strictly in
+    calls ``subgraph_key(component)`` then ``load``/``store`` strictly in
     sequence for each CCC, so the plan computed by ``subgraph_key`` is
     stashed and consumed by the very next ``load``/``store`` pair.
 
@@ -226,25 +226,25 @@ class HierMatchCache:
                 return rec
         return None
 
-    def _boundary_plan(self, subgraph) -> _CccPlan:
+    def _boundary_plan(self, component) -> _CccPlan:
         if self._cache is not None:
             # With a backing store, boundary CCCs keep the flat path's
             # content-addressed persistence, byte for byte.
             from repro.core.stages import PrimitiveMatchCache
 
-            key = PrimitiveMatchCache.subgraph_key(subgraph)
+            key = PrimitiveMatchCache.subgraph_key(component)
         else:
             self._seq += 1
             key = f"hier-boundary-{self._seq}"
         return _CccPlan(key=key, eligible=False, definition="(boundary)")
 
-    def _plan_for(self, subgraph) -> _CccPlan:
-        devices = subgraph.elements
+    def _plan_for(self, component) -> _CccPlan:
+        devices = component.elements
         if not devices:
-            return self._boundary_plan(subgraph)
+            return self._boundary_plan(component)
         rec = self._scope_of(devices)
         if rec is None:
-            return self._boundary_plan(subgraph)
+            return self._boundary_plan(component)
         prefix = rec.path + SEP
         dev_names = tuple(dev.name[len(prefix):] for dev in devices)
         template_key = (rec.fingerprint, rec.multiplier, dev_names)
@@ -255,11 +255,11 @@ class HierMatchCache:
                 if plan is not None:
                     self.stats["replayed"] += 1
                     return plan
-            return self._walk_plan(subgraph, rec, prefix, None)
-        return self._walk_plan(subgraph, rec, prefix, template_key)
+            return self._walk_plan(component, rec, prefix, None)
+        return self._walk_plan(component, rec, prefix, template_key)
 
     def _walk_plan(
-        self, subgraph, rec: InstanceRecord, prefix: str, template_key
+        self, component, rec: InstanceRecord, prefix: str, template_key
     ) -> _CccPlan:
         """Full canonicalization walk over the CCC's devices and nets.
 
@@ -271,7 +271,7 @@ class HierMatchCache:
         a power rail, a port bound to a global, ...), in which case the
         template slot is poisoned with ``None``.
         """
-        devices = subgraph.elements
+        devices = component.elements
         bound_ports: dict[str, list[str]] = {}
         for port, net in rec.bindings:
             bound_ports.setdefault(net, []).append(port)
@@ -304,7 +304,7 @@ class HierMatchCache:
             for term, net in dev.pins:
                 canon = canon_net(net)
                 if canon is None:
-                    return self._boundary_plan(subgraph)
+                    return self._boundary_plan(component)
                 pins.append((term, canon))
             dev_canon[canon_name] = dev.name
             dev_parts.append(
@@ -421,10 +421,10 @@ class HierMatchCache:
 
     # -- match_cache protocol ----------------------------------------------
 
-    def subgraph_key(self, subgraph) -> str:
+    def subgraph_key(self, component) -> str:
         now = time.perf_counter()
         self._flush(now)
-        plan = self._plan_for(subgraph)
+        plan = self._plan_for(component)
         plan.started = now
         self._plan = plan
         self.stats["cccs"] += 1
@@ -511,6 +511,9 @@ class HierMatchCache:
         try:
             memo: dict[str, list[PrimitiveMatch]] = {}
             for template_fp, matches in entry["memo"].items():
+                if not matches:  # most templates match nothing here
+                    memo[template_fp] = []
+                    continue
                 memo[template_fp] = [
                     PrimitiveMatch(
                         primitive=m.primitive,

@@ -809,16 +809,15 @@ class PrimitiveMatchCache:
         self._cache = cache
 
     @staticmethod
-    def subgraph_key(subgraph: CircuitGraph) -> str:
-        """Content key of a CCC subgraph (devices + ports).
+    def subgraph_key(component) -> str:
+        """Content key of a CCC: its member devices (``.elements``, in
+        element order; a CCC has no ports of its own).
 
         ``repr`` of the element dataclasses is deterministic (strings,
         enums, floats, tuples) and an order of magnitude faster than
         the generic walker — this runs once per CCC per run.
         """
-        raw = repr(
-            (tuple(subgraph.elements), tuple(subgraph.circuit.ports))
-        )
+        raw = repr((tuple(component.elements), ()))
         digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:32]
         return f"ccc-matches-v{MATCH_CACHE_VERSION}-{digest}"
 

@@ -12,9 +12,9 @@ pure function of one side of the match:
   **once per library load** and memoized via
   :class:`repro.runtime.cache.Memo`;
 * :class:`TargetContext` — per-circuit invariants (adjacency +
-  :class:`~repro.primitives.signatures.TargetIndex` signature tables +
-  kind histogram), computed **once per circuit** (or per CCC-induced
-  subgraph) and shared across all templates.
+  :class:`~repro.primitives.signatures.TargetIndex` signature tables),
+  computed **once per circuit** (or per CCC, in one pass over its
+  members' edges) and shared across all templates.
 
 VF2 then only launches from (template-root, target-vertex) pairs whose
 signatures are compatible (the root row of the compatibility filter),
@@ -85,6 +85,11 @@ class TemplateProfile:
     #: Non-identity semantic automorphisms, each a full vertex
     #: permutation ``sigma[pattern_vertex] -> pattern_vertex``.
     automorphisms: tuple[tuple[int, ...], ...]
+    #: ``(kind, frozen signature)`` bucket key of every element and
+    #: internal net: a target missing one of them cannot host a match.
+    exact_keys: frozenset[tuple]
+    #: The template's constraints, their source already set to it.
+    constraints: tuple
 
     @property
     def name(self) -> str:
@@ -95,24 +100,17 @@ class TemplateProfile:
 class TargetContext:
     """Per-target tables shared by every template of one matching pass."""
 
-    graph: CircuitGraph
     adjacency: _Adjacency
     index: TargetIndex
-    kind_counts: Counter
 
     @classmethod
-    def build(cls, graph: CircuitGraph) -> "TargetContext":
-        return cls(
-            graph=graph,
-            adjacency=_Adjacency(graph),
-            index=TargetIndex.build(graph),
-            kind_counts=element_kind_counts(graph),
-        )
-
-
-def element_kind_counts(graph: CircuitGraph) -> Counter:
-    """Histogram of element vertex kinds (DeviceKind → count)."""
-    return Counter(dev.kind for dev in graph.elements)
+    def build(cls, graph: CircuitGraph, members=None) -> "TargetContext":
+        """The tables of ``graph``, or of the subgraph its ``members``
+        (ascending element indices) induce, numbered exactly as
+        ``graph.subgraph_of_elements(members)`` would number them —
+        built in one pass over the members' edges, with no subgraph."""
+        adjacency = _Adjacency(graph, members)
+        return cls(adjacency=adjacency, index=TargetIndex.build(adjacency))
 
 
 def template_profile(template) -> TemplateProfile:
@@ -132,6 +130,7 @@ def _build_profile(template) -> TemplateProfile:
     graph = pattern.graph
     base = VF2Matcher(pattern, graph, use_prefilter=False, symmetry_break=False)
     signatures = vertex_signatures(graph)
+    frozen = frozen_signatures(signatures)
     checks: dict[int, list] = {}
     for port, predicate in template.port_roles:
         pv = graph.n_elements + graph.net_index[port]
@@ -143,14 +142,22 @@ def _build_profile(template) -> TemplateProfile:
         order=base.order,
         internal_net=base.internal_net,
         signatures=signatures,
-        frozen=frozen_signatures(signatures),
-        kind_counts=element_kind_counts(graph),
+        frozen=frozen,
+        kind_counts=Counter(base.p.kind[: graph.n_elements]),
         n_elements=graph.n_elements,
         depth_plan=base.depth_plan,
         element_names=tuple(el.name for el in graph.elements),
         net_names=tuple(graph.nets),
         port_checks={pv: tuple(fns) for pv, fns in checks.items()},
         automorphisms=_semantic_automorphisms(template, base),
+        exact_keys=frozenset(
+            (base.p.kind[pv], frozen[pv])
+            for pv in range(graph.n_vertices)
+            if pv < graph.n_elements or base.internal_net[pv]
+        ),
+        constraints=tuple(
+            c.with_source(template.name) for c in template.constraints
+        ),
     )
 
 
@@ -249,10 +256,18 @@ def canonical_mapping(
     """
     if not automorphisms:
         return mapping
-    n = len(mapping)
-    best = tuple(mapping[p] for p in range(n))
+    image = tuple(mapping[p] for p in range(len(mapping)))
+    return dict(enumerate(canonical_image(image, automorphisms)))
+
+
+def canonical_image(
+    image: tuple[int, ...], automorphisms: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """:func:`canonical_mapping` on a mapping's target-vertex tuple
+    (``image[pattern_vertex]``)."""
+    best = image
     for sigma in automorphisms:
-        candidate = tuple(mapping[sigma[p]] for p in range(n))
+        candidate = tuple([image[p] for p in sigma])
         if candidate < best:
             best = candidate
-    return {p: best[p] for p in range(n)}
+    return best

@@ -78,26 +78,50 @@ class Isomorphism:
 
 
 class _Adjacency:
-    """Precomputed adjacency with labels and vertex kinds for one graph."""
+    """Labeled adjacency, vertex kinds and names of a graph, or of the
+    subgraph induced by some of its elements.
 
-    def __init__(self, graph: CircuitGraph):
-        self.graph = graph
-        self.n = graph.n_vertices
-        self.neighbors: list[dict[int, int]] = [dict() for _ in range(self.n)]
-        for edge in graph.edges:
-            u = edge.element
-            v = graph.n_elements + edge.net
-            self.neighbors[u][v] = edge.label
-            self.neighbors[v][u] = edge.label
+    One pass over the incident edges of ``members`` (ascending element
+    indices; all elements by default).  Elements keep member order and
+    nets are numbered by first appearance, so a member subset gets the
+    vertex numbering — and every neighbor dict and set its insertion
+    order — of ``graph.subgraph_of_elements(members)``, without
+    building that graph.  VF2's discovery order depends on both.
+    """
+
+    def __init__(self, graph: CircuitGraph, members=None):
+        edge_lists = graph.element_edge_lists()
+        graph_nets = graph.nets
+        if members is None:
+            members = range(graph.n_elements)
+            self.nets = list(graph_nets)
+            local = {net: net for net in range(len(graph_nets))}
+        else:
+            self.nets, local = [], {}
+        self.elements = [graph.elements[i] for i in members]
+        n_el = self.n_elements = len(self.elements)
+        neighbors: list[dict[int, int]] = [{} for _ in range(n_el)]
+        net_neighbors: list[dict[int, int]] = [{} for _ in self.nets]
+        for u, i in enumerate(members):
+            nbrs = neighbors[u]
+            for edge in edge_lists[i]:
+                v = local.get(edge.net)
+                if v is None:
+                    v = local[edge.net] = len(self.nets)
+                    self.nets.append(graph_nets[edge.net])
+                    net_neighbors.append({})
+                nbrs[n_el + v] = edge.label
+                net_neighbors[v][u] = edge.label
+        self.neighbors = neighbors + net_neighbors
+        self.n = len(self.neighbors)
         self.degree = [len(nbrs) for nbrs in self.neighbors]
         # Key sets of the neighbor dicts, for candidate-pool
         # intersections without per-search-node set() construction.
         self.neighbor_sets = [set(nbrs) for nbrs in self.neighbors]
-        # Vertex kind token: DeviceKind for elements, "net" for nets.
-        self.kind = [
-            graph.elements[i].kind if i < graph.n_elements else "net"
-            for i in range(self.n)
-        ]
+        # Vertex kind token: the DeviceKind value for elements, "net"
+        # for nets (strings hash in C, enum members do not).
+        self.kind = [dev.kind.value for dev in self.elements]
+        self.kind += ["net"] * len(self.nets)
 
 
 class VF2Matcher:
@@ -112,12 +136,13 @@ class VF2Matcher:
     pattern-side precomputation (adjacency, matching order, signatures,
     automorphisms), and ``target_context`` — a
     :class:`~repro.primitives.index.TargetContext` — the target-side
-    tables, so constructing a matcher for the Nth template against the
-    Mth subgraph costs only the (pattern × target) compatibility
-    filter.  With a profile present, symmetry breaking prunes every
-    search branch that is not the lexicographically minimal member of
-    its automorphism orbit; pass ``symmetry_break=False`` to force the
-    naive enumerate-then-deduplicate behaviour.
+    tables (``target`` is then unused), so constructing a matcher for
+    the Nth template against the Mth component costs only the
+    (pattern × target) compatibility filter.  With a profile present,
+    symmetry breaking prunes every search branch that is not the
+    lexicographically minimal member of its automorphism orbit; pass
+    ``symmetry_break=False`` to force the naive
+    enumerate-then-deduplicate behaviour.
     """
 
     def __init__(
@@ -152,20 +177,19 @@ class VF2Matcher:
             if profile is not None
             else self._build_depth_plan()
         )
-        if target_context is not None and target_context.graph is target:
+        if target_context is not None:
             self.t = target_context.adjacency
             target_index = target_context.index
         else:
             self.t = _Adjacency(target)
-        self.target = target
         self.prefilter = None
         if use_prefilter:
-            from repro.primitives.signatures import build_filter
+            from repro.primitives.signatures import TargetIndex, build_filter
 
             self.prefilter = build_filter(
                 pattern,
                 target,
-                target_index,
+                target_index or TargetIndex.build(self.t),
                 pattern_signatures=(
                     (profile.signatures, profile.frozen)
                     if profile is not None

@@ -19,19 +19,28 @@ Two execution paths produce identical results (the property tests in
   kept as the reference implementation and performance baseline.
 
 :func:`annotate_components` scopes matching per channel-connected
-component: one shared context per CCC-induced subgraph, with the
-template profiles shared across all of them.
+component: one context per CCC, read in one pass out of the deck's
+graph and only once some template needs a search, with the library's
+order and template profiles resolved once for all of them.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.constraints import Constraint
 from repro.exceptions import BudgetExceeded
 from repro.graph.bipartite import CircuitGraph
+from repro.primitives.index import (
+    TargetContext,
+    TemplateProfile,
+    canonical_image,
+    template_profile,
+)
 from repro.primitives.isomorphism import Isomorphism, VF2Matcher
 from repro.primitives.library import (
     PrimitiveLibrary,
@@ -42,7 +51,6 @@ from repro.runtime.resilience import Budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.ccc import CCCPartition
-    from repro.primitives.index import TargetContext, TemplateProfile
     from repro.runtime.profile import PipelineProfiler
 
 
@@ -73,72 +81,14 @@ class PrimitiveMatch:
         return f"{self.primitive}({devices})"
 
 
-def _match_from_isomorphism(
-    profile: "TemplateProfile",
-    target: CircuitGraph,
-    iso: Isomorphism,
-) -> PrimitiveMatch | None:
-    """Translate a raw vertex mapping into named maps; apply predicates.
-
-    The mapping is first rewritten to its orbit-canonical
-    representative (under the profile's automorphism group), so the
-    reported match does not depend on which orbit member the search
-    happened to reach first — the naive and symmetry-broken paths
-    report byte-identical matches.  Predicate outcomes are orbit
-    invariants (semantic automorphisms preserve port predicate
-    profiles), so canonicalizing before the predicate check is sound.
-    Port predicates, template-side names, and constraint templates all
-    come precomputed from the profile.
-    """
-    from repro.primitives.index import canonical_mapping
-
-    template = profile.template
-    mapping = iso.as_dict
-    if profile.automorphisms:
-        mapping = canonical_mapping(mapping, profile.automorphisms)
-    p_n_el = profile.n_elements
-    t_n_el = target.n_elements
-    p_el_names = profile.element_names
-    p_net_names = profile.net_names
-    port_checks = profile.port_checks
-    t_elements, t_nets = target.elements, target.nets
-    element_map: list[tuple[str, str]] = []
-    net_map: list[tuple[str, str]] = []
-    for pv, tv in mapping.items():
-        if pv < p_n_el:
-            element_map.append((p_el_names[pv], t_elements[tv].name))
-        else:
-            target_net = t_nets[tv - t_n_el]
-            net_map.append((p_net_names[pv - p_n_el], target_net))
-            predicates = port_checks.get(pv)
-            if predicates is not None:
-                for predicate in predicates:
-                    if not predicate(target_net):
-                        return None
-    if template.constraints:
-        rename = dict(element_map)
-        constraints = tuple(
-            c.renamed(rename).with_source(template.name)
-            for c in template.constraints
-        )
-    else:
-        constraints = ()
-    return PrimitiveMatch(
-        primitive=template.name,
-        element_map=tuple(sorted(element_map)),
-        net_map=tuple(sorted(net_map)),
-        constraints=constraints,
-    )
-
-
 def find_primitive_matches(
     template: PrimitiveTemplate,
     target: CircuitGraph,
     target_index=None,
     budget: Budget | None = None,
     *,
-    profile: "TemplateProfile | None" = None,
-    context: "TargetContext | None" = None,
+    profile: TemplateProfile | None = None,
+    context: TargetContext | None = None,
     indexed: bool = True,
 ) -> list[PrimitiveMatch]:
     """All predicate-respecting, deduplicated matches of one template.
@@ -151,23 +101,23 @@ def find_primitive_matches(
 
     ``indexed`` selects the hot path: the template's memoized
     :func:`~repro.primitives.index.template_profile` (or an explicit
-    ``profile``) plus an optional shared ``context`` for the target,
-    with symmetry breaking on.  ``indexed=False`` is the naive
-    reference path — per-call setup, enumerate-all-then-deduplicate —
-    guaranteed to return the same matches.
+    ``profile``) plus a shared ``context`` for the target (built from
+    ``target`` when not given), with symmetry breaking on.  A target
+    with no host for one of the template's elements or internal nets
+    is answered before any matcher is constructed.
+    ``indexed=False`` is the naive reference path — per-call setup,
+    enumerate-all-then-deduplicate — guaranteed to return the same
+    matches.
     """
-    from repro.primitives.index import template_profile
-
     # The profile also carries the automorphism group used to
     # canonicalize matches, so both paths resolve it (memoized).
     profile = profile or template_profile(template)
     if indexed:
+        context = context or TargetContext.build(target)
+        if not context.index.by_exact.keys() >= profile.exact_keys:
+            return []  # some exact-signature bucket is empty
         matcher = VF2Matcher(
-            template.pattern,
-            target,
-            target_index=target_index,
-            profile=profile,
-            target_context=context,
+            template.pattern, target, profile=profile, target_context=context
         )
     else:
         matcher = VF2Matcher(
@@ -176,32 +126,78 @@ def find_primitive_matches(
             target_index=target_index,
             symmetry_break=False,
         )
-
-    def translate(isos: list[Isomorphism]) -> list[PrimitiveMatch]:
-        matches: list[PrimitiveMatch] = []
-        seen: set[frozenset[str]] = set()
-        for iso in isos:
-            match = _match_from_isomorphism(profile, target, iso)
-            if match is None:
-                continue
-            key = match.elements
-            if key in seen:
-                continue  # automorphic duplicate (e.g. DP arm swap)
-            seen.add(key)
-            matches.append(match)
-        # Canonical order: the search enumerates candidate pools (hash
-        # sets) in an order that depends on which path built them, and
-        # downstream overlap resolution claims devices in match order —
-        # sort so both paths hand identical lists to the claimer.
-        matches.sort(key=lambda m: (m.element_map, m.net_map))
-        return matches
-
     try:
         isos = matcher.find_all(budget=budget)
     except BudgetExceeded as exc:
-        exc.partial = translate(exc.partial or [])
+        exc.partial = _translate(profile, matcher.t, exc.partial or [])
         raise
-    return translate(isos)
+    return _translate(profile, matcher.t, isos)
+
+
+def _translate(
+    profile: TemplateProfile, target, isos: list[Isomorphism]
+) -> list[PrimitiveMatch]:
+    """Named, deduplicated matches of raw vertex mappings.
+
+    Each mapping is first rewritten to its orbit-canonical
+    representative (under the profile's automorphism group), so the
+    reported match does not depend on which orbit member the search
+    happened to reach first — the naive and symmetry-broken paths
+    report byte-identical matches.  Port predicates are orbit
+    invariants (semantic automorphisms preserve port predicate
+    profiles), so they are checked on the canonical mapping; then
+    duplicates on the same target elements (e.g. a DP arm swap) are
+    dropped, and only the survivors are named and given their
+    constraints.  ``target`` is the matcher's target adjacency.
+    """
+    n_el = profile.n_elements
+    t_n_el = target.n_elements
+    t_elements, t_nets = target.elements, target.nets
+    port_checks = profile.port_checks.items()
+    seen: set[frozenset[int]] = set()
+    matches: list[PrimitiveMatch] = []
+    for iso in isos:
+        # A complete mapping, sorted by pattern vertex: position = pv.
+        image = tuple(tv for _, tv in iso.mapping)
+        if profile.automorphisms:
+            image = canonical_image(image, profile.automorphisms)
+        if not all(
+            predicate(t_nets[image[pv] - t_n_el])
+            for pv, predicates in port_checks
+            for predicate in predicates
+        ):
+            continue
+        key = frozenset(image[:n_el])
+        if key in seen:
+            continue  # the devices of an earlier survivor
+        seen.add(key)
+        element_map = sorted(
+            zip(
+                profile.element_names,
+                [t_elements[tv].name for tv in image[:n_el]],
+            )
+        )
+        net_map = sorted(
+            zip(profile.net_names, [t_nets[tv - t_n_el] for tv in image[n_el:]])
+        )
+        constraints = ()
+        if profile.constraints:
+            rename = dict(element_map)
+            constraints = tuple(c.renamed(rename) for c in profile.constraints)
+        matches.append(
+            PrimitiveMatch(
+                primitive=profile.name,
+                element_map=tuple(element_map),
+                net_map=tuple(net_map),
+                constraints=constraints,
+            )
+        )
+    # Canonical order: the search enumerates candidate pools (hash
+    # sets) in an order that depends on which path built them, and
+    # downstream overlap resolution claims devices in match order —
+    # sort so both paths hand identical lists to the claimer.
+    matches.sort(key=lambda m: (m.element_map, m.net_map))
+    return matches
 
 
 @dataclass
@@ -237,7 +233,7 @@ def annotate_primitives(
     allow_overlap: bool = False,
     budget: Budget | None = None,
     *,
-    context: "TargetContext | None" = None,
+    context: TargetContext | None = None,
     profiler: "PipelineProfiler | None" = None,
     indexed: bool = True,
     match_memo: dict[str, list[PrimitiveMatch]] | None = None,
@@ -254,11 +250,13 @@ def annotate_primitives(
     :class:`AnnotationResult` (matches accepted before the cutoff, plus
     the partial matches of the interrupted template) as ``exc.partial``.
 
-    On the indexed path a shared ``context`` (built here when not
-    given) serves every template, and a template whose element-kind
-    histogram cannot be covered by the target's is skipped without
-    launching VF2 — on small CCC subgraphs this rejects most of the
-    library in O(1) each.  ``profiler`` (a
+    On the indexed path a shared ``context`` (built here, at the first
+    template that needs a search, when not given) serves every
+    template, and a template whose element-kind histogram cannot be
+    covered by the target's is skipped without launching VF2 — on
+    small CCCs this rejects most of the library in O(1) each.  Without
+    a memo or overlap, so is a template the still-unclaimed devices
+    cannot host.  ``profiler`` (a
     :class:`~repro.runtime.profile.PipelineProfiler`) collects
     per-template wall-clock, launch, match, and skip counts.
 
@@ -274,66 +272,131 @@ def annotate_primitives(
     afterwards — which is what makes them safely reusable across
     library changes.
     """
-    from repro.primitives.index import TargetContext, template_profile
-    from repro.primitives.signatures import TargetIndex
+    return _annotate(
+        target,
+        _library_plan(library, keyed=match_memo is not None),
+        lambda: context or TargetContext.build(target),
+        indexed=indexed,
+        allow_overlap=allow_overlap,
+        budget=budget,
+        profiler=profiler,
+        match_memo=match_memo,
+    )
 
+
+def _library_plan(library: PrimitiveLibrary, keyed: bool) -> list[tuple]:
+    """``(template, profile, fingerprint)`` per template, largest-first.
+
+    Computed once per annotation call and shared by every target it
+    matches; the fingerprint (``None`` unless ``keyed``) is only needed
+    to key a match memo.
+    """
+    return [
+        (
+            template,
+            template_profile(template),
+            template_fingerprint(template) if keyed else None,
+        )
+        for template in library.by_size_desc()
+    ]
+
+
+def _annotate(
+    target,
+    plan: list[tuple],
+    context_of,
+    *,
+    indexed: bool,
+    allow_overlap: bool,
+    budget: Budget | None,
+    profiler: "PipelineProfiler | None",
+    match_memo: dict[str, list[PrimitiveMatch]] | None,
+) -> AnnotationResult:
+    """Largest-first matching and claiming over one target.
+
+    ``target`` supplies the devices (``.elements``); ``context_of()``
+    builds its :class:`TargetContext`, called at the first template
+    that needs a search, so a target answered by the memo or by the
+    kind histogram builds nothing.  The naive path uses the context's
+    signature index only.
+
+    On the indexed memo-less claiming path a template is also skipped
+    when the devices still unclaimed cannot host its kind histogram —
+    ``accept`` would reject every match it found — and matching stops
+    once every device is claimed; the profiler counts both as skips.
+    With a memo, raw lists must stay complete (library-change reuse
+    and hier replay depend on them), so every template the memo lacks
+    is searched.
+    """
     result = AnnotationResult()
     claimed: set[str] = set()
     all_matched: set[str] = set()
+    elements = target.elements
+    # Kind histogram of the unclaimed devices, built at the first kind
+    # test.  An accepted match claims exactly its template's histogram;
+    # only the claim-aware path subtracts it, elsewhere this stays the
+    # target's histogram.
+    free = None
+    claim_aware = indexed and match_memo is None and not allow_overlap
 
-    def accept(match: PrimitiveMatch) -> None:
-        nonlocal claimed, all_matched
-        elements = match.elements
-        if not allow_overlap and elements & claimed:
-            return
-        result.matches.append(match)
-        all_matched |= elements
-        if not allow_overlap:
-            claimed |= elements
+    def accept(matches: list[PrimitiveMatch], kinds=None) -> None:
+        for match in matches:
+            names = match.elements
+            if not allow_overlap and names & claimed:
+                continue
+            result.matches.append(match)
+            all_matched.update(names)
+            if not allow_overlap:
+                claimed.update(names)
+                if claim_aware and kinds is not None:
+                    free.subtract(kinds)
 
     def finish() -> AnnotationResult:
         covered = claimed if not allow_overlap else all_matched
         result.unclaimed = [
-            dev.name for dev in target.elements if dev.name not in covered
+            dev.name for dev in elements if dev.name not in covered
         ]
         return result
 
-    index = None if indexed else TargetIndex.build(target)
+    context = None
     try:
-        for template in library.by_size_desc():
+        for position, (template, profile, fingerprint) in enumerate(plan):
             # Memo first: a fully warm memo answers every template
             # without ever paying for the target context below.
-            memo_key = None
             if match_memo is not None:
-                memo_key = template_fingerprint(template)
-                cached = match_memo.get(memo_key)
+                cached = match_memo.get(fingerprint)
                 if cached is not None:
                     if profiler is not None:
                         profiler.count("match_cache_hits")
-                    for match in cached:
-                        accept(match)
+                    if cached:
+                        accept(cached)
                     continue
-            profile = template_profile(template)
-            if indexed:
-                if context is None:
-                    context = TargetContext.build(target)
-                if not _kinds_coverable(profile, context):
-                    if profiler is not None:
-                        profiler.record_template_skip(template.name)
-                    if match_memo is not None:
-                        # A kind-rejected template's raw match list is
-                        # the empty list — memoize it so warm runs skip
-                        # the histogram test (and the context) too.
-                        match_memo[memo_key] = []
-                    continue
+            if claim_aware and len(claimed) == len(elements):
+                if profiler is not None:
+                    for rest, _, _ in plan[position:]:
+                        profiler.record_template_skip(rest.name)
+                break
+            if indexed and free is None:
+                free = Counter(dev.kind.value for dev in elements)
+            if indexed and not _kinds_coverable(profile.kind_counts, free):
+                if profiler is not None:
+                    profiler.record_template_skip(template.name)
+                if match_memo is not None:
+                    # A kind-rejected template's raw match list is
+                    # the empty list — memoize it so warm runs skip
+                    # the histogram test (and the context) too.
+                    match_memo[fingerprint] = []
+                continue
+            if context is None:
+                context = context_of()
             started = time.perf_counter()
             matches = find_primitive_matches(
                 template,
                 target,
-                index,
+                None if indexed else context.index,
                 budget=budget,
                 profile=profile,
-                context=context,
+                context=context if indexed else None,
                 indexed=indexed,
             )
             if profiler is not None:
@@ -343,31 +406,35 @@ def annotate_primitives(
                     matches=len(matches),
                 )
             if match_memo is not None:
-                match_memo[memo_key] = list(matches)
-            for match in matches:
-                accept(match)
+                match_memo[fingerprint] = list(matches)
+            accept(matches, profile.kind_counts)
     except BudgetExceeded as exc:
-        for match in exc.partial or []:
-            accept(match)
+        accept(exc.partial or [])
         exc.partial = finish()
         raise
     return finish()
 
 
-def _kinds_coverable(
-    profile: "TemplateProfile", context: "TargetContext"
-) -> bool:
-    """Can the target host the template's element-kind histogram?
+def _kinds_coverable(needed: Counter, available: Counter) -> bool:
+    """Can devices with kind histogram ``available`` host a template
+    needing ``needed``?
 
     A monomorphism maps elements injectively onto same-kind elements,
     so a template needing more devices of some kind than the target
     owns can never match.  O(#kinds in template).
     """
-    target_counts = context.kind_counts
-    for kind, needed in profile.kind_counts.items():
-        if target_counts.get(kind, 0) < needed:
+    for kind, count in needed.items():
+        if available.get(kind, 0) < count:
             return False
     return True
+
+
+@dataclass
+class _Members:
+    """The member devices of one CCC, in element order: all a
+    ``match_cache`` reads of it."""
+
+    elements: list
 
 
 def annotate_components(
@@ -385,35 +452,49 @@ def annotate_components(
     subgraph (the unit Postprocessing I reasons about), which both
     bounds every VF2 launch to a handful of vertices and lets the
     kind-histogram test reject most templates per component outright.
-    Template profiles are shared across every component; each component
-    pays for one subgraph + one :class:`TargetContext`.
+    The library's order, profiles and (with a cache) fingerprints are
+    resolved once per call.  On the indexed path a component's
+    :class:`TargetContext` is built in one pass over its members' edges
+    in ``graph``, and only once some template needs a search; no
+    subgraph is built.  ``indexed=False`` matches the naive reference
+    path against ``graph.subgraph_of_elements(members)``.
 
     ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
-    matching incremental across runs: each subgraph's per-template raw
-    match lists are loaded by subgraph content key, templates already
-    present skip VF2, and any newly computed lists are stored back —
-    but only when the component finished cleanly (a budget blow-up
-    must not persist a partial memo).
+    matching incremental across runs: each component's per-template raw
+    match lists are loaded by a content key of its member devices
+    (``subgraph_key``, ``load`` and ``store`` only read ``.elements``),
+    templates already present skip VF2, and any newly computed lists
+    are stored back — but only when the component finished cleanly (a
+    budget blow-up must not persist a partial memo).
     """
+    plan = _library_plan(library, keyed=match_cache is not None)
     results: dict[int, AnnotationResult] = {}
     for cid, members in enumerate(partition.components):
         if profiler is not None:
             profiler.count("ccc_matched")
-        subgraph = graph.subgraph_of_elements(members)
+        members = sorted(members)
+        if indexed:
+            target = _Members([graph.elements[i] for i in members])
+            context_of = partial(TargetContext.build, graph, members)
+        else:
+            target = graph.subgraph_of_elements(members)
+            context_of = partial(TargetContext.build, target)
         memo = None
         cache_key = None
         known = 0
         if match_cache is not None:
-            cache_key = match_cache.subgraph_key(subgraph)
+            cache_key = match_cache.subgraph_key(target)
             memo = match_cache.load(cache_key)
             known = len(memo)
-        results[cid] = annotate_primitives(
-            subgraph,
-            library,
+        results[cid] = _annotate(
+            target,
+            plan,
+            context_of,
+            indexed=indexed,
+            allow_overlap=False,
             budget=budget,
             profiler=profiler,
-            indexed=indexed,
             match_memo=memo,
         )
         if match_cache is not None and len(memo) > known:

@@ -15,47 +15,45 @@ check; the payoff is measured by ``bench_vf2_scaling.py``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.graph.bipartite import CircuitGraph
-from repro.primitives.isomorphism import PatternGraph
+from repro.primitives.isomorphism import PatternGraph, _Adjacency
 
-#: Signature: (edge_label, neighbor_kind_token) → count.
-Signature = Counter
+#: Signature: (edge_label, neighbor kind token) → count, where a kind
+#: token is a ``DeviceKind`` value or ``"net"``.
+Signature = dict
 
 
-def _kind_token(graph: CircuitGraph, vertex: int) -> object:
+def _kind_token(graph: CircuitGraph, vertex: int) -> str:
     if vertex < graph.n_elements:
-        return graph.elements[vertex].kind
+        return graph.elements[vertex].kind.value
     return "net"
 
 
 def vertex_signatures(graph: CircuitGraph) -> list[Signature]:
     """Per-vertex incident-edge signatures, O(E) total."""
-    signatures: list[Signature] = [Counter() for _ in range(graph.n_vertices)]
-    for edge in graph.edges:
-        u = edge.element
-        v = graph.n_elements + edge.net
-        signatures[u][(edge.label, "net")] += 1
-        signatures[v][(edge.label, graph.elements[u].kind)] += 1
+    return _signatures(_Adjacency(graph))
+
+
+def _signatures(adjacency: _Adjacency) -> list[Signature]:
+    kind = adjacency.kind
+    signatures: list[Signature] = []
+    for nbrs in adjacency.neighbors:
+        sig: Signature = {}
+        for w, label in nbrs.items():
+            key = (label, kind[w])
+            sig[key] = sig.get(key, 0) + 1
+        signatures.append(sig)
     return signatures
-
-
-def vertex_degrees(signatures: list[Signature]) -> list[int]:
-    """Degree invariant: total incident-edge count per vertex."""
-    return [sum(sig.values()) for sig in signatures]
 
 
 def frozen_signatures(
     signatures: list[Signature],
 ) -> list[tuple]:
-    """Hashable canonical form (repr-sorted item tuples) for O(1)
-    equality.  Keys mix ints with :class:`DeviceKind`, which are not
-    mutually orderable, so the sort key is the item's repr."""
-    return [
-        tuple(sorted(sig.items(), key=repr)) for sig in signatures
-    ]
+    """Hashable canonical form (sorted item tuples) for O(1)
+    equality.  Keys are ``(int, str)`` pairs, so items sort as is."""
+    return [tuple(sorted(sig.items())) for sig in signatures]
 
 
 def signature_covers(
@@ -69,7 +67,7 @@ def signature_covers(
     if exact:
         return pattern_sig == target_sig
     for key, needed in pattern_sig.items():
-        if target_sig[key] < needed:
+        if target_sig.get(key, 0) < needed:
             return False
     return True
 
@@ -112,13 +110,14 @@ class TargetIndex:
     cover_sets: dict[tuple, set[int]] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, target: CircuitGraph) -> "TargetIndex":
-        signatures = vertex_signatures(target)
+    def build(cls, adjacency: _Adjacency) -> "TargetIndex":
+        """The tables of the graph (or member subgraph) behind
+        ``adjacency``, in its vertex numbering."""
+        signatures = _signatures(adjacency)
         frozen = frozen_signatures(signatures)
-        by_kind: dict[object, list[int]] = {}
+        by_kind: dict[str, list[int]] = {}
         by_exact: dict[tuple, list[int]] = {}
-        for tv in range(target.n_vertices):
-            kind = _kind_token(target, tv)
+        for tv, kind in enumerate(adjacency.kind):
             by_kind.setdefault(kind, []).append(tv)
             by_exact.setdefault((kind, frozen[tv]), []).append(tv)
         return cls(
@@ -126,7 +125,7 @@ class TargetIndex:
             frozen=frozen,
             by_kind=by_kind,
             by_exact=by_exact,
-            degrees=vertex_degrees(signatures),
+            degrees=adjacency.degree,
         )
 
 
@@ -153,7 +152,7 @@ def build_filter(
     else:
         p_sigs = vertex_signatures(p_graph)
         p_frozen = frozen_signatures(p_sigs)
-    index = index or TargetIndex.build(target)
+    index = index or TargetIndex.build(_Adjacency(target))
     n_el = p_graph.n_elements
     n = p_graph.n_vertices
 

@@ -9,8 +9,9 @@ profile=True)`` and collects
   preprocess, graph, gcn, post1, post2, hierarchy), the same numbers
   ``PipelineResult.timings`` reports;
 * **per_template** — per primitive template: VF2 launches, matches
-  found, cumulative seconds, and how often the kind-histogram test
-  skipped the template without launching a search;
+  found, cumulative seconds, and how often the template was skipped
+  without launching a search (kind histogram, or every match would
+  need an already-claimed device);
 * **counters** — free-form event counts (channel-connected components
   matched, ...);
 * **definitions** — hierarchy-scoped runs (``--hier``) attribute
@@ -40,7 +41,8 @@ class TemplateStats:
     launches: int = 0
     matches: int = 0
     seconds: float = 0.0
-    skips: int = 0  # kind-histogram rejections (no VF2 launch)
+    # Kind-histogram and claimed-device rejections (no VF2 launch).
+    skips: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -95,7 +97,9 @@ class PipelineProfiler:
         stats.seconds += seconds
 
     def record_template_skip(self, template: str) -> None:
-        """The kind-histogram test rejected ``template`` without a launch."""
+        """``template`` was rejected without a launch: by the kind
+        histogram, or because its matches could only reuse claimed
+        devices."""
         self._stats(template).skips += 1
 
     def count(self, key: str, n: int = 1) -> None:

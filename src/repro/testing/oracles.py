@@ -13,7 +13,10 @@ parse_modes           strict parse/flatten vs lenient on clean decks
 elaboration           ``flatten`` vs ``flatten_hierarchical`` flat circuit
 include_roundtrip     ``.include``-split files vs self-contained text
 indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
-                      naive ``indexed=False`` reference, per template
+                      naive ``indexed=False`` reference, per template;
+                      per CCC, ``annotate_components`` (memo-less, and
+                      with a cold then warm in-memory match cache) vs
+                      naive ``annotate_primitives`` on the CCC subgraph
 packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
                       packed forward) vs per-sample ``annotate``
 hier_vs_flat          ``run(hier=True)`` vs the flat run
@@ -40,11 +43,16 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.stages import pipeline_result_fingerprint
+from repro.core.stages import PrimitiveMatchCache, pipeline_result_fingerprint
 from repro.exceptions import GanaError
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.ccc import channel_connected_components
 from repro.primitives.index import TargetContext
-from repro.primitives.matcher import find_primitive_matches
+from repro.primitives.matcher import (
+    annotate_components,
+    annotate_primitives,
+    find_primitive_matches,
+)
 from repro.spice.flatten import flatten, flatten_hierarchical
 from repro.spice.parser import parse_netlist
 from repro.testing.generator import GeneratedDeck
@@ -241,13 +249,25 @@ def check_include_roundtrip(deck: GeneratedDeck, ctx: OracleContext) -> None:
         )
 
 
+class _MemoryStore(dict):
+    """An in-memory stand-in for the artifact store behind a
+    :class:`~repro.core.stages.PrimitiveMatchCache`."""
+
+    def load(self, key: str):
+        return self.get(key)
+
+    def store(self, key: str, value) -> None:
+        self[key] = value
+
+
 @_oracle("indexed VF2 matching equals the naive indexed=False reference")
 def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
     from repro.primitives.library import extended_library
 
     graph = _flat_graph(deck)
+    library = extended_library()
     context = TargetContext.build(graph)
-    for template in extended_library().templates:
+    for template in library.templates:
         naive = find_primitive_matches(template, graph, indexed=False)
         fast = find_primitive_matches(
             template, graph, context=context, indexed=True
@@ -259,6 +279,35 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
                 f"{len(fast)} matches vs naive {len(naive)} "
                 "(or same count, different content/order)",
             )
+    # The hot path: per-CCC matching on the deck's own graph, claiming
+    # included, against the naive reference on each CCC's subgraph.
+    partition = channel_connected_components(graph)
+    naive = [
+        annotate_primitives(
+            graph.subgraph_of_elements(members), library, indexed=False
+        )
+        for members in partition.components
+    ]
+    cache = PrimitiveMatchCache(_MemoryStore())
+    for label, match_cache in (
+        ("memo-less", None),
+        ("cold match cache", cache),
+        ("warm match cache", cache),
+    ):
+        scoped = annotate_components(
+            graph, partition, library, match_cache=match_cache
+        )
+        for cid, want in enumerate(naive):
+            got = scoped[cid]
+            if got.matches != want.matches or got.unclaimed != want.unclaimed:
+                _diverge(
+                    "indexed_matching",
+                    f"CCC {cid} ({label}): annotate_components claimed "
+                    f"{len(got.matches)} matches, {len(got.unclaimed)} "
+                    f"unclaimed vs naive {len(want.matches)}, "
+                    f"{len(want.unclaimed)} (or same counts, different "
+                    "content/order)",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Golden byte-identity: the ``--hier`` path must produce exactly the
 annotation the flat path computes on every example netlist — repeated
 instances only make it faster, never different.  Plus: the
 HierMatchCache reuse/replay machinery, definition-keyed persistence
-and invalidation, one GCN forward and one elaboration per run, and the
-instance-table hierarchy mode.
+and invalidation, one GCN forward, one elaboration and one graph build
+per run, and the instance-table hierarchy mode.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import GanaPipeline
 from repro.core.stages import pipeline_result_fingerprint
-from repro.datasets.systems import phased_array_hier
+from repro.datasets.systems import phased_array, phased_array_hier
+from repro.graph.bipartite import CircuitGraph
 from repro.runtime.cache import ArtifactCache
 from repro.spice.flatten import flatten_hierarchical
 from repro.spice.parser import parse_netlist
@@ -259,6 +260,27 @@ class TestOnePassPerRun:
         calls.clear()
         flatten_module.flatten_hierarchical(netlist)
         assert len(calls) == flat_calls == 1 + 20
+
+    def test_one_graph_build(self, rf_pipeline, monkeypatch):
+        """Primitive matching reads each CCC out of the deck's own
+        graph: flat or hier, a run builds no per-CCC graph."""
+        flat = phased_array(n_channels=2)
+        netlist, port_labels = phased_array_hier(n_channels=2)
+        calls = []
+        original = CircuitGraph.from_circuit.__func__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitGraph, "from_circuit", classmethod(counting))
+        result = rf_pipeline.run(flat.circuit, port_labels=flat.port_labels)
+        assert result.post1.partition.n_components > 1
+        flat_calls = len(calls)
+        calls.clear()
+        result = rf_pipeline.run(netlist, port_labels=port_labels, hier=True)
+        assert result.hier.n_instances == 2
+        assert len(calls) == flat_calls == 1
 
 
 #: Two mirror cells whose source port is bound to ``railx`` and to

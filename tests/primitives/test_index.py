@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.stages import PrimitiveMatchCache
 from repro.graph.ccc import channel_connected_components
 from repro.primitives.index import (
     TargetContext,
@@ -25,6 +26,7 @@ from repro.primitives.matcher import (
     annotate_primitives,
     find_primitive_matches,
 )
+from repro.runtime.cache import ArtifactCache
 from tests.conftest import CANONICAL_GRAPH_NAMES, build_canonical_graphs
 
 LIBRARY = default_library()
@@ -85,6 +87,68 @@ class TestComponentScopedAnnotation:
             }
             for match in result.matches:
                 assert match.elements <= member_names
+
+
+@pytest.mark.parametrize("graph_name", sorted(CANONICAL_GRAPH_NAMES))
+class TestComponentContext:
+    """The one-pass per-CCC state is exactly the state of the subgraph
+    it replaces: VF2's discovery order — and with it which of two
+    same-device isomorphisms survives deduplication — depends on the
+    vertex numbering and on every insertion order."""
+
+    def test_equals_subgraph_context(self, graph_name):
+        graph = GRAPHS[graph_name]
+        for members in channel_connected_components(graph).components:
+            members = sorted(members)
+            subgraph = graph.subgraph_of_elements(members)
+            got = TargetContext.build(graph, members)
+            want = TargetContext.build(subgraph)
+            adjacency, reference = got.adjacency, want.adjacency
+            assert adjacency.elements == reference.elements == subgraph.elements
+            assert adjacency.nets == reference.nets == subgraph.nets
+            neighbors = [list(n.items()) for n in adjacency.neighbors]
+            assert neighbors == [
+                list(n.items()) for n in reference.neighbors
+            ]
+            assert neighbors == subgraph.neighbors()
+            assert [list(s) for s in adjacency.neighbor_sets] == [
+                list(s) for s in reference.neighbor_sets
+            ]
+            assert adjacency.degree == reference.degree
+            assert adjacency.kind == reference.kind
+            index, reference_index = got.index, want.index
+            assert index.signatures == reference_index.signatures
+            assert index.frozen == reference_index.frozen
+            assert list(index.by_kind.items()) == list(
+                reference_index.by_kind.items()
+            )
+            assert list(index.by_exact.items()) == list(
+                reference_index.by_exact.items()
+            )
+
+    def test_components_equal_naive_subgraph_annotation(
+        self, graph_name, tmp_path
+    ):
+        """Claim-aware launches and lazy contexts change no result:
+        memo-less, with a cold match cache (complete raw lists) and
+        with the warm one, every CCC's annotation equals the naive
+        reference on its subgraph."""
+        graph = GRAPHS[graph_name]
+        partition = channel_connected_components(graph)
+        naive = [
+            annotate_primitives(
+                graph.subgraph_of_elements(members), LIBRARY, indexed=False
+            )
+            for members in partition.components
+        ]
+        cache = PrimitiveMatchCache(ArtifactCache(tmp_path))
+        for match_cache in (None, cache, cache):
+            scoped = annotate_components(
+                graph, partition, LIBRARY, match_cache=match_cache
+            )
+            for cid, direct in enumerate(naive):
+                assert scoped[cid].matches == direct.matches
+                assert scoped[cid].unclaimed == direct.unclaimed
 
 
 class TestTemplateProfiles:

@@ -158,3 +158,24 @@ class TestPipelineIntegration:
         assert result.profile is not None
         assert set(result.timings) <= set(result.profile["stages"])
         assert result.profile["per_template"]
+
+    def test_every_template_launched_or_skipped_once_per_ccc(
+        self, quick_rf_annotator
+    ):
+        """Without a match memo, each CCC either launches or skips every
+        template, so a template rejected because its matches could only
+        reuse claimed devices still shows up, as a skip."""
+        from repro.core.pipeline import GanaPipeline
+        from repro.datasets.systems import phased_array
+
+        system = phased_array(n_channels=2)
+        pipeline = GanaPipeline(annotator=quick_rf_annotator)
+        profile = pipeline.run(
+            system.circuit, port_labels=system.port_labels, profile=True
+        ).profile
+        cccs = profile["counters"]["ccc_matched"]
+        assert cccs > 1
+        per_template = profile["per_template"]
+        assert set(per_template) == set(pipeline.library.names())
+        for name, stats in per_template.items():
+            assert stats["launches"] + stats["skips"] == cccs, name
