@@ -84,36 +84,30 @@ class CircuitGraph:
             for d in circuit.devices
             if include_sources or not d.kind.is_source
         ]
+        # One pass: nets are numbered in order of first appearance over
+        # the elements' pins, and each element's edges follow its pins.
         nets: list[str] = []
         net_index: dict[str, int] = {}
-        for dev in elements:
-            for term, net in dev.pins:
-                if dev.kind.is_transistor and term == "b":
-                    continue
-                if net not in net_index:
-                    net_index[net] = len(nets)
+        edges: list[Edge] = []
+        for idx, dev in enumerate(elements):
+            # A transistor's pins are (d, g, s, b) and its body is not an
+            # edge; other elements' terminals (p, n) carry no label bit.
+            pins = dev.pins[:3] if dev.kind.is_transistor else dev.pins
+            labels: dict[int, int] = {}
+            for term, net in pins:
+                nid = net_index.get(net)
+                if nid is None:
+                    nid = net_index[net] = len(nets)
                     nets.append(net)
+                labels[nid] = labels.get(nid, 0) | _TERMINAL_BITS.get(term, 0)
+            for nid, label in labels.items():
+                edges.append(Edge(element=idx, net=nid, label=label))
         # Ports with no device connection still deserve vertices so that
         # annotation covers every declared net.
         for port in circuit.ports:
             if port not in net_index:
                 net_index[port] = len(nets)
                 nets.append(port)
-
-        edges: list[Edge] = []
-        for idx, dev in enumerate(elements):
-            labels: dict[int, int] = {}
-            for term, net in dev.pins:
-                if dev.kind.is_transistor:
-                    if term == "b":
-                        continue
-                    bit = _TERMINAL_BITS[term]
-                else:
-                    bit = 0
-                nid = net_index[net]
-                labels[nid] = labels.get(nid, 0) | bit
-            for nid, label in labels.items():
-                edges.append(Edge(element=idx, net=nid, label=label))
 
         element_index = {d.name: i for i, d in enumerate(elements)}
         if len(element_index) != len(elements):

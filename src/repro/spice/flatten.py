@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.exceptions import ElaborationError
-from repro.spice.netlist import Circuit, Netlist, is_power_net
+from repro.spice.netlist import Circuit, Device, DeviceKind, Netlist, is_power_net
 
 #: Separator between instance path components in flattened names.
 SEP = "/"
@@ -161,12 +161,17 @@ def _flatten_into(
             return net
         return f"{prefix}{net}" if prefix else net
 
-    for dev in circuit.devices:
-        local_map = {n: resolve(n) for n in dev.nets}
-        renamed = dev.renamed(f"{prefix}{dev.name}", local_map)
-        if multiplier != 1.0:
-            renamed = _apply_multiplier(renamed, multiplier)
-        out.add(renamed)
+    if prefix:
+        # Resolve each net of the body once for this instance.
+        body_nets = {net for dev in circuit.devices for _, net in dev.pins}
+        resolved = {net: resolve(net) for net in body_nets}
+        out.devices.extend(
+            _elaborated(dev, prefix, resolved, multiplier) for dev in circuit.devices
+        )
+    else:
+        # The top level: every net resolves to itself and no name
+        # changes, so the parsed (frozen) devices go in as they are.
+        out.devices.extend(circuit.devices)
 
     for inst in circuit.instances:
         try:
@@ -226,39 +231,47 @@ def _flatten_into(
         )
 
 
-def _apply_multiplier(dev, multiplier: float):
-    """Scale a device by an instance multiplier (``x1 ... cell m=2``).
+def _elaborated(
+    dev: Device, prefix: str, nets: dict[str, str], multiplier: float
+) -> Device:
+    """``dev`` inside an instance: prefixed name, nets mapped through
+    ``nets``, scaled by the instance multiplier (``x1 ... cell m=2``).
 
-    MOS devices multiply their ``m`` parameter; capacitors scale their
-    value up; resistors and inductors scale down (parallel combination)
-    — the standard SPICE semantics of subcircuit multipliers.
+    MOS devices multiply their ``m`` parameter; capacitors and sources
+    scale their value up; resistors and inductors scale down (parallel
+    combination) — the standard SPICE semantics of subcircuit
+    multipliers.
     """
-    from dataclasses import replace
-
-    from repro.spice.netlist import DeviceKind
-
-    if dev.kind.is_transistor:
+    value, params = dev.value, dev.params
+    if multiplier != 1.0 and dev.kind.is_transistor:
         base = dev.param("m", 1.0) or 1.0
         params = tuple(
-            (k, base * multiplier if k == "m" else v) for k, v in dev.params
+            (k, base * multiplier if k == "m" else v) for k, v in params
         )
         if "m" not in {k for k, _ in params}:
             params = params + (("m", base * multiplier),)
-        return replace(dev, params=params)
-    if dev.value is None:
-        return dev
-    if dev.kind is DeviceKind.CAPACITOR or dev.kind.is_source:
-        return replace(dev, value=dev.value * multiplier)
-    if dev.kind in (DeviceKind.RESISTOR, DeviceKind.INDUCTOR):
-        return replace(dev, value=dev.value / multiplier)
-    return dev
+    elif multiplier != 1.0 and value is not None:
+        if dev.kind is DeviceKind.CAPACITOR or dev.kind.is_source:
+            value *= multiplier
+        elif dev.kind.is_passive:  # resistor or inductor
+            value /= multiplier
+    return Device(
+        name=f"{prefix}{dev.name}",
+        kind=dev.kind,
+        pins=tuple([(terminal, nets[net]) for terminal, net in dev.pins]),
+        value=value,
+        model=dev.model,
+        params=params,
+    )
 
 
 def flatten(netlist: Netlist, diagnostics: list | None = None) -> Circuit:
     """Expand all subcircuit instances into one flat circuit.
 
     The result has the same ports as the input top level and contains
-    only leaf :class:`~repro.spice.netlist.Device` cards.
+    only leaf :class:`~repro.spice.netlist.Device` cards.  Top-level
+    devices are the netlist's own (frozen) objects; only devices inside
+    instances are built anew.
 
     With ``diagnostics`` given (a list of
     :class:`~repro.runtime.resilience.Diagnostic` records), elaboration

@@ -5,10 +5,14 @@ clean logical lines:
 
 * ``+`` continuation lines are joined to their predecessor,
 * ``*`` full-line comments and ``$``/``;`` trailing comments are dropped,
-* everything is lower-cased (SPICE is case-insensitive) except nothing —
-  we lower-case uniformly because net/device identity in this package is
-  case-insensitive, matching common simulators,
+* everything is lower-cased (SPICE is case-insensitive, and so is
+  net/device identity in this package, matching common simulators),
 * ``name=value`` parameter tokens are kept as single tokens.
+
+Every other line is a card.  There is no implicit title line: a
+deck's title goes on a ``*`` comment or a ``.title`` card, and a plain
+first line such as ``Two stage amp`` is read as a device card (and
+rejected: ``unsupported device card 'two'``).
 
 Each :class:`LogicalLine` records the 1-based physical line span it was
 assembled from (``number`` … ``end_number``), so parse diagnostics can
@@ -22,7 +26,7 @@ aborting the whole deck on the first bad character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import SpiceSyntaxError
 
@@ -56,17 +60,27 @@ def _strip_comment(line: str) -> str:
 
 
 def _tokenize(line: str) -> list[str]:
-    """Split a logical line into tokens, gluing ``a = b`` into ``a=b``.
+    """Split a logical line into lower-case tokens, gluing ``a = b`` into ``a=b``.
 
     SPICE permits spaces around ``=`` in parameter assignments; the
     parser is simpler if each assignment is exactly one token.
     Waveform parentheses (``SIN(0 1 1G)``) act as plain separators so
-    the shape keyword and its numbers tokenize individually.
+    the shape keyword and its numbers tokenize individually.  The line
+    is lower-cased once, before it is split; a diagnostic quotes it as
+    written.
     """
-    raw = (
-        line.replace("(", " ").replace(")", " ").replace("=", " = ").split()
-    )
-    tokens: list[str] = []
+    text = line.lower().replace("(", " ").replace(")", " ")
+    tokens = text.split()
+    if "=" not in text:
+        return tokens
+    spaced = f" {' '.join(tokens)} "
+    if " =" not in spaced and "= " not in spaced and "==" not in spaced:
+        # No token starts or ends with "=" or holds "==": every "="
+        # already sits between a name and a value inside one token
+        # (``w=2e-06``), so gluing would change nothing.
+        return tokens
+    raw = text.replace("=", " = ").split()
+    tokens = []
     i = 0
     while i < len(raw):
         if raw[i] == "=":
@@ -84,32 +98,12 @@ def _tokenize(line: str) -> list[str]:
     return tokens
 
 
-@dataclass
-class _Pending:
-    """A logical line being assembled across continuation lines."""
-
-    number: int
-    tokens: list[str]
-    end_number: int = field(default=0)
-
-    def finish(self) -> LogicalLine:
-        return LogicalLine(
-            self.number,
-            tuple(t.lower() for t in self.tokens),
-            end_number=self.end_number or self.number,
-        )
-
-
 def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
     """Tokenize a SPICE deck into logical lines.
 
-    The first line of a SPICE deck is traditionally a title; it is kept
-    as a logical line with card ``.title`` unless it already starts with
-    a dot directive, a comment, or a device letter followed by valid
-    syntax — we adopt the simple, predictable rule that a *title line is
-    only assumed when the first line starts with neither a dot, a
-    letter-digit device pattern, nor a comment*.  In practice all decks
-    in this package begin with ``* comment`` or ``.title``.
+    Every line that is not blank, a comment or a continuation starts a
+    card.  There is no implicit title line: a deck's title goes on a
+    ``*`` comment or a ``.title`` card.
 
     With ``diagnostics`` given (a list), tokenization errors on a
     physical line are recorded there and the line is skipped — lenient
@@ -118,7 +112,10 @@ def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
     """
     physical = text.splitlines()
     logical: list[LogicalLine] = []
-    pending: _Pending | None = None
+    # The statement being assembled: its tokens (None between
+    # statements) and its first and last physical line.
+    pending: list[str] | None = None
+    first = last = 0
 
     def tokens_of(fragment: str, number: int) -> list[str] | None:
         try:
@@ -153,15 +150,13 @@ def lex(text: str, diagnostics: list | None = None) -> list[LogicalLine]:
                 continue
             extra = tokens_of(stripped[1:], number)
             if extra is not None:
-                pending.tokens.extend(extra)
-                pending.end_number = number
+                pending.extend(extra)
+                last = number
             continue
         if pending is not None:
-            logical.append(pending.finish())
-            pending = None
-        tokens = tokens_of(stripped, number)
-        if tokens:
-            pending = _Pending(number=number, tokens=tokens)
+            logical.append(LogicalLine(first, tuple(pending), end_number=last))
+        pending = tokens_of(stripped, number) or None
+        first = last = number
     if pending is not None:
-        logical.append(pending.finish())
+        logical.append(LogicalLine(first, tuple(pending), end_number=last))
     return logical

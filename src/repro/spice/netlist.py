@@ -70,7 +70,13 @@ def reset_power_net_memo() -> None:
 
 
 class DeviceKind(enum.Enum):
-    """Element categories at the lowest hierarchy level (Sec. II-A)."""
+    """Element categories at the lowest hierarchy level (Sec. II-A).
+
+    Each member carries ``is_transistor``, ``is_passive`` and
+    ``is_source`` as plain attributes, set once below: every layer asks
+    them per device, and a property testing tuple membership paid for
+    ``Enum.__eq__`` on each call.
+    """
 
     NMOS = "nmos"
     PMOS = "pmos"
@@ -81,17 +87,14 @@ class DeviceKind(enum.Enum):
     ISOURCE = "isource"
     DIODE = "diode"
 
-    @property
-    def is_transistor(self) -> bool:
-        return self in (DeviceKind.NMOS, DeviceKind.PMOS)
 
-    @property
-    def is_passive(self) -> bool:
-        return self in (DeviceKind.RESISTOR, DeviceKind.CAPACITOR, DeviceKind.INDUCTOR)
-
-    @property
-    def is_source(self) -> bool:
-        return self in (DeviceKind.VSOURCE, DeviceKind.ISOURCE)
+for _kind in DeviceKind:
+    _kind.is_transistor = _kind in (DeviceKind.NMOS, DeviceKind.PMOS)
+    _kind.is_passive = _kind in (
+        DeviceKind.RESISTOR, DeviceKind.CAPACITOR, DeviceKind.INDUCTOR
+    )
+    _kind.is_source = _kind in (DeviceKind.VSOURCE, DeviceKind.ISOURCE)
+del _kind
 
 
 #: Terminal names per device kind, in pin order.
@@ -126,7 +129,7 @@ class Device:
 
     def __post_init__(self) -> None:
         expected = TERMINALS[self.kind]
-        got = tuple(t for t, _ in self.pins)
+        got = tuple([t for t, _ in self.pins])
         if got != expected:
             raise ValueError(
                 f"device {self.name}: expected terminals {expected}, got {got}"
@@ -140,7 +143,7 @@ class Device:
     @property
     def nets(self) -> tuple[str, ...]:
         """Connected nets in terminal order (may contain duplicates)."""
-        return tuple(n for _, n in self.pins)
+        return tuple([n for _, n in self.pins])
 
     def param(self, key: str, default: float | None = None) -> float | None:
         """Look up a device parameter by (case-insensitive) name."""

@@ -6,7 +6,10 @@ Supports the subset of SPICE needed for transistor-level analog decks:
 * subcircuits: ``.subckt`` / ``.ends`` with nesting
 * instances: ``X``
 * ``.model`` cards (only the polarity is retained)
-* ``.global``, ``.title``, ``.end``, ``.param`` (constant params only)
+* ``.global``, ``.title``, ``.end``, ``.param`` (constant params only;
+  assignments resolve in deck order, so each sees every one before it,
+  on its own card and on earlier ones, while a forward reference stays
+  unresolved; device cards see the final table wherever they sit)
 * ignored-but-accepted analysis/control cards (``.tran``, ``.op``,
   ``.dc``, ``.ac``, ``.option(s)``, ``.ic``, ``.temp``, ``.lib``,
   ``.include`` *without* file resolution)
@@ -33,7 +36,7 @@ import re
 from repro.exceptions import SpiceSyntaxError
 from repro.spice.lexer import LogicalLine, lex
 from repro.spice.netlist import Circuit, Device, DeviceKind, Instance, Netlist
-from repro.spice.units import is_spice_number, parse_spice_number
+from repro.spice.units import spice_number_or_none
 
 _PMOS_NAME_RE = re.compile(r"^(p|.*p(mos|ch|fet))", re.IGNORECASE)
 _NMOS_NAME_RE = re.compile(r"^(n|.*n(mos|ch|fet))", re.IGNORECASE)
@@ -48,12 +51,10 @@ _IGNORED_CARDS = frozenset(
 
 def _resolve_value(raw: str, table: dict[str, float] | None) -> float | None:
     """Numeric literal, ``{name}``/``'name'`` reference, or bare name."""
-    if is_spice_number(raw):
-        return parse_spice_number(raw)
-    if table is None:
-        return None
-    name = raw.strip("{}'").lower()
-    return table.get(name)
+    value = spice_number_or_none(raw)
+    if value is not None or table is None:
+        return value
+    return table.get(raw.strip("{}'").lower())
 
 
 def _split_params(
@@ -150,17 +151,19 @@ def _parse_two_terminal(
     i = 0
     while i < len(extras):
         token = extras[i]
-        if token == "dc" and i + 1 < len(extras) and is_spice_number(extras[i + 1]):
-            value = parse_spice_number(extras[i + 1])
-            i += 2
-        elif is_spice_number(token):
+        if token == "dc" and i + 1 < len(extras):
+            number = spice_number_or_none(extras[i + 1])
+            if number is not None:
+                value = number
+                i += 2
+                continue
+        number = spice_number_or_none(token)
+        if number is not None:
             if value is None:
-                value = parse_spice_number(token)
-            i += 1
-        else:
-            if model is None:
-                model = token
-            i += 1
+                value = number
+        elif model is None:
+            model = token
+        i += 1
     for key, val in params:
         if key in ("r", "c", "l") and value is None:
             value = val
@@ -369,16 +372,19 @@ def parse_netlist(
     # .model and .param cards may appear after the devices that use
     # them; collect both in a first pass so polarity resolution and
     # parameter references always see the full tables.
+    def first_pass_param(ln: LogicalLine) -> None:
+        # In deck order: each assignment sees the ones before it, on
+        # this card and on earlier ones.  A card that raises adds none.
+        table = dict(state.param_table)
+        for token in ln.tokens[1:]:
+            _positional, params = _split_params((token,), table)
+            table.update(params)
+        state.param_table = table
+
     for line in lines:
         if line.card == ".model":
             guarded(lambda ln: _parse_model(ln, state), line)
         elif line.card == ".param":
-            def first_pass_param(ln: LogicalLine) -> None:
-                _positional, params = _split_params(
-                    ln.tokens[1:], state.param_table
-                )
-                state.param_table.update(dict(params))
-
             guarded(first_pass_param, line)
 
     def handle(line: LogicalLine) -> None:

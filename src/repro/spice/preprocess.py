@@ -55,12 +55,11 @@ def _is_dummy_transistor(dev: Device) -> bool:
     the gate hard-tied to the rail that keeps the channel off (NMOS gate
     at ground, PMOS gate at supply) with drain or source also on a rail.
     """
-    pins = dev.pin_map
-    if pins["d"] == pins["s"]:
+    (_, drain), (_, gate), (_, source), _body = dev.pins
+    if drain == source:
         return True
-    gate = pins["g"]
     off_rail = is_ground_net(gate) if dev.kind is DeviceKind.NMOS else is_supply_net(gate)
-    if off_rail and (is_power_net(pins["d"]) or is_power_net(pins["s"])):
+    if off_rail and (is_power_net(drain) or is_power_net(source)):
         return True
     return False
 
@@ -69,7 +68,7 @@ def _is_decap(dev: Device) -> bool:
     """A capacitor strapped directly between power rails."""
     if dev.kind is not DeviceKind.CAPACITOR:
         return False
-    pos, neg = dev.pin_map["p"], dev.pin_map["n"]
+    (_, pos), (_, neg) = dev.pins
     return is_power_net(pos) and is_power_net(neg) and pos != neg
 
 
@@ -79,26 +78,25 @@ def _merge_parallel_mos(devices: list[Device], report: PreprocessReport) -> list
     The survivor keeps the first device's name and geometry with the
     multiplier ``m`` summed, mirroring how designers express sizing.
     """
+    # Keys hold the kind's value, not the kind: hashing a str is C,
+    # hashing an enum member runs Enum.__hash__.  A transistor's pins
+    # are always (d, g, s, b), so equal pins mean equal connections.
     groups: dict[tuple, list[Device]] = defaultdict(list)
-    order: list[tuple] = []
     for dev in devices:
         if dev.kind.is_transistor:
-            key = (dev.kind, dev.model, tuple(sorted(dev.pin_map.items())))
+            key = (dev.kind.value, dev.model, dev.pins)
         else:
             key = ("__unique__", dev.name)
-        if key not in groups:
-            order.append(key)
         groups[key].append(dev)
 
     merged: list[Device] = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():  # in order of first appearance
+        if len(members) == 1:
+            merged.append(members[0])
+            continue
         # Survivor: the shortest (base) name, so derived names from
         # sizing splits never outlive their original.
         first = min(members, key=lambda d: (len(d.name), d.name))
-        if len(members) == 1:
-            merged.append(first)
-            continue
         total_m = sum(d.param("m", 1.0) or 1.0 for d in members)
         params = tuple(
             (k, total_m if k == "m" else v) for k, v in first.params
@@ -122,23 +120,20 @@ def _merge_parallel_passives(
     Capacitors sum; resistors and inductors combine as parallel values.
     """
     groups: dict[tuple, list[Device]] = defaultdict(list)
-    order: list[tuple] = []
     for dev in devices:
         if dev.kind.is_passive:
-            key = (dev.kind, frozenset((dev.pin_map["p"], dev.pin_map["n"])))
+            (_, pos), (_, neg) = dev.pins
+            key = (dev.kind.value, frozenset((pos, neg)))
         else:
             key = ("__unique__", dev.name)
-        if key not in groups:
-            order.append(key)
         groups[key].append(dev)
 
     merged: list[Device] = []
-    for key in order:
-        members = groups[key]
-        first = min(members, key=lambda d: (len(d.name), d.name))
+    for members in groups.values():  # in order of first appearance
         if len(members) == 1:
-            merged.append(first)
+            merged.append(members[0])
             continue
+        first = min(members, key=lambda d: (len(d.name), d.name))
         values = [d.value for d in members if d.value]
         if first.kind is DeviceKind.CAPACITOR:
             value = sum(values) if values else first.value
@@ -152,12 +147,10 @@ def _merge_parallel_passives(
     return merged
 
 
-def _net_degrees(devices: list[Device]) -> dict[str, int]:
-    degrees: dict[str, int] = defaultdict(int)
-    for dev in devices:
-        for net in set(dev.nets):
-            degrees[net] += 1
-    return degrees
+def _drain_source(dev: Device) -> tuple[str, str]:
+    """A transistor's drain and source nets (its pins are d, g, s, b)."""
+    (_, drain), _gate, (_, source), _body = dev.pins
+    return drain, source
 
 
 def _merge_series_mos(
@@ -169,7 +162,16 @@ def _merge_series_mos(
     joined drain-to-source through internal nets touched by nothing
     else.  The survivor's ``l`` is the sum of the members' lengths.
     """
-    degrees = _net_degrees(devices)
+    # Per net, in one pass: how many devices touch it, and which ones
+    # (by name, through ANY terminal or device kind) — a stack-internal
+    # node must belong to the stack alone (a resistor hanging off the
+    # junction makes it a real circuit node).
+    degrees: dict[str, int] = defaultdict(int)
+    touchers: dict[str, set[str]] = defaultdict(set)
+    for dev in devices:
+        for net in {net for _, net in dev.pins}:
+            degrees[net] += 1
+            touchers[net].add(dev.name)
     port_set = set(ports)
 
     def is_internal(net: str) -> bool:
@@ -181,8 +183,7 @@ def _merge_series_mos(
     # adjacency: internal net -> the two transistors whose d/s touch it
     net_to_ds: dict[str, list[str]] = defaultdict(list)
     for dev in by_name.values():
-        for term in ("d", "s"):
-            net = dev.pin_map[term]
+        for net in _drain_source(dev):
             if is_internal(net):
                 net_to_ds[net].append(dev.name)
 
@@ -203,32 +204,26 @@ def _merge_series_mos(
         if len(names) != 2:
             continue
         a, b = by_name[names[0]], by_name[names[1]]
+        a_drain, a_gate, a_source, a_body = a.nets
+        b_drain, b_gate, b_source, b_body = b.nets
         # A stack joins the *drain* of one device to the *source* of the
         # other; two devices sharing only their sources (a differential
         # pair) or only their drains are not in series.
-        series = (a.pin_map["d"] == net and b.pin_map["s"] == net) or (
-            a.pin_map["s"] == net and b.pin_map["d"] == net
+        series = (a_drain == net and b_source == net) or (
+            a_source == net and b_drain == net
         )
         if (
             series
             and a.kind is b.kind
             and a.model == b.model
-            and a.pin_map["g"] == b.pin_map["g"]
-            and a.pin_map["b"] == b.pin_map["b"]
+            and a_gate == b_gate
+            and a_body == b_body
         ):
             union(a.name, b.name)
 
     clusters: dict[str, list[Device]] = defaultdict(list)
     for name, dev in by_name.items():
         clusters[find(name)].append(dev)
-
-    # Who touches each net through ANY terminal or device kind — a
-    # stack-internal node must belong to the stack alone (a resistor
-    # hanging off the junction makes it a real circuit node).
-    touchers: dict[str, set[str]] = defaultdict(set)
-    for dev in devices:
-        for net in set(dev.nets):
-            touchers[net].add(dev.name)
 
     merged: list[Device] = []
     consumed: set[str] = set()
@@ -239,27 +234,20 @@ def _merge_series_mos(
         internal = {
             net
             for d in members
-            for net in (d.pin_map["d"], d.pin_map["s"])
+            for net in _drain_source(d)
             if is_internal(net) and touchers[net] <= member_names
         }
         # Chain endpoints: the d/s nets not internal to the cluster.
         endpoints = [
-            net
-            for d in members
-            for net in (d.pin_map["d"], d.pin_map["s"])
-            if net not in internal
+            net for d in members for net in _drain_source(d) if net not in internal
         ]
         if len(endpoints) != 2:
             continue  # not a simple chain; leave untouched
         first = min(members, key=lambda d: (len(d.name), d.name))
         total_l = sum(d.param("l", 0.0) or 0.0 for d in members)
         params = tuple((k, total_l if k == "l" else v) for k, v in first.params)
-        pins = (
-            ("d", endpoints[0]),
-            ("g", first.pin_map["g"]),
-            ("s", endpoints[1]),
-            ("b", first.pin_map["b"]),
-        )
+        _drain, gate, _source, body = first.nets
+        pins = (("d", endpoints[0]), ("g", gate), ("s", endpoints[1]), ("b", body))
         merged.append(replace(first, pins=pins, params=params))
         prior = report.absorbed.pop(first.name, [first.name])
         names: list[str] = []
@@ -309,10 +297,10 @@ def preprocess(circuit: Circuit) -> tuple[Circuit, PreprocessReport]:
     # Graclus coarsening and GCN output) is invariant to how many merge
     # rounds ran.
     position = {dev.name: i for i, dev in enumerate(circuit.devices)}
+    unknown = len(position)
     kept.sort(
         key=lambda d: min(
-            position.get(orig, len(position))
-            for orig in report.originals_of(d.name)
+            [position.get(orig, unknown) for orig in report.absorbed[d.name]]
         )
     )
 

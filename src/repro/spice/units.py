@@ -12,21 +12,22 @@ import re
 
 from repro.exceptions import SpiceSyntaxError
 
-#: Engineering suffixes recognized by SPICE, longest first so that
-#: ``meg``/``mil`` are not mis-read as ``m``.
-_SUFFIXES: tuple[tuple[str, float], ...] = (
-    ("meg", 1e6),
-    ("mil", 25.4e-6),
-    ("t", 1e12),
-    ("g", 1e9),
-    ("k", 1e3),
-    ("m", 1e-3),
-    ("u", 1e-6),
-    ("n", 1e-9),
-    ("p", 1e-12),
-    ("f", 1e-15),
-    ("a", 1e-18),
-)
+#: Engineering suffixes recognized by SPICE.  A number's letters are
+#: looked up by their first three (``meg``/``mil``) before their first
+#: one, so that ``meg``/``mil`` are not mis-read as ``m``.
+_SCALES: dict[str, float] = {
+    "meg": 1e6,
+    "mil": 25.4e-6,
+    "t": 1e12,
+    "g": 1e9,
+    "k": 1e3,
+    "m": 1e-3,
+    "u": 1e-6,
+    "n": 1e-9,
+    "p": 1e-12,
+    "f": 1e-15,
+    "a": 1e-18,
+}
 
 _NUMBER_RE = re.compile(
     r"""^\s*
@@ -35,6 +36,25 @@ _NUMBER_RE = re.compile(
         \s*$""",
     re.VERBOSE,
 )
+
+
+def spice_number_or_none(text: str) -> float | None:
+    """The value of a SPICE numeric literal, or None if ``text`` is not one.
+
+    One regex match decides both questions, so callers that would ask
+    :func:`is_spice_number` and then :func:`parse_spice_number` match
+    once.  A bare mantissa (``2e-06``) needs no suffix lookup.
+    """
+    match = _NUMBER_RE.match(text)
+    if match is None:
+        return None
+    mantissa, rest = match.groups()
+    if not rest:
+        return float(mantissa)
+    rest = rest.lower()
+    scale = _SCALES.get(rest[:3]) or _SCALES.get(rest[0])
+    # No recognized suffix: the letters are a unit tag (e.g. "V", "Ohm").
+    return float(mantissa) * scale if scale else float(mantissa)
 
 
 def parse_spice_number(text: str) -> float:
@@ -49,25 +69,15 @@ def parse_spice_number(text: str) -> float:
 
     Raises :class:`SpiceSyntaxError` if ``text`` is not numeric.
     """
-    match = _NUMBER_RE.match(text)
-    if match is None:
+    value = spice_number_or_none(text)
+    if value is None:
         raise SpiceSyntaxError(f"not a SPICE number: {text!r}")
-    value = float(match.group("mantissa"))
-    rest = match.group("rest").lower()
-    for suffix, scale in _SUFFIXES:
-        if rest.startswith(suffix):
-            return value * scale
-    # No recognized suffix: any trailing letters are a unit tag (e.g. "F").
     return value
 
 
 def is_spice_number(text: str) -> bool:
     """Return True if ``text`` parses as a SPICE numeric literal."""
-    try:
-        parse_spice_number(text)
-    except SpiceSyntaxError:
-        return False
-    return True
+    return spice_number_or_none(text) is not None
 
 
 def format_spice_number(value: float) -> str:

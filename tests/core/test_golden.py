@@ -35,11 +35,13 @@ CORPUS_DIR = TESTS_DIR / "corpus"
 REGENERATE = "PYTHONPATH=src python -m tests.core.test_golden"
 #: Pinned by ``tests/gcn/test_pyramid_golden.py``, not by a case here.
 PYRAMID_GOLDEN = GOLDEN_DIR / "pyramids.json"
+#: Pinned by ``tests/spice/test_frontend_golden.py``, not by a case here.
+FRONTEND_GOLDEN = GOLDEN_DIR / "frontend.json"
 
 
 def case_goldens() -> set[Path]:
     """Every committed per-case golden file."""
-    return set(GOLDEN_DIR.glob("*.json")) - {PYRAMID_GOLDEN}
+    return set(GOLDEN_DIR.glob("*.json")) - {PYRAMID_GOLDEN, FRONTEND_GOLDEN}
 
 
 @dataclass(frozen=True)
