@@ -81,7 +81,7 @@ def bench_baseline_template_vs_gcn(benchmark, topology_split):
         from repro.gcn.samples import GraphSample
 
         sample = GraphSample.from_graph(graph, {}, levels=2)
-        predictions = model.predict(sample)
+        [predictions] = model.predict_batch([sample])
         device_truth = {
             n: c for n, c in truth.items() if n in graph.element_index
         }

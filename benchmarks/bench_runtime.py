@@ -354,13 +354,14 @@ def bench_runtime_batch_annotation(benchmark, pipelines):
 
 
 def bench_runtime_gcn_batching(benchmark):
-    """Block-diagonal packed minibatches vs the per-sample training loop.
+    """Block-diagonal packed minibatches vs a per-graph training loop.
 
     Trains the quick OTA spec from one seed at several batch sizes —
-    once with ``TrainConfig(batched=True)`` (one Chebyshev recurrence
-    and one tall GEMM per layer per minibatch) and once with the
-    per-sample reference loop.  :func:`measure` asserts curve parity on
-    every rep (same losses, same val-accuracy trajectory, same best
+    once with ``train()`` (one Chebyshev recurrence and one tall GEMM
+    per layer per minibatch) and once with
+    ``check_batch_regression.per_graph_loop`` (each graph a pack of
+    one; the "per-sample" column).  :func:`measure` asserts curve parity
+    on every rep (same losses, same val-accuracy trajectory, same best
     epoch), so the ratio is a pure throughput comparison at matched
     accuracy.  The headline batch size must clear ≥2x epoch throughput;
     the quick spec (batch 8, what CI re-measures via

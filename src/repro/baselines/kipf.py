@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.gcn.layers import Dense, Dropout, Layer, ReLU, SampleContext
+from repro.gcn.layers import Dense, Dropout, Layer, ReLU
 from repro.gcn.model import GCNModel
 from repro.utils.rng import seeded_rng
 
@@ -31,8 +31,8 @@ def renormalized_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
 class KipfConv(Layer):
     """``Y = Â X W + b`` — one-hop neighborhood averaging.
 
-    The propagation operator is derived from the sample's cached
-    rescaled Laplacian (``L̂ = −D^{-1/2}AD^{-1/2}`` when λmax = 2):
+    The propagation operator is rebuilt each forward (O(nnz)) from the
+    batch's rescaled Laplacian (``L̂ = −D^{-1/2}AD^{-1/2}`` when λmax = 2):
     ``Â = ½(I − L̂) = ½(I + D^{-1/2}AD^{-1/2})``, the lazy-random-walk
     smoother — spectrally the same first-order propagation family as
     Kipf's renormalized ``D̃^{-1/2}(A+I)D̃^{-1/2}`` (available exactly
@@ -47,19 +47,11 @@ class KipfConv(Layer):
         )
         self.params["bias"] = np.zeros(out_features)
         self.zero_grad()
-        self._cache: dict[int, sp.csr_matrix] = {}
-
-    def _propagation(self, ctx: SampleContext) -> sp.csr_matrix:
-        lap = ctx.laplacian
-        key = id(lap)
-        if key not in self._cache:
-            n = lap.shape[0]
-            identity = sp.identity(n, format="csr")
-            self._cache[key] = sp.csr_matrix(0.5 * (identity - lap))
-        return self._cache[key]
 
     def forward(self, x, ctx, training):
-        a_hat = self._propagation(ctx)
+        lap = ctx.laplacian
+        identity = sp.identity(lap.shape[0], format="csr")
+        a_hat = sp.csr_matrix(0.5 * (identity - lap))
         self._ax = a_hat @ x
         self._a_hat = a_hat
         return self._ax @ self.params["weight"] + self.params["bias"]

@@ -136,7 +136,7 @@ class GcnAnnotator:
 
         Builds one sample per graph, then runs a single block-diagonal
         forward (:meth:`GCNModel.predict_proba_batch`) instead of one
-        forward per graph; a single graph takes the per-sample forward.
+        forward per graph; a single graph runs as a pack of one.
         """
         if net_roles_list is None:
             net_roles_list = [None] * len(graphs)

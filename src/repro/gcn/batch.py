@@ -1,7 +1,7 @@
 """Block-diagonal minibatch packing for the recognition GCN.
 
-Graphs have varying vertex counts, so per-sample training loops pay B
-separate Chebyshev recurrences and B small GEMMs per minibatch.  The
+Graphs have varying vertex counts, so running them one at a time pays
+B separate Chebyshev recurrences and B small GEMMs per minibatch.  The
 standard batched-GNN trick packs the B samples into *one* virtual graph
 whose Laplacian is block diagonal::
 
@@ -15,19 +15,20 @@ single tall GEMM instead of B short ones.  Cluster assignments are
 concatenated with per-sample *coarse* offsets so pooling/unpooling stay
 within their own block.
 
-Numerical equivalence to the per-sample path: every graph-structured
-operation is *bitwise* identical — CSR matmul is row-by-row (a block's
-rows only touch that block's columns, in the same nnz order), pooling
-and unpooling are cluster-local, and BatchNorm/Dropout consult
-``offsets`` to reproduce the per-sample statistics and RNG stream
-segment by segment (see ``layers.py``).  The dense GEMMs agree to fp64
-rounding: BLAS kernels are row-invariant for most shapes but *not*
-guaranteed to be (OpenBLAS picks different kernels for narrow outputs
-such as the ``n_classes``-wide head), so packed logits can differ from
-per-sample logits by ~1 ulp.  Class predictions (argmax) are identical
-in practice; golden tests pin argmax equality exactly and logits to
-tight fp64 tolerance.  Parameter-gradient accumulation likewise
-differs only by float summation order.
+Every GCN forward is packed; a single graph runs as a pack of one.
+Block isolation — a graph's rows do not depend on its pack-mates:
+every graph-structured operation is *bitwise* identical to the graph
+packed alone — CSR matmul is row-by-row (a block's rows only touch
+that block's columns, in the same nnz order), pooling and unpooling
+are cluster-local, and BatchNorm/Dropout consult ``offsets`` to keep
+each graph's statistics and RNG-stream segment its own (see
+``layers.py``).  The dense GEMMs agree to fp64 rounding: BLAS kernels
+are row-invariant for most shapes but *not* guaranteed to be (OpenBLAS
+picks different kernels for narrow outputs such as the
+``n_classes``-wide head), so a graph's logits can move by ~1 ulp with
+its pack-mates.  Class predictions (argmax) are identical in practice;
+tests pin argmax equality exactly and logits to tight fp64 tolerance,
+and committed golden training curves pin training at a stated one.
 
 ``offsets[ℓ]`` is the (B+1,) vertex-boundary array at coarsening level
 ℓ: sample ``i`` owns packed rows ``offsets[ℓ][i]:offsets[ℓ][i+1]``.
@@ -52,8 +53,8 @@ def block_diag_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
 
     Rows keep their within-block column order (scipy canonicalizes to
     sorted indices, which each block already has), so a row of the
-    packed product accumulates in exactly the per-sample order — the
-    bitwise-parity guarantee the golden tests rely on.
+    packed product accumulates in exactly the block-alone order — the
+    bitwise block isolation the tests rely on.
     """
     if len(blocks) == 1:
         return blocks[0]
@@ -209,8 +210,9 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
     """Pack B samples into one block-diagonal :class:`PackedBatch`.
 
     Packs the deepest pyramid prefix *every* sample carries; a model
-    needing more levels fails with the same :class:`ModelConfigError`
-    the per-sample path raises.
+    needing more levels than some sample carries fails in
+    :meth:`~repro.gcn.model.GCNModel.forward_packed` with a
+    :class:`ModelConfigError` naming that sample.
     """
     if not samples:
         raise ModelConfigError("cannot pack an empty sample batch")

@@ -8,7 +8,7 @@ split, and is scored by validation accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,13 +62,12 @@ def random_search(
     space: SearchSpace | None = None,
     seed: object = 0,
 ) -> SearchResult:
-    """Run ``n_trials`` random draws; returns every trial, best first
+    """Run ``n_trials`` random draws; returns every trial, the best
     available via :attr:`SearchResult.best`.
 
-    Note: trials that request more coarsening levels than the samples
-    carry are skipped defensively (samples are built for a fixed level
-    count); keep ``filter_size`` the only model dimension searched when
-    samples were prebuilt with ``levels == base_model.n_layers``.
+    Each trial trains ``base_train`` with the drawn ``lr``,
+    ``weight_decay`` and ``lr_decay`` and a per-trial seed; every other
+    setting (optimizer, momentum, patience, ...) is the base's.
     """
     space = space or SearchSpace()
     rng = seeded_rng(("hyperopt", seed))
@@ -83,15 +82,11 @@ def random_search(
         model_config = base_model.with_(
             dropout=dropout, filter_size=filter_size, seed=base_model.seed + trial_idx
         )
-        train_config = TrainConfig(
-            epochs=base_train.epochs,
-            batch_size=base_train.batch_size,
+        train_config = replace(
+            base_train,
             lr=lr,
             weight_decay=weight_decay,
             lr_decay=lr_decay,
-            optimizer=base_train.optimizer,
-            patience=base_train.patience,
-            balance_classes=base_train.balance_classes,
             seed=base_train.seed + trial_idx,
         )
         model = GCNModel(model_config)

@@ -4,15 +4,15 @@ No autograd framework is available offline, so every layer implements
 its own reverse-mode gradient.  The contract:
 
 * ``forward(x, ctx, training)`` consumes an (n, F) activation and the
-  per-sample :class:`SampleContext` (graph Laplacians and pooling maps
+  batch's :class:`SampleContext` (graph Laplacians and pooling maps
   at every coarsening level) and returns the next activation;
 * ``backward(grad)`` consumes ∂loss/∂output, accumulates parameter
   gradients into ``self.grads`` and returns ∂loss/∂input.
 
 Layers are stateful across a single forward/backward pair (they cache
 what backward needs); the :class:`~repro.gcn.model.GCNModel` drives
-them strictly in that order, one sample at a time, accumulating
-gradients over a minibatch before the optimizer steps.
+them strictly in that order, one packed batch of graphs at a time
+(``repro.gcn.batch``), before the optimizer steps.
 """
 
 from __future__ import annotations
@@ -28,28 +28,26 @@ from repro.gcn.chebyshev import chebyshev_basis, chebyshev_basis_backward
 
 @dataclass
 class SampleContext:
-    """Graph-dependent state a layer stack needs for one sample.
+    """Graph-dependent state a layer stack needs for one forward.
 
-    ``laplacians[ℓ]`` is the rescaled Laplacian at coarsening level ℓ
-    (level 0 = original graph).  ``assignments[ℓ]`` maps fine vertex →
-    coarse vertex between level ℓ and ℓ+1.  ``level`` is mutated by
-    pool/unpool layers as the sample flows through the network.
+    :meth:`~repro.gcn.batch.PackedBatch.context` builds it for a packed
+    batch of B ≥ 1 graphs.  ``laplacians[ℓ]`` is the block-diagonal
+    rescaled Laplacian at coarsening level ℓ (level 0 = original
+    graphs).  ``assignments[ℓ]`` maps fine vertex → coarse vertex
+    between level ℓ and ℓ+1.  ``level`` is mutated by pool/unpool layers
+    as the batch flows through the network.
 
-    ``cache`` is an optional sample-lifetime dict (persisted on the
-    owning :class:`~repro.gcn.samples.GraphSample`, shared by every
-    forward pass over that sample).  Layers use it to memoize purely
-    graph-and-input-dependent work — e.g. the first ChebConv layer's
-    Chebyshev basis, which depends only on the fixed Laplacian and the
-    fixed input features, not on the weights, and is therefore
-    identical across every epoch of training.
+    ``cache`` is the batch's memo dict.  The first ChebConv layer reads
+    its Chebyshev basis there: the basis depends only on the fixed
+    Laplacian and input features, not on the weights, so
+    :meth:`~repro.gcn.batch.PackedBatch.seed_input_basis` computes it
+    once per graph and every later packing of that graph reuses it.
 
-    ``offsets`` is set by :class:`~repro.gcn.batch.PackedBatch` when
-    the "sample" is really B block-diagonally packed graphs:
     ``offsets[ℓ][i]`` is the first packed row of graph ``i`` at
     coarsening level ℓ.  Layers whose math is *not* row-local
     (BatchNorm statistics, Dropout's RNG stream) consult
-    :meth:`segment_offsets` to reproduce the per-sample behaviour
-    segment by segment; everything else is oblivious to packing.
+    :meth:`segment_offsets` to keep each graph's math its own, segment
+    by segment; everything else is oblivious to packing.
     """
 
     laplacians: list[sp.csr_matrix]
@@ -63,10 +61,8 @@ class SampleContext:
         return self.laplacians[self.level]
 
     def segment_offsets(self) -> np.ndarray | None:
-        """Per-graph row boundaries at the current level, or ``None``.
-
-        Returns ``None`` for unpacked samples *and* for single-graph
-        packings, where the per-sample math needs no segmentation.
+        """Per-graph row boundaries at the current level, or ``None``
+        for a single graph (or no offsets), which needs no segmentation.
         """
         if self.offsets is None:
             return None
@@ -136,16 +132,13 @@ class ChebConv(Layer):
     def forward(self, x, ctx, training):
         laplacian = ctx.laplacian
         flat = None
-        use_cache = ctx.cache is not None and self.input_layer
-        if use_cache:
+        if ctx.cache is not None and self.input_layer:
             entry = ctx.cache.get("cheb-input-flat")
             # Identity check: a hit requires the very same input and
-            # Laplacian array objects (the cache holds strong
+            # Laplacian array objects (the entry holds strong
             # references, so their ids cannot be recycled) at the same
-            # order.  Weight updates never invalidate the basis — it
-            # depends only on the Laplacian and the input — so the
-            # entry stays valid for the sample's whole lifetime, and
-            # any model with the same filter order shares it.
+            # order.  ``PackedBatch.seed_input_basis`` fills the entry;
+            # weight updates never invalidate it.
             if (
                 entry is not None
                 and entry[0] is x
@@ -155,12 +148,9 @@ class ChebConv(Layer):
                 flat = entry[3]
         if flat is None:
             basis = chebyshev_basis(laplacian, x, self.order)  # (K, n, Fin)
-            n = x.shape[0]
             flat = basis.transpose(1, 0, 2).reshape(
-                n, self.order * self.in_features
+                x.shape[0], self.order * self.in_features
             )
-            if use_cache:
-                ctx.cache["cheb-input-flat"] = (x, laplacian, self.order, flat)
         self._flat = flat
         self._laplacian = laplacian
         return flat @ self.params["weight"] + self.params["bias"]
@@ -239,8 +229,8 @@ class Dropout(Layer):
         # One draw covers packed batches too: Generator.random fills
         # C-contiguous doubles sequentially, so a single (Σn_i, F) draw
         # consumes the stream exactly as B consecutive (n_i, F) draws
-        # would — the packed masks are bit-identical to the per-sample
-        # loop over the same graphs in pack order.
+        # would — the packed masks are bit-identical to packing the same
+        # graphs one at a time, in pack order.
         self._mask = (self.rng.random(x.shape) < keep) / keep
         return x * self._mask
 
@@ -251,12 +241,12 @@ class Dropout(Layer):
 
 
 class BatchNorm(Layer):
-    """Normalization over the vertex axis of one sample.
+    """Normalization over the vertex axis of each graph.
 
-    With one graph per forward pass, this normalizes each feature over
-    the sample's vertices (running statistics are kept for inference) —
-    the "batch normalization ... all input quantities in the same
-    numerical range" regularizer of Sec. V-A.
+    In training, each feature is normalized over each graph's own
+    vertices (running statistics are kept for inference) — the "batch
+    normalization ... all input quantities in the same numerical range"
+    regularizer of Sec. V-A.
     """
 
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -284,11 +274,11 @@ class BatchNorm(Layer):
             self._xhat = (x - self.running_mean) / self._std
             return self.params["gamma"] * self._xhat + self.params["beta"]
         # Training statistics are per graph: one segment per packed
-        # graph (or the whole array for a lone sample).  Segment sums
+        # graph (or the whole array for a pack of one).  Segment sums
         # go through ``np.add.reduceat``, whose plain sequential
         # accumulation is *segment-stable* — a segment sums to the same
         # bits whether it is reduced alone or inside a packed array —
-        # which is exactly the packed/per-sample parity guarantee.
+        # so a graph's statistics do not depend on its pack-mates.
         # (``ndarray.mean``'s pairwise summation is faster per call but
         # cannot be vectorized over ragged segments bit-identically.)
         bounds = ctx.segment_offsets()
@@ -305,7 +295,7 @@ class BatchNorm(Layer):
         centered = x - (mean if single else np.repeat(mean, sizes, axis=0))
         var = np.add.reduceat(centered * centered, starts, axis=0) / counts
         # Running stats fold once per graph in pack order, matching the
-        # per-sample loop bitwise.
+        # same graphs packed one at a time bitwise.
         for i in range(len(starts)):
             self._fold_running(mean[i], var[i])
         std = np.sqrt(var + self.eps)
@@ -347,8 +337,8 @@ def _cluster_members(ctx: SampleContext, level: int) -> tuple:
     to two gathers plus an elementwise max — far cheaper than the
     unbuffered ``np.ufunc.at`` scatter it replaces.  The member arrays
     depend only on the static assignment, so they are memoized on the
-    context cache (per sample forever; per packed batch for its
-    lifetime) keyed by the assignment's identity.
+    context cache (per packed batch, for its lifetime) keyed by the
+    assignment's identity.
     """
     assign = ctx.assignments[level]
     key = ("pool-members", level)

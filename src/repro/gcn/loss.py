@@ -18,8 +18,9 @@ def _sequential_sum(values: np.ndarray) -> float:
 
     Segment-stable: summing a segment inside a packed array gives the
     same bits as summing it alone, which is how the packed loss can
-    reproduce per-sample losses exactly.  (``ndarray.sum`` uses pairwise
-    accumulation, which has no ragged-segment equivalent.)
+    reproduce per-graph :func:`cross_entropy` losses exactly.
+    (``ndarray.sum`` uses pairwise accumulation, which has no
+    ragged-segment equivalent.)
     """
     if values.size == 0:
         return 0.0
@@ -39,7 +40,9 @@ def cross_entropy(
     mask: np.ndarray | None = None,
     class_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Mean masked cross-entropy and its gradient w.r.t. ``logits``.
+    """Mean masked cross-entropy of one graph and its gradient w.r.t.
+    ``logits`` — the single-graph reference for
+    :func:`batched_cross_entropy`, which training runs.
 
     ``labels`` are integer class ids per vertex; ``mask`` selects the
     vertices that contribute.  Returns ``(loss, grad)`` where ``grad``
@@ -81,10 +84,10 @@ def batched_cross_entropy(
     graph boundaries.  Returns ``(losses, counts, grad)`` where
     ``losses[i]`` and ``counts[i]`` are graph ``i``'s mean masked loss
     and masked-vertex count, and ``grad`` is the packed gradient with
-    each graph's rows normalized by *its own* count — exactly what the
-    per-sample loop produces, one :func:`cross_entropy` call per graph.
+    each graph's rows normalized by *its own* count — exactly what one
+    :func:`cross_entropy` call per graph produces.
 
-    Gradient rows are bitwise identical to the per-sample path (the
+    Gradient rows are bitwise identical to :func:`cross_entropy`'s (the
     elementwise operation order is preserved); the per-graph loss sums
     reduce over the same masked row subsets, so they match bitwise too.
     """
@@ -114,8 +117,8 @@ def batched_cross_entropy(
     sums = np.add.reduceat(compressed, starts)
     losses = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
-    # Row scale: mask·weight/count_of_owning_graph, matching the
-    # per-sample ``grad[mask] *= weights[mask] / count`` op order.
+    # Row scale: mask·weight/count_of_owning_graph, matching
+    # cross_entropy's ``grad[mask] *= weights[mask] / count`` op order.
     graph_of = np.repeat(np.arange(n_graphs), np.diff(offsets))
     denom = np.maximum(counts, 1)[graph_of]
     grad[mask] = probs[mask]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import ModelConfigError
+from repro.gcn.batch import PackedBatch, pack_samples
 from repro.gcn.layers import (
     BatchNorm,
     ChebConv,
@@ -148,22 +149,13 @@ class GCNModel:
                 f"model needs {self.config.n_layers}"
             )
 
-    def forward(self, sample: GraphSample, training: bool) -> np.ndarray:
-        """Per-vertex logits of shape (n_vertices, n_classes)."""
-        self._check_levels(sample)
-        ctx = sample.context()
-        x = sample.features
-        for layer in self.layers:
-            x = layer.forward(x, ctx, training)
-        return x
-
-    def forward_packed(self, batch, training: bool) -> np.ndarray:
+    def forward_packed(self, batch: PackedBatch, training: bool) -> np.ndarray:
         """Packed-batch logits of shape (Σn_i, n_classes).
 
-        One Chebyshev recurrence and one GEMM per layer serve all of
-        ``batch``'s graphs; the result rows match the per-sample
-        :meth:`forward` outputs to fp64 rounding (see ``gcn/batch.py``
-        for the exact-vs-ulp breakdown).
+        The model's only forward: one Chebyshev recurrence and one GEMM
+        per layer serve all of ``batch``'s graphs, and a single graph
+        runs as a pack of one (see ``gcn/batch.py`` for how each
+        graph's rows stay isolated from its neighbours').
         """
         for sample in batch.samples:
             self._check_levels(sample)
@@ -182,25 +174,13 @@ class GCNModel:
 
     # -- inference --------------------------------------------------------
 
-    def predict_proba(self, sample: GraphSample) -> np.ndarray:
-        """Per-vertex class probabilities (inference mode)."""
-        return softmax(self.forward(sample, training=False))
-
-    def predict(self, sample: GraphSample) -> np.ndarray:
-        """Per-vertex argmax class ids."""
-        return self.forward(sample, training=False).argmax(axis=1)
-
     def predict_proba_batch(
         self, samples: list[GraphSample]
     ) -> list[np.ndarray]:
         """Per-vertex class probabilities for each sample, computed in
-        one packed forward pass (per-sample values to fp64 rounding)."""
+        one packed inference forward."""
         if not samples:
             return []
-        if len(samples) == 1:
-            return [self.predict_proba(samples[0])]
-        from repro.gcn.batch import pack_samples
-
         batch = pack_samples(samples)
         logits = self.forward_packed(batch, training=False)
         return batch.split(softmax(logits))
@@ -209,10 +189,6 @@ class GCNModel:
         """Per-vertex argmax class ids for each sample (one packed pass)."""
         if not samples:
             return []
-        if len(samples) == 1:
-            return [self.predict(samples[0])]
-        from repro.gcn.batch import pack_samples
-
         batch = pack_samples(samples)
         logits = self.forward_packed(batch, training=False)
         return [seg.argmax(axis=1) for seg in batch.split(logits)]

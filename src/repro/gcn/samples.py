@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gcn.coarsening import CoarseningPyramid, build_pyramid
-from repro.gcn.layers import SampleContext
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.features import NetRole, feature_matrix
 from repro.utils.rng import seeded_rng
@@ -30,9 +29,9 @@ class GraphSample:
     mask: np.ndarray  # (n,) bool — True where the label counts
     pyramid: CoarseningPyramid
     graph: CircuitGraph | None = None
-    #: Sample-lifetime memo shared by every forward pass (epochs and
-    #: evaluation alike): holds the first-layer Chebyshev basis, which
-    #: depends only on the fixed Laplacian + features, never on weights.
+    #: Sample-lifetime memo shared by every packing of this sample: its
+    #: rows of the first-layer Chebyshev basis, which depend only on the
+    #: fixed Laplacian + features, never on weights.
     runtime_cache: dict = field(default_factory=dict)
 
     def __getstate__(self) -> dict:
@@ -44,14 +43,6 @@ class GraphSample:
     @property
     def n_vertices(self) -> int:
         return self.features.shape[0]
-
-    def context(self) -> SampleContext:
-        """Fresh per-forward context (pool level resets to 0)."""
-        return SampleContext(
-            laplacians=self.pyramid.laplacians,
-            assignments=self.pyramid.assignments,
-            cache=self.runtime_cache,
-        )
 
     @classmethod
     def from_graph(

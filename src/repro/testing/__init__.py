@@ -12,9 +12,9 @@ The correctness backstop for every dual execution path in the repo:
   (byte-identical, identical up to rename, …);
 * :mod:`repro.testing.oracles` — the differential oracle registry:
   one deck through paired execution paths, equivalence asserted
-  (indexed vs naive matching, packed vs per-sample GCN, staged vs
-  monolith, hier vs flat, warm vs cold cache, strict vs lenient parse,
-  include expansion, both elaboration modes);
+  (indexed vs naive matching, a two-graph GCN pack vs a pack of one,
+  hier vs flat, warm vs cold cache, strict vs lenient parse, include
+  expansion, both elaboration modes);
 * :mod:`repro.testing.shrink` — delta-debugging minimizer that turns
   any failing deck into a small committed repro;
 * :mod:`repro.testing.campaign` — the fuzz loop behind

@@ -17,8 +17,8 @@ indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
                       per CCC, ``annotate_components`` (memo-less, and
                       with a cold then warm in-memory match cache) vs
                       naive ``annotate_primitives`` on the CCC subgraph
-packed_gcn            ``GcnAnnotator.annotate_batch`` (block-diagonal
-                      packed forward) vs per-sample ``annotate``
+packed_gcn            block isolation: ``GcnAnnotator.annotate_batch``
+                      on a two-graph pack vs ``annotate`` (a pack of one)
 hier_vs_flat          ``run(hier=True)`` vs the flat run
 warm_cache            warm :class:`ArtifactCache` re-run (all stages
                       cache-hit) vs the cold run
@@ -315,7 +315,7 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-@_oracle("packed block-diagonal GCN forward equals per-sample forward", needs_pipeline=True)
+@_oracle("a graph's GCN rows in a two-graph pack equal its pack of one", needs_pipeline=True)
 def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
     graph = _flat_graph(deck)
     annotator = ctx.pipeline.annotator
@@ -325,7 +325,7 @@ def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
         if not np.array_equal(ann.vertex_classes, solo.vertex_classes):
             _diverge(
                 "packed_gcn",
-                f"packed sample {i}: vertex classes differ from per-sample path",
+                f"packed sample {i}: vertex classes differ from the pack of one",
             )
         if not np.allclose(
             ann.probabilities, solo.probabilities, rtol=1e-9, atol=1e-12

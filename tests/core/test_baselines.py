@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.baselines.kipf as kipf_module
 from repro.baselines.kipf import KipfConv, kipf_model, renormalized_adjacency
 from repro.baselines.template import (
     SubblockTemplate,
@@ -11,6 +12,12 @@ from repro.baselines.template import (
     subblock_template_library,
 )
 from repro.datasets.ota import OtaSpec, generate_ota
+from repro.datasets.synth import (
+    build_samples,
+    generate_ota_bias_dataset,
+    task_classes,
+)
+from repro.gcn.batch import pack_samples
 from repro.gcn.layers import SampleContext
 from repro.gcn.samples import GraphSample
 from repro.gcn.train import TrainConfig, train
@@ -136,3 +143,34 @@ class TestKipf:
         # (which overfits this sample perfectly within 80 epochs) —
         # exactly the gap the baseline benchmark quantifies.
         assert history.train_accuracy[-1] >= 0.85
+
+    def test_propagation_follows_each_packed_batch(self, monkeypatch):
+        """Each forward propagates over its own batch's Laplacian, even
+        when a freed Laplacian's address is handed to the next batch
+        (simulated here: every object gets the same ``id``)."""
+        monkeypatch.setattr(kipf_module, "id", lambda obj: 0, raising=False)
+        dataset = generate_ota_bias_dataset(5, seed="kipf-ids", workers=1)
+        samples = build_samples(dataset, task_classes("ota"), workers=1)
+        model = kipf_model(n_classes=2, hidden=(8, 8), fc_size=8)
+        for batch in (samples[:2], samples[2:]):
+            packed = pack_samples(batch)
+            logits = model.forward_packed(packed, training=False)
+            assert logits.shape == (packed.n_vertices, 2)
+
+    def test_batch8_training_keeps_no_per_batch_state(self):
+        dataset = generate_ota_bias_dataset(24, seed="kipf-probe", workers=1)
+        samples = build_samples(dataset, task_classes("ota"), workers=1)
+        model = kipf_model(n_classes=2, seed=0)
+        history = train(
+            model, samples,
+            config=TrainConfig(epochs=4, batch_size=8, patience=0),
+        )
+        assert len(history.train_loss) == 4
+        for layer in model.layers:
+            if isinstance(layer, KipfConv):
+                memos = [
+                    name for name, value in vars(layer).items()
+                    if isinstance(value, dict)
+                    and name not in ("params", "grads")
+                ]
+                assert memos == []

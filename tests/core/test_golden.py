@@ -37,11 +37,15 @@ REGENERATE = "PYTHONPATH=src python -m tests.core.test_golden"
 PYRAMID_GOLDEN = GOLDEN_DIR / "pyramids.json"
 #: Pinned by ``tests/spice/test_frontend_golden.py``, not by a case here.
 FRONTEND_GOLDEN = GOLDEN_DIR / "frontend.json"
+#: Pinned by ``tests/gcn/test_training_golden.py``, not by a case here.
+TRAINING_GOLDEN = GOLDEN_DIR / "training.json"
 
 
 def case_goldens() -> set[Path]:
     """Every committed per-case golden file."""
-    return set(GOLDEN_DIR.glob("*.json")) - {PYRAMID_GOLDEN, FRONTEND_GOLDEN}
+    return set(GOLDEN_DIR.glob("*.json")) - {
+        PYRAMID_GOLDEN, FRONTEND_GOLDEN, TRAINING_GOLDEN,
+    }
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
-"""Block-diagonal minibatch packing: structural invariants and
-numerical parity with the per-sample reference path.
+"""Block-diagonal minibatch packing: structural invariants, block
+isolation, and the one execution path.
 
-Tolerance contract (see ``repro/gcn/batch.py``): graph-structured ops
-are bitwise identical between the packed and per-sample paths, but the
-dense GEMMs may differ by ~1 ulp (BLAS kernels are not row-invariant
-for narrow outputs), so logits are pinned to tight fp64 tolerance while
-argmax predictions are pinned exactly.
+Every GCN forward is packed, so the reference for a graph's rows in a
+multi-graph pack is the same graph packed alone.  Tolerance contract
+(see ``repro/gcn/batch.py``): graph-structured ops are bitwise
+identical between the two, but the dense GEMMs may differ by ~1 ulp
+(BLAS kernels are not row-invariant for narrow outputs), so logits are
+pinned to tight fp64 tolerance while argmax predictions are pinned
+exactly.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -25,8 +29,9 @@ from repro.gcn.loss import batched_cross_entropy, cross_entropy, softmax
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.samples import class_weights
 from repro.gcn.train import TrainConfig, train
+from tests.conftest import EXAMPLES_DIR
 
-#: fp64 tolerance for packed-vs-per-sample logits (GEMM row ordering).
+#: fp64 tolerance for a graph's logits in a pack vs alone (GEMM rows).
 RTOL = 1e-10
 ATOL = 1e-12
 
@@ -44,6 +49,11 @@ def _config(**overrides) -> GCNConfig:
     )
     base.update(overrides)
     return GCNConfig(**base)
+
+
+def _alone(model, sample, training):
+    """``sample``'s logits from a pack of one — the reference."""
+    return model.forward_packed(pack_samples([sample]), training=training)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +145,7 @@ class TestForwardParity:
             packed = pack_samples(samples)
             logits = model.forward_packed(packed, training=False)
             for sample, segment in zip(samples, packed.split(logits)):
-                reference = model.forward(sample, training=False)
+                reference = _alone(model, sample, training=False)
                 np.testing.assert_allclose(
                     segment, reference, rtol=RTOL, atol=ATOL
                 )
@@ -150,7 +160,7 @@ class TestForwardParity:
         for sample, probabilities in zip(samples, batched):
             np.testing.assert_allclose(
                 probabilities,
-                model.predict_proba(sample),
+                model.predict_proba_batch([sample])[0],
                 rtol=RTOL,
                 atol=ATOL,
             )
@@ -159,25 +169,25 @@ class TestForwardParity:
         model = GCNModel(_config())
         batched = model.predict_batch(pool_samples)
         for sample, predictions in zip(pool_samples, batched):
-            assert np.array_equal(predictions, model.predict(sample))
+            assert np.array_equal(predictions, model.predict_batch([sample])[0])
 
     def test_training_forward_matches_sequential(self, pool_samples):
         """Training mode: BatchNorm folds running stats per segment in
         pack order and Dropout draws per segment from one stream, so a
-        packed forward reproduces the sequential per-sample forwards —
-        including the updated running statistics, bitwise."""
+        packed forward reproduces the graphs packed alone, one after the
+        other — including the updated running statistics, bitwise."""
         samples = pool_samples[:4]
         config = _config(dropout=0.3)
         reference = GCNModel(config)
         packed_model = GCNModel(config)
 
-        per_sample = [
-            reference.forward(sample, training=True) for sample in samples
+        alone = [
+            _alone(reference, sample, training=True) for sample in samples
         ]
         packed = pack_samples(samples)
         logits = packed_model.forward_packed(packed, training=True)
 
-        for expected, segment in zip(per_sample, packed.split(logits)):
+        for expected, segment in zip(alone, packed.split(logits)):
             np.testing.assert_allclose(segment, expected, rtol=RTOL, atol=ATOL)
         for layer_ref, layer_packed in zip(
             reference.layers, packed_model.layers
@@ -211,7 +221,7 @@ class TestBackwardParity:
         model.zero_grad()
         losses = []
         for sample in samples:
-            logits = model.forward(sample, training=True)
+            logits = _alone(model, sample, training=True)
             loss, grad = cross_entropy(
                 logits, sample.labels, sample.mask, weights
             )
@@ -251,7 +261,8 @@ class TestBackwardParity:
 
     def test_batched_loss_grad_rows_match(self, pool_samples):
         """Per-row gradient entries are elementwise (softmax row, pick,
-        scale) — identical math to per-sample when fed the same logits."""
+        scale) — identical math to per-graph ``cross_entropy`` when fed
+        the same logits."""
         samples = pool_samples[:3]
         packed = pack_samples(samples)
         rng = np.random.default_rng(3)
@@ -281,46 +292,56 @@ class TestBackwardParity:
         assert not grad.any()
 
 
-class TestTrainingParity:
-    def test_batched_training_matches_reference_loop(self, pool_samples):
-        """Same seed, batched vs per-sample minibatches: the loss and
-        accuracy curves coincide and early stopping picks the same
-        epoch (weights differ only by GEMM summation order)."""
-        train_set = pool_samples[:7]
-        val_set = pool_samples[7:]
-        base = dict(
-            epochs=6, batch_size=3, lr=3e-3, patience=0, seed=11
-        )
-        config = _config(dropout=0.2)
+class TestOnePackedPath:
+    """Every GCN forward is a packed batch — counted, not timed."""
 
-        model_batched = GCNModel(config)
-        batched_history = train(
-            model_batched,
-            train_set,
-            val_set,
-            TrainConfig(batched=True, **base),
-        )
-        model_reference = GCNModel(config)
-        reference_history = train(
-            model_reference,
-            train_set,
-            val_set,
-            TrainConfig(batched=False, **base),
-        )
+    @staticmethod
+    def _count(monkeypatch) -> list[tuple]:
+        """Record ``forward_packed`` calls (with their training flag)
+        and ``pack_samples`` calls (with their batch size), wherever
+        ``pack_samples`` is bound."""
+        calls: list[tuple] = []
+        forward = GCNModel.forward_packed
+        pack = pack_samples
 
-        np.testing.assert_allclose(
-            batched_history.train_loss,
-            reference_history.train_loss,
-            rtol=1e-7,
-        )
-        np.testing.assert_allclose(
-            batched_history.train_accuracy,
-            reference_history.train_accuracy,
-            atol=1e-9,
-        )
-        np.testing.assert_allclose(
-            batched_history.val_accuracy,
-            reference_history.val_accuracy,
-            atol=1e-9,
-        )
-        assert batched_history.best_epoch == reference_history.best_epoch
+        def counting_forward(self, batch, training):
+            calls.append(("forward_packed", training))
+            return forward(self, batch, training)
+
+        def counting_pack(samples):
+            calls.append(("pack_samples", len(samples)))
+            return pack(samples)
+
+        monkeypatch.setattr(GCNModel, "forward_packed", counting_forward)
+        # ``repro.gcn`` re-exports ``train``, so fetch the submodules.
+        for name in ("batch", "model", "train"):
+            module = importlib.import_module(f"repro.gcn.{name}")
+            monkeypatch.setattr(
+                module, "pack_samples", counting_pack, raising=False
+            )
+        return calls
+
+    @pytest.mark.parametrize("hier", [False, True], ids=["flat", "hier"])
+    def test_run_packs_its_graph_once(
+        self, quick_ota_annotator, monkeypatch, hier
+    ):
+        from repro.core.pipeline import GanaPipeline
+
+        deck = (EXAMPLES_DIR / "ota_array.sp").read_text()
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        calls = self._count(monkeypatch)
+        pipeline.run(deck, hier=hier)
+        assert calls == [("pack_samples", 1), ("forward_packed", False)]
+
+    def test_train_runs_one_forward_per_minibatch(
+        self, pool_samples, monkeypatch
+    ):
+        """Seven graphs at batch 3: minibatches of 3, 3 and 1, each one
+        packed training forward."""
+        calls = self._count(monkeypatch)
+        config = TrainConfig(epochs=2, batch_size=3, patience=0, seed=1)
+        train(GCNModel(_config()), pool_samples[:7], None, config)
+        assert calls.count(("forward_packed", True)) == 3 * 2
+        assert calls.count(("forward_packed", False)) == 0
+        packs = sorted(c[1] for c in calls if c[0] == "pack_samples")
+        assert packs == [1, 1, 3, 3, 3, 3]

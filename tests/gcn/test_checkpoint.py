@@ -27,6 +27,7 @@ from repro.datasets.synth import (
     task_classes,
 )
 from repro.exceptions import ModelConfigError
+from repro.gcn.batch import pack_samples
 from repro.gcn.checkpoint import CheckpointStore
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.optim import Adam, SGD
@@ -354,7 +355,7 @@ class TestModelRngStates:
         states = model.rng_states()
         assert states  # the head has a dropout layer
         # Drawing advances the stream; restoring rewinds it.
-        model.forward(tr[0], training=True)
+        model.forward_packed(pack_samples([tr[0]]), training=True)
         advanced = model.rng_states()
         assert advanced != states
         model.set_rng_states(states)

@@ -110,8 +110,7 @@ m1 o i1 t gnd! nmos w=2u l=100n
         model = GCNModel(config)
         sa = GraphSample.from_graph(ga, {}, levels=0)
         sb = GraphSample.from_graph(gb, {}, levels=0)
-        pa = model.predict_proba(sa)
-        pb = model.predict_proba(sb)
+        pa, pb = (model.predict_proba_batch([s])[0] for s in (sa, sb))
         # Match vertices through the device correspondence.
         pairs = [("m1", "m1"), ("m2", "m2"), ("m3", "m3")]
         for name_a, name_b in pairs:

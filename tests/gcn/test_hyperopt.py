@@ -72,3 +72,18 @@ class TestRandomSearch:
         assert [t.train_config.lr for t in a.trials] == [
             t.train_config.lr for t in b.trials
         ]
+
+    def test_trials_keep_base_settings(self, tiny_samples):
+        """Only lr, weight decay, lr decay and the seed vary by trial;
+        the base's optimizer and momentum hold in every trial."""
+        base = TrainConfig(
+            epochs=2, batch_size=1, patience=0, optimizer="sgd", momentum=0.0
+        )
+        result = random_search(
+            _base_model(), base, tiny_samples, tiny_samples,
+            n_trials=3, space=SearchSpace(filter_size=(4,)),
+        )
+        for idx, trial in enumerate(result.trials):
+            assert trial.train_config.optimizer == "sgd"
+            assert trial.train_config.momentum == 0.0
+            assert trial.train_config.seed == base.seed + idx

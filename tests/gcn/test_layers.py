@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
+from repro.gcn.chebyshev import chebyshev_basis
 from repro.gcn.coarsening import build_pyramid
 from repro.gcn.layers import (
     BatchNorm,
@@ -337,47 +338,55 @@ class TestGraphPoolVectorization:
         np.testing.assert_array_equal(grad, reference)
 
 
+def _seeded_cache(pyramid, x: np.ndarray, order: int) -> dict:
+    """A cache holding ``x``'s first-layer basis, as
+    ``PackedBatch.seed_input_basis`` leaves it."""
+    basis = chebyshev_basis(pyramid.laplacians[0], x, order)
+    flat = basis.transpose(1, 0, 2).reshape(x.shape[0], order * x.shape[1])
+    return {"cheb-input-flat": (x, pyramid.laplacians[0], order, flat)}
+
+
 class TestChebConvInputCache:
     def test_cached_forward_is_identical(self):
-        """With a context cache, repeat forwards reuse the basis and
-        produce the exact same output."""
+        """A seeded entry for the very same input is read, not
+        recomputed, and gives the uncached output bit for bit."""
         rng = seeded_rng(7)
         layer = ChebConv(3, 4, order=5, rng=rng)
         layer.input_layer = True
         pyramid = build_pyramid(_ring_adj(8), levels=1, rng=seeded_rng(0))
-        cache: dict = {}
         x = np.random.default_rng(1).normal(size=(8, 3))
+        cache = _seeded_cache(pyramid, x, order=5)
 
-        def fresh_ctx():
+        def ctx(cache):
             return SampleContext(
                 laplacians=pyramid.laplacians,
                 assignments=pyramid.assignments,
                 cache=cache,
             )
 
-        first = layer.forward(x, fresh_ctx(), training=True)
-        assert "cheb-input-flat" in cache
-        cached_flat = cache["cheb-input-flat"][3]
-        second = layer.forward(x, fresh_ctx(), training=True)
-        np.testing.assert_array_equal(first, second)
-        assert layer._flat is cached_flat  # reused, not recomputed
+        cached = layer.forward(x, ctx(cache), training=True)
+        assert layer._flat is cache["cheb-input-flat"][3]
+        uncached = layer.forward(x, ctx(None), training=True)
+        np.testing.assert_array_equal(cached, uncached)
 
     def test_different_input_misses(self):
+        """Another input array misses the seeded entry, and the layer
+        leaves the entry as it found it."""
         layer = ChebConv(3, 4, order=5, rng=seeded_rng(7))
         layer.input_layer = True
         pyramid = build_pyramid(_ring_adj(8), levels=1, rng=seeded_rng(0))
-        cache: dict = {}
+        rng = np.random.default_rng(1)
+        cache = _seeded_cache(pyramid, rng.normal(size=(8, 3)), order=5)
+        seeded = cache["cheb-input-flat"]
         ctx = SampleContext(
             laplacians=pyramid.laplacians,
             assignments=pyramid.assignments,
             cache=cache,
         )
-        rng = np.random.default_rng(1)
         layer.forward(rng.normal(size=(8, 3)), ctx, training=True)
-        stale = cache["cheb-input-flat"][3]
-        ctx.level = 0
-        layer.forward(rng.normal(size=(8, 3)), ctx, training=True)
-        assert cache["cheb-input-flat"][3] is not stale
+        assert layer._flat is not seeded[3]
+        assert list(cache) == ["cheb-input-flat"]
+        assert cache["cheb-input-flat"] is seeded
 
     def test_input_layer_backward_skips_dead_gradient(self):
         layer = ChebConv(3, 4, order=5, rng=seeded_rng(7))

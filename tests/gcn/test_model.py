@@ -1,9 +1,14 @@
-"""Model assembly, end-to-end gradients, (de)serialization."""
+"""Model assembly, end-to-end gradients, (de)serialization.
+
+Every forward here runs the one sample as a pack of one — the model's
+only execution path.
+"""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelConfigError
+from repro.gcn.batch import pack_samples
 from repro.gcn.loss import cross_entropy
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.samples import GraphSample
@@ -19,6 +24,11 @@ LABELS = {"m0": 1, "m1": 1, "m2": 0, "m3": 0, "m4": 0, "m5": 0}
 def sample() -> GraphSample:
     graph = CircuitGraph.from_circuit(flatten(parse_netlist(DIFF_OTA_DECK)))
     return GraphSample.from_graph(graph, LABELS, levels=2)
+
+
+def _logits(model: GCNModel, sample: GraphSample, training: bool = False):
+    """``sample``'s logits, run as a pack of one."""
+    return model.forward_packed(pack_samples([sample]), training=training)
 
 
 def _small_config(**overrides) -> GCNConfig:
@@ -69,13 +79,13 @@ class TestConfig:
 class TestForward:
     def test_logits_shape(self, sample):
         model = GCNModel(_small_config())
-        logits = model.forward(sample, training=False)
+        logits = _logits(model, sample)
         assert logits.shape == (sample.n_vertices, 2)
 
     def test_deterministic_at_inference(self, sample):
         model = GCNModel(_small_config(dropout=0.5))
-        a = model.forward(sample, training=False)
-        b = model.forward(sample, training=False)
+        a = _logits(model, sample)
+        b = _logits(model, sample)
         np.testing.assert_array_equal(a, b)
 
     def test_pooling_model_needs_levels(self, sample):
@@ -89,33 +99,33 @@ class TestForward:
         )
         shallow.pyramid.assignments = shallow.pyramid.assignments[:1]
         with pytest.raises(ModelConfigError):
-            model.forward(shallow, training=False)
+            _logits(model, shallow)
 
     def test_no_pooling_variant(self, sample):
         model = GCNModel(_small_config(pooling=False))
-        logits = model.forward(sample, training=False)
+        logits = _logits(model, sample)
         assert logits.shape == (sample.n_vertices, 2)
 
     def test_tanh_variant_runs(self, sample):
         model = GCNModel(_small_config(activation="tanh"))
-        assert np.isfinite(model.forward(sample, training=False)).all()
+        assert np.isfinite(_logits(model, sample)).all()
 
     def test_three_layer_variant(self, sample):
         sample3 = GraphSample.from_graph(sample.graph, LABELS, levels=3)
         model = GCNModel(_small_config(n_layers=3, channels=(4, 4, 4)))
-        assert model.forward(sample3, training=False).shape[0] == sample.n_vertices
+        assert _logits(model, sample3).shape[0] == sample.n_vertices
 
 
 class TestEndToEndGradients:
     def test_full_model_gradient_check(self, sample):
         model = GCNModel(_small_config())
-        logits = model.forward(sample, training=True)
+        logits = _logits(model, sample, training=True)
         _loss, grad = cross_entropy(logits, sample.labels, sample.mask)
         model.zero_grad()
         model.backward(grad)
 
         def loss_value():
-            lg = model.forward(sample, training=True)
+            lg = _logits(model, sample, training=True)
             value, _ = cross_entropy(lg, sample.labels, sample.mask)
             return value
 
@@ -135,7 +145,7 @@ class TestEndToEndGradients:
 
     def test_batchnorm_model_gradient_check(self, sample):
         model = GCNModel(_small_config(batch_norm=True))
-        logits = model.forward(sample, training=True)
+        logits = _logits(model, sample, training=True)
         _loss, grad = cross_entropy(logits, sample.labels, sample.mask)
         model.zero_grad()
         model.backward(grad)
@@ -146,7 +156,7 @@ class TestEndToEndGradients:
         orig = layer.params["weight"][idx]
 
         def loss_value():
-            lg = model.forward(sample, training=True)
+            lg = _logits(model, sample, training=True)
             value, _ = cross_entropy(lg, sample.labels, sample.mask)
             return value
 
@@ -167,7 +177,7 @@ class TestSerialization:
         twin = GCNModel(_small_config(batch_norm=True, seed=99))
         twin.load_state_dict(state)
         np.testing.assert_array_equal(
-            model.forward(sample, False), twin.forward(sample, False)
+            _logits(model, sample), _logits(twin, sample)
         )
 
     def test_save_load_file(self, sample, tmp_path):
@@ -176,7 +186,7 @@ class TestSerialization:
         model.save(path)
         loaded = GCNModel.load(path, _small_config(seed=5))
         np.testing.assert_array_equal(
-            model.forward(sample, False), loaded.forward(sample, False)
+            _logits(model, sample), _logits(loaded, sample)
         )
 
     def test_clone_is_independent(self, sample):

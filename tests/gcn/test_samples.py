@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gcn.batch import pack_samples
 from repro.gcn.samples import GraphSample
 from repro.graph.bipartite import CircuitGraph
 from repro.spice.flatten import flatten
@@ -39,11 +40,11 @@ class TestFromGraph:
         assert len(sample.pyramid.assignments) == 3
 
     def test_context_resets_level(self, graph):
-        sample = GraphSample.from_graph(graph, {}, levels=2)
-        ctx = sample.context()
+        batch = pack_samples([GraphSample.from_graph(graph, {}, levels=2)])
+        ctx = batch.context()
         assert ctx.level == 0
         ctx.level = 2
-        assert sample.context().level == 0
+        assert batch.context().level == 0
 
     def test_deterministic_coarsening_per_seed(self, graph):
         a = GraphSample.from_graph(graph, {}, levels=2, seed=1)

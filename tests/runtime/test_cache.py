@@ -41,7 +41,7 @@ def _probe_probabilities(annotator) -> np.ndarray:
     sample = GraphSample.from_graph(
         graph, {}, levels=annotator.model.config.levels_needed
     )
-    return annotator.model.predict_proba(sample)
+    return annotator.model.predict_proba_batch([sample])[0]
 
 
 class TestFingerprint:
