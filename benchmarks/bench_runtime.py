@@ -197,7 +197,7 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     """
     from repro.core.postprocess import postprocess_ccc
     from repro.graph.ccc import channel_connected_components
-    from repro.runtime.profile import PipelineProfiler
+    from repro.primitives.matcher import MatchStats
 
     _ota_pipe, rf_pipe = pipelines
     system = phased_array()
@@ -210,12 +210,12 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     naive = postprocess_ccc(
         annotation, rf_pipe.library, partition=partition, indexed=False
     )
-    profiler = PipelineProfiler()
+    stats = MatchStats()
     indexed = postprocess_ccc(
         annotation,
         rf_pipe.library,
         partition=partition,
-        profiler=profiler,
+        stats=stats,
         indexed=True,
     )
     # Bit-identical annotations, match lists included.
@@ -251,7 +251,7 @@ def bench_runtime_post1_matching(benchmark, pipelines):
 
     live_speedup = naive_seconds / max(indexed_seconds, 1e-9)
     baseline_speedup = PRE_INDEX_POST1_SECONDS / max(indexed_seconds, 1e-9)
-    per_template = profiler.as_dict()["per_template"]
+    per_template = stats.as_dict()["per_template"]
     lines = [
         f"naive full-setup VF2:     {naive_seconds:9.4f}s",
         f"indexed + CCC-scoped:     {indexed_seconds:9.4f}s",

@@ -90,17 +90,11 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     if len(paths) > 1:
         return _annotate_batch(args, pipeline, paths, port_labels, mode, hier)
     if args.stop_after or args.resume_from:
-        profiler = None
-        if args.profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
         staged = pipeline.run_staged(
             paths[0].read_text() if paths else None,
             port_labels=port_labels,
             name=paths[0].stem if paths else "",
             mode=mode,
-            profiler=profiler,
             artifact_cache=args.artifact_cache,
             save_artifacts=args.save_artifacts,
             resume_from=args.resume_from,
@@ -109,15 +103,14 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             hier_tree=bool(args.hier_tree),
         )
         if not staged.complete:
-            return _report_staged_stop(args, staged, profiler)
-        result = pipeline.result_from_staged(staged, profiler=profiler)
+            return _report_staged_stop(args, staged)
+        result = pipeline.result_from_staged(staged)
     else:
         result = pipeline.run(
             paths[0].read_text(),
             port_labels=port_labels,
             name=paths[0].stem,
             mode=mode,
-            profile=bool(args.profile),
             artifact_cache=args.artifact_cache,
             save_artifacts=args.save_artifacts,
             hier=hier,
@@ -178,7 +171,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_staged_stop(args: argparse.Namespace, staged, profiler) -> int:
+def _report_staged_stop(args: argparse.Namespace, staged) -> int:
     """Render a staged run that halted before ``hierarchy``.
 
     One line per produced artifact (stage, type, fingerprint), flagged
@@ -193,12 +186,8 @@ def _report_staged_stop(args: argparse.Namespace, staged, profiler) -> int:
         print(f"  {artifact.describe()}{hit}{where}")
     for diag in staged.diagnostics:
         print(diag.format(), file=sys.stderr)
-    if args.profile and profiler is not None:
-        for stage_name, seconds in staged.timings().items():
-            profiler.record_stage(stage_name, seconds)
-        Path(args.profile).write_text(
-            json.dumps(profiler.as_dict(), indent=2) + "\n"
-        )
+    if args.profile:
+        Path(args.profile).write_text(json.dumps(staged.profile, indent=2) + "\n")
         print(f"wrote stage profile to {args.profile}", file=sys.stderr)
     return 0
 
@@ -250,14 +239,13 @@ def _annotate_batch(
         mode=mode,
         on_error="report" if mode == "lenient" else "raise",
         timeout=args.timeout,
-        profile=bool(args.profile),
         artifact_cache=args.artifact_cache,
         hier=hier,
     )
     if args.profile:
         # Failed items carry the partial pre-failure profile too
-        # (FailureReport.profile) — "None" now means "worker died
-        # before recording anything", not "the item failed".
+        # (FailureReport.profile); it is None only when the item's
+        # worker died.
         payload = [
             {
                 "netlist": str(path),

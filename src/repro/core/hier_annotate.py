@@ -182,16 +182,10 @@ class HierMatchCache:
     :class:`~repro.core.stages.PrimitiveMatchCache` persistence.
     """
 
-    def __init__(
-        self,
-        tree: DesignTree,
-        artifact_cache=None,
-        profiler=None,
-    ):
+    def __init__(self, tree: DesignTree, artifact_cache=None):
         _check_rail_conventions()
         self._tree = tree
         self._cache = artifact_cache
-        self._profiler = profiler
         self._records: dict[str, InstanceRecord] = {
             rec.path: rec for rec in tree.instances
         }
@@ -556,7 +550,7 @@ class HierMatchCache:
         self._plan = None
 
     def finalize(self) -> HierReport:
-        """Flush attribution, feed the profiler, and build the report."""
+        """Flush attribution and build the report."""
         self._flush(time.perf_counter())
         per_definition = {
             name: {
@@ -567,15 +561,6 @@ class HierMatchCache:
             }
             for name, stats in self.per_definition.items()
         }
-        if self._profiler is not None:
-            for name, stats in per_definition.items():
-                self._profiler.record_definition(
-                    name,
-                    instances=stats["instances"],
-                    cccs=stats["cccs"],
-                    reused=stats["reused"],
-                    seconds=stats["seconds"],
-                )
         return HierReport(
             n_definitions=len(self._tree.definitions),
             n_instances=len(self._tree.instances),

@@ -10,7 +10,9 @@
 
 Every stage's wall-clock time is recorded in
 :attr:`PipelineResult.timings` — the quantity Sec. V-B reports for the
-switched-capacitor filter (135 s) and phased array (514 s).
+switched-capacitor filter (135 s) and phased array (514 s) — and every
+result carries a :attr:`PipelineResult.profile` built from the same
+seconds plus Postprocessing I's per-template matching statistics.
 
 Resilience (see :mod:`repro.runtime.resilience`):
 
@@ -115,10 +117,13 @@ class PipelineResult:
     constraints: ConstraintSet
     preprocess_report: PreprocessReport
     timings: dict[str, float] = field(default_factory=dict)
-    #: Structured profile (stages / per_template / counters) when the
-    #: run was invoked with ``profile=True``; plain dict so it pickles
-    #: across the ``run_many`` pool and JSON-serializes unchanged.
-    profile: dict | None = None
+    #: The run's profile (:func:`~repro.core.stages.run_profile`):
+    #: ``stages`` (``timings`` rounded to 1 µs), ``per_template`` and
+    #: ``counters`` from Postprocessing I's matching, and on hier runs
+    #: ``definitions`` (``hier.per_definition``); plain dict so it
+    #: pickles across the ``run_many`` pool and JSON-serializes
+    #: unchanged.
+    profile: dict = field(default_factory=dict)
     #: Lenient-mode parse/elaboration problems for this input.
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: True when GCN inference failed (or fell below the confidence
@@ -376,7 +381,6 @@ class GanaPipeline:
         name: str = "",
         infer_testbench: bool = True,
         mode: str = "strict",
-        profile: bool = False,
         artifact_cache: ArtifactCache | str | Path | None = None,
         save_artifacts: str | Path | None = None,
         hier: bool = False,
@@ -384,11 +388,10 @@ class GanaPipeline:
     ) -> PipelineResult:
         """Execute the full flow on a SPICE deck / netlist / flat circuit.
 
-        ``profile=True`` attaches a structured profile to
-        :attr:`PipelineResult.profile`: per-stage wall-clock (the same
-        numbers as ``timings``) plus per-primitive-template matching
+        The result's :attr:`~PipelineResult.profile` holds the stage
+        seconds of ``timings`` plus per-primitive-template matching
         statistics from Postprocessing I (launches, matches, seconds,
-        kind-histogram skips) — see :mod:`repro.runtime.profile`.
+        skips) — see :func:`repro.core.stages.run_profile`.
 
         When the deck still contains its testbench sources and
         ``infer_testbench`` is on, antenna/oscillating port labels and
@@ -413,11 +416,6 @@ class GanaPipeline:
         writes every stage's artifact under the given directory (for
         later ``run_staged(resume_from=...)``).  Both default to off.
         """
-        profiler = None
-        if profile:
-            from repro.runtime.profile import PipelineProfiler
-
-            profiler = PipelineProfiler()
         staged = self.run_staged(
             netlist,
             net_roles=net_roles,
@@ -425,13 +423,12 @@ class GanaPipeline:
             name=name,
             infer_testbench=infer_testbench,
             mode=mode,
-            profiler=profiler,
             artifact_cache=artifact_cache,
             save_artifacts=save_artifacts,
             hier=hier,
             hier_tree=hier_tree,
         )
-        return self.result_from_staged(staged, profiler=profiler)
+        return self.result_from_staged(staged)
 
     def run_staged(
         self,
@@ -441,19 +438,17 @@ class GanaPipeline:
         name: str = "",
         infer_testbench: bool = True,
         mode: str = "strict",
-        profiler=None,
         artifact_cache: ArtifactCache | str | Path | None = None,
         save_artifacts: str | Path | None = None,
         resume_from=None,
         stop_after: StageName | str | None = None,
-        gcn_annotation: Annotation | None = None,
         hier: bool = False,
         hier_tree: bool = False,
     ) -> StagedRun:
         """Run the stage chain with full staged-execution control.
 
         Returns the :class:`~repro.core.stages.StagedRun` (artifacts,
-        per-stage seconds, cache hits) instead of a
+        per-stage seconds, cache hits, profile) instead of a
         :class:`PipelineResult`; feed a complete run through
         :meth:`result_from_staged` to get the classic result object.
 
@@ -465,12 +460,6 @@ class GanaPipeline:
         restarts after the furthest seeded stage, so ``netlist`` may be
         omitted when resuming.  ``artifact_cache`` / ``save_artifacts``
         as in :meth:`run`.
-
-        ``gcn_annotation`` hands the gcn stage a precomputed
-        :class:`~repro.core.annotator.Annotation` (from a packed
-        :meth:`GcnAnnotator.annotate_batch` pass) to adopt instead of
-        calling the annotator; degrade/confidence-floor semantics still
-        apply to it.
 
         ``hier`` turns on hierarchy-scoped annotation: flattening also
         emits a :class:`~repro.spice.flatten.DesignTree`, and
@@ -506,28 +495,18 @@ class GanaPipeline:
             name=name,
             infer_testbench=infer_testbench,
             mode=mode,
-            profiler=profiler,
             cache=cache,
             save_dir=Path(save_artifacts) if save_artifacts else None,
-            gcn_annotation=gcn_annotation,
             hier=hier,
             hier_tree=hier_tree,
         )
         runner = StagedRunner(default_stages())
         return runner.execute(ctx, resume=resume, stop_after=stop_after)
 
-    def result_from_staged(
-        self, staged: StagedRun, profiler=None
-    ) -> PipelineResult:
+    def result_from_staged(self, staged: StagedRun) -> PipelineResult:
         """Assemble the classic :class:`PipelineResult` from a complete
         staged run (raises if the run stopped before ``hierarchy``)."""
         final = staged.final
-        timings = staged.timings()
-        profile_dict = None
-        if profiler is not None:
-            for stage_name, seconds in timings.items():
-                profiler.record_stage(stage_name, seconds)
-            profile_dict = profiler.as_dict()
         return PipelineResult(
             graph=final.gcn_annotation.graph,
             gcn_annotation=final.gcn_annotation,
@@ -536,11 +515,11 @@ class GanaPipeline:
             hierarchy=final.hierarchy,
             constraints=final.constraints,
             preprocess_report=final.report,
-            timings=timings,
+            timings=staged.timings(),
             diagnostics=list(staged.diagnostics),
             degraded=final.degraded,
             degraded_reason=final.degraded_reason,
-            profile=profile_dict,
+            profile=staged.profile,
             hier=getattr(final, "hier", None),
         )
 
@@ -605,7 +584,6 @@ class GanaPipeline:
         on_error: str = "raise",
         timeout: float | None = None,
         pool_retries: int = 2,
-        profile: bool = False,
         artifact_cache: ArtifactCache | str | Path | None = None,
         hier: bool = False,
     ) -> list[PipelineResult | FailureReport]:
@@ -631,8 +609,10 @@ class GanaPipeline:
         ceiling in seconds (SIGALRM-based, see
         :func:`~repro.runtime.resilience.time_limit`); a deck that blows
         it becomes a ``BudgetExceeded`` failure for that item only.
-        ``mode`` and ``profile`` are forwarded to :meth:`run` (each
-        result carries its own profile); ``pool_retries`` bounds
+        ``mode`` is forwarded to :meth:`run`.  Each result carries its
+        own profile, and so does each failure report: the stages the
+        item finished before it failed (``None`` only for a
+        ``stage="worker"`` crash); ``pool_retries`` bounds
         retry-with-backoff when the worker pool itself dies a transient
         death (see :func:`repro.runtime.parallel.parallel_map`).
 
@@ -693,7 +673,6 @@ class GanaPipeline:
                     "name": names[i] if names else "",
                     "infer_testbench": infer_testbench,
                     "mode": mode,
-                    "profile": profile,
                     "artifact_cache": artifact_cache,
                     "hier": hier,
                 },
@@ -1006,9 +985,7 @@ class Post1Stage:
         if ctx.hier and tree is not None and tree.instances:
             from repro.core.hier_annotate import HierMatchCache
 
-            hier_cache = HierMatchCache(
-                tree, artifact_cache=ctx.cache, profiler=ctx.profiler
-            )
+            hier_cache = HierMatchCache(tree, artifact_cache=ctx.cache)
             match_cache = hier_cache
         else:
             match_cache = (
@@ -1033,7 +1010,7 @@ class Post1Stage:
             pipeline.library,
             partition=partition,
             detect_bpf=pipeline.detect_bpf,
-            profiler=ctx.profiler,
+            stats=ctx.match_stats,
             match_cache=match_cache,
         )
         if partition is None and partition_key is not None:
@@ -1173,15 +1150,10 @@ def _run_pipeline_chunk(
     ):
         return [_run_pipeline_job(pipeline, job) for job in jobs]
 
-    from repro.runtime.profile import PipelineProfiler
-
     results: list[PipelineResult | FailureReport | None] = [None] * len(jobs)
     phase1: list[StagedRun | None] = [None] * len(jobs)
-    profilers: list[PipelineProfiler | None] = [None] * len(jobs)
     for k, job in enumerate(jobs):
         kwargs = job["kwargs"]
-        if kwargs["profile"]:
-            profilers[k] = PipelineProfiler()
         try:
             phase1[k] = pipeline.run_staged(
                 kwargs["netlist"],
@@ -1190,7 +1162,6 @@ def _run_pipeline_chunk(
                 name=kwargs["name"],
                 infer_testbench=kwargs["infer_testbench"],
                 mode=kwargs["mode"],
-                profiler=profilers[k],
                 stop_after=StageName.GRAPH,
                 hier=kwargs.get("hier", False),
             )
@@ -1228,32 +1199,27 @@ def _run_pipeline_chunk(
     for k in pending:
         job = jobs[k]
         kwargs = job["kwargs"]
-        # Resuming seeds the pre-graph stages at 0 s.  Add the real
-        # phase-1 numbers, plus this item's share of the packed GCN
-        # pass, to the profile before phase 2 can raise (a failure
-        # report carries the profile as it stands), and to the
-        # timings once phase 2 succeeds.
-        carried = {
-            **phase1[k].timings(),
-            StageName.GCN.value: gcn_shares.get(k, 0.0),
-        }
-        if profilers[k] is not None:
-            for key, seconds in carried.items():
-                profilers[k].record_stage(key, seconds)
+        # Phase 2 resumes from the graph artifact, which alone would
+        # charge the pre-graph stages 0 s.  Seed its stage seconds with
+        # the real phase-1 numbers and this item's share of the packed
+        # GCN pass, so its timings, its profile and a failure's partial
+        # profile all count them.
+        ctx = RunContext(
+            pipeline=pipeline,
+            name=kwargs["name"],
+            mode=kwargs["mode"],
+            gcn_annotation=annotations.get(k),
+            hier=kwargs.get("hier", False),
+            stage_seconds={
+                **phase1[k].stage_seconds,
+                StageName.GCN: gcn_shares.get(k, 0.0),
+            },
+        )
         try:
-            staged = pipeline.run_staged(
-                name=kwargs["name"],
-                mode=kwargs["mode"],
-                profiler=profilers[k],
-                resume_from=[phase1[k].artifacts[StageName.GRAPH]],
-                gcn_annotation=annotations.get(k),
-                hier=kwargs.get("hier", False),
+            staged = StagedRunner(default_stages()).execute(
+                ctx, resume=[phase1[k].artifacts[StageName.GRAPH]]
             )
-            results[k] = pipeline.result_from_staged(
-                staged, profiler=profilers[k]
-            )
-            for key, seconds in carried.items():
-                results[k].timings[key] += seconds
+            results[k] = pipeline.result_from_staged(staged)
         except Exception as exc:
             if not job["isolate"]:
                 raise

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,11 +40,12 @@ from repro.core.annotator import Annotation
 from repro.graph.bipartite import DRAIN_BIT, GATE_BIT, SOURCE_BIT, CircuitGraph
 from repro.graph.ccc import CCCPartition, channel_connected_components
 from repro.primitives.library import PrimitiveLibrary
-from repro.primitives.matcher import PrimitiveMatch, annotate_components
+from repro.primitives.matcher import (
+    MatchStats,
+    PrimitiveMatch,
+    annotate_components,
+)
 from repro.spice.netlist import is_power_net
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.profile import PipelineProfiler
 
 #: Primitives that may stand alone outside any sub-block (Post-I).
 #: Deliberately small: auxiliary digital-ish cells only.  Structures
@@ -368,7 +368,7 @@ def postprocess_ccc(
     standalone_primitives: frozenset[str] | None = None,
     mirror_vote: bool = True,
     absorb_orphans: bool = True,
-    profiler: "PipelineProfiler | None" = None,
+    stats: MatchStats | None = None,
     indexed: bool = True,
     match_cache=None,
 ) -> PostprocessResult:
@@ -379,8 +379,8 @@ def postprocess_ccc(
     out as stand-alone units; by default the auxiliary INV/BUF cells
     are separated only when the annotation uses the RF vocabulary.
     ``mirror_vote`` and ``absorb_orphans`` toggle the two vote-repair
-    heuristics (exposed for the ablation benchmark).  ``profiler``
-    collects per-template matching statistics; ``indexed=False``
+    heuristics (exposed for the ablation benchmark).  ``stats``
+    receives the per-template matching statistics; ``indexed=False``
     selects the naive reference matcher (see
     :mod:`repro.primitives.matcher`) — the annotation is identical
     either way.  ``match_cache`` (a
@@ -408,7 +408,7 @@ def postprocess_ccc(
         graph,
         partition,
         library,
-        profiler=profiler,
+        stats=stats,
         indexed=indexed,
         match_cache=match_cache,
     )

@@ -9,7 +9,7 @@ The paper's flow (Sec. II-B) is a linear chain —
 cacheable step instead of one inline monolith:
 
 * :class:`StageName` — THE canonical stage vocabulary.  Timing keys,
-  ``resilience.stage()`` failure tags, and profiler stage labels all
+  ``resilience.stage()`` failure tags, and profile stage keys all
   derive from it (no more three ad-hoc string sets).
 * :class:`Artifact` subclasses (:class:`ParsedDeck`,
   :class:`FlatDesign`, :class:`FeaturedGraph`, :class:`GcnPrediction`,
@@ -26,7 +26,8 @@ cacheable step instead of one inline monolith:
   the upstream *fingerprint* plus the stage's own configuration.
 * :class:`StagedRunner` — executes a stage chain with
   derivation-fingerprint caching (unchanged fingerprint ⇒ cache hit),
-  ``stop_after``/``resume`` support, and per-stage save-to-disk.
+  ``stop_after``/``resume`` support, and per-stage save-to-disk, and
+  assembles every run's profile from what the run recorded.
 
 Fingerprints chain: every stage's key is a hash of the upstream key
 and the stage's config fingerprint, never of artifact *contents*.  A
@@ -66,6 +67,7 @@ import numpy as np
 
 from repro.exceptions import ArtifactError
 from repro.graph.bipartite import CircuitGraph
+from repro.primitives.matcher import MatchStats
 from repro.runtime.cache import ArtifactCache, Memo, atomic_write
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
@@ -79,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.postprocess import PostprocessResult
     from repro.graph.features import NetRole
     from repro.primitives.matcher import PrimitiveMatch
-    from repro.runtime.profile import PipelineProfiler
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ class StageName(enum.Enum):
     """The seven steps of the GANA flow, in execution order.
 
     This enum is the single source of truth for stage names: timing
-    dicts, failure tags, profiler labels, CLI ``--stop-after`` values,
+    dicts, failure tags, profile stages, CLI ``--stop-after`` values,
     and artifact filenames all use ``StageName.*.value``.
     """
 
@@ -523,7 +524,6 @@ class RunContext:
     name: str = ""
     infer_testbench: bool = True
     mode: str = "strict"
-    profiler: "PipelineProfiler | None" = None
     cache: ArtifactCache | None = None
     save_dir: Path | None = None
     #: Precomputed GCN annotation (batched inference): when set, the
@@ -540,6 +540,8 @@ class RunContext:
     artifacts: dict[StageName, Artifact] = field(default_factory=dict)
     stage_seconds: dict[StageName, float] = field(default_factory=dict)
     cache_hits: list[StageName] = field(default_factory=list)
+    #: Postprocessing I's per-template matching statistics.
+    match_stats: MatchStats = field(default_factory=MatchStats)
     #: The run's derivation-key chain (filled in by the runner once per
     #: execute); stages may key sub-stage memos off their upstream key.
     stage_keys: dict[StageName, "str | None"] = field(default_factory=dict)
@@ -553,6 +555,8 @@ class StagedRun:
     stage_seconds: dict[StageName, float]
     cache_hits: tuple[StageName, ...]
     diagnostics: list[Diagnostic]
+    #: The run's profile (see :func:`run_profile`).
+    profile: dict[str, Any]
     saved: dict[StageName, Path] = field(default_factory=dict)
 
     @property
@@ -581,7 +585,8 @@ class StagedRun:
 
     def timings(self) -> dict[str, float]:
         """Seconds per stage, keyed by stage name (0.0 for stages
-        loaded from the cache or seeded by ``resume``)."""
+        loaded from the cache or seeded by ``resume``, unless the run's
+        context came with seconds for them)."""
         return {name.value: s for name, s in self.stage_seconds.items()}
 
 
@@ -608,10 +613,12 @@ class StagedRunner:
     4. run the remaining stages under ``resilience.stage`` guards,
        storing each fresh artifact back to the cache.
 
+    A stage adds its seconds to any already in ``ctx.stage_seconds``,
+    so a caller can seed seconds spent on the run elsewhere.
+
     Escaping exceptions carry the failure stage, pre-failure
-    diagnostics, and — when profiling — a partial profile
-    (``_gana_profile``) so ``failure_report`` keeps them across the
-    batch pool.
+    diagnostics, and the partial profile (``_gana_profile``) so
+    ``failure_report`` keeps them across the batch pool.
     """
 
     stages: tuple[Stage, ...]
@@ -680,11 +687,14 @@ class StagedRunner:
                         artifact.fingerprint = key
                         if ctx.cache is not None:
                             ctx.cache.store(key, artifact)
-                ctx.stage_seconds[name] = time.perf_counter() - started
+                ctx.stage_seconds[name] = ctx.stage_seconds.get(name, 0.0) + (
+                    time.perf_counter() - started
+                )
                 ctx.artifacts[name] = artifact
                 prev = artifact
         except Exception as exc:
-            self._stamp_profile(ctx, exc)
+            if not hasattr(exc, "_gana_profile"):
+                exc._gana_profile = run_profile(ctx)
             raise
 
         run = StagedRun(
@@ -692,6 +702,7 @@ class StagedRunner:
             stage_seconds=dict(ctx.stage_seconds),
             cache_hits=tuple(ctx.cache_hits),
             diagnostics=ctx.diagnostics,
+            profile=run_profile(ctx),
         )
         if ctx.save_dir is not None:
             for i, name in enumerate(STAGE_ORDER):
@@ -767,17 +778,38 @@ class StagedRunner:
             ctx.diagnostics[:] = list(artifact.diagnostics)
         return artifact
 
-    def _stamp_profile(self, ctx: RunContext, exc: BaseException) -> None:
-        """Attach the partial profile so FailureReport can carry it."""
-        if ctx.profiler is None:
-            return
-        for name, seconds in ctx.stage_seconds.items():
-            ctx.profiler.record_stage(name, seconds)
-        if not hasattr(exc, "_gana_profile"):
-            try:
-                exc._gana_profile = ctx.profiler.as_dict()
-            except Exception:  # pragma: no cover - never block the raise
-                pass
+
+def run_profile(ctx: RunContext) -> dict[str, Any]:
+    """The profile of a run, built from what the run already records.
+
+    ``stages`` is the run's stage seconds, rounded to 1 µs (equal to
+    ``round`` of each ``StagedRun.timings()`` value); ``per_template``
+    and ``counters`` are Postprocessing I's :class:`MatchStats`; and a
+    hier run adds ``definitions``, its ``HierReport.per_definition``
+    sorted by seconds, most expensive first.  Plain ``dict``/``float``/
+    ``int``, so it pickles across the batch pool and JSON-serializes
+    unchanged.
+    """
+    profile = {
+        "stages": {
+            name.value: round(seconds, 6)
+            for name, seconds in ctx.stage_seconds.items()
+        },
+        **ctx.match_stats.as_dict(),
+    }
+    for artifact in ctx.artifacts.values():
+        report = getattr(artifact, "hier", None)
+        if report is not None and report.per_definition:
+            profile["definitions"] = {
+                name: {**stats, "seconds": round(stats["seconds"], 6)}
+                for name, stats in sorted(
+                    report.per_definition.items(),
+                    key=lambda item: item[1]["seconds"],
+                    reverse=True,
+                )
+            }
+            break
+    return profile
 
 
 # ---------------------------------------------------------------------------

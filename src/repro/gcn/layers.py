@@ -420,24 +420,3 @@ class GraphUnpool(Layer):
         pair = self._hi != self._lo
         out[pair] += grad[self._hi[pair]]
         return out
-
-
-class Concat(Layer):
-    """Skip-connection concatenation with a stored earlier activation.
-
-    Used by the unpooling head to mix fine-level detail back in.
-    Forward stores nothing to learn; backward splits the gradient.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.saved: np.ndarray | None = None
-
-    def forward(self, x, ctx, training):
-        if self.saved is None:
-            raise ModelConfigError("Concat.saved not set before forward")
-        self._split = x.shape[1]
-        return np.concatenate([x, self.saved], axis=1)
-
-    def backward(self, grad):
-        return grad[:, : self._split]

@@ -21,7 +21,10 @@ Two execution paths produce identical results (the property tests in
 :func:`annotate_components` scopes matching per channel-connected
 component: one context per CCC, read in one pass out of the deck's
 graph and only once some template needs a search, with the library's
-order and template profiles resolved once for all of them.
+order and template profiles resolved once for all of them.  Every call
+records what its matching cost, per template, into a
+:class:`MatchStats`; the pipeline turns a run's stats into the
+``per_template`` and ``counters`` sections of its profile.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.core.constraints import Constraint
 from repro.exceptions import BudgetExceeded
@@ -51,7 +54,6 @@ from repro.runtime.resilience import Budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.ccc import CCCPartition
-    from repro.runtime.profile import PipelineProfiler
 
 
 @dataclass(frozen=True)
@@ -227,22 +229,105 @@ class AnnotationResult:
         return grouped
 
 
+@dataclass
+class TemplateStats:
+    """Accumulated matching statistics for one primitive template."""
+
+    launches: int = 0
+    matches: int = 0
+    seconds: float = 0.0
+    # Kind-histogram and claimed-device rejections (no VF2 launch).
+    skips: int = 0
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "launches": self.launches,
+            "matches": self.matches,
+            "seconds": round(self.seconds, 6),
+            "skips": self.skips,
+        }
+
+
+@dataclass
+class MatchStats:
+    """What Postprocessing I's matching cost, per template, over a run.
+
+    :func:`annotate_components` adds to it on every call: per template,
+    the VF2 launches, matches found, seconds, and skips (rejected
+    without a launch); the ``ccc_matched`` counter, and
+    ``match_cache_hits`` once a memo answered a template.
+    """
+
+    templates: dict[str, TemplateStats] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
+
+    def as_dict(self) -> dict[str, Any]:
+        """``per_template`` (most expensive first) and ``counters``."""
+        return {
+            "per_template": {
+                name: stats.as_dict()
+                for name, stats in sorted(
+                    self.templates.items(),
+                    key=lambda item: item[1].seconds,
+                    reverse=True,
+                )
+            },
+            "counters": dict(self.counters),
+        }
+
+
+class _Tally:
+    """Per-plan-position event counts of one annotation call.
+
+    List increments are the cheapest record a launch or a skip can
+    leave; :meth:`merge_into` folds them into a :class:`MatchStats` by
+    template name once the call ends.
+    """
+
+    __slots__ = ("launches", "matches", "seconds", "skips", "memo_hits")
+
+    def __init__(self, n: int):
+        self.launches = [0] * n
+        self.matches = [0] * n
+        self.seconds = [0.0] * n
+        self.skips = [0] * n
+        self.memo_hits = 0
+
+    def merge_into(self, stats: MatchStats, plan: list[tuple], cccs: int) -> None:
+        for position, (template, _, _) in enumerate(plan):
+            launches = self.launches[position]
+            skips = self.skips[position]
+            if not (launches or skips):
+                continue  # memo hits only: no per-template entry
+            entry = stats.templates.get(template.name)
+            if entry is None:
+                entry = stats.templates[template.name] = TemplateStats()
+            entry.launches += launches
+            entry.matches += self.matches[position]
+            entry.seconds += self.seconds[position]
+            entry.skips += skips
+        counters = stats.counters
+        for key, n in (
+            ("ccc_matched", cccs),
+            ("match_cache_hits", self.memo_hits),
+        ):
+            if n:
+                counters[key] = counters.get(key, 0) + n
+
+
 def annotate_primitives(
     target: CircuitGraph,
     library: PrimitiveLibrary,
-    allow_overlap: bool = False,
     budget: Budget | None = None,
     *,
     context: TargetContext | None = None,
-    profiler: "PipelineProfiler | None" = None,
     indexed: bool = True,
     match_memo: dict[str, list[PrimitiveMatch]] | None = None,
 ) -> AnnotationResult:
     """Recognize every primitive in ``target``.
 
-    Default behaviour claims each device for at most one primitive,
-    visiting templates largest-first; ``allow_overlap=True`` reports
-    every match regardless (useful for analysis/tests).
+    Each device is claimed for at most one primitive, visiting
+    templates largest-first.
 
     ``budget`` is shared across all templates, bounding the *total*
     matching work for the circuit; on exhaustion the raised
@@ -255,10 +340,7 @@ def annotate_primitives(
     template, and a template whose element-kind histogram cannot be
     covered by the target's is skipped without launching VF2 — on
     small CCCs this rejects most of the library in O(1) each.  Without
-    a memo or overlap, so is a template the still-unclaimed devices
-    cannot host.  ``profiler`` (a
-    :class:`~repro.runtime.profile.PipelineProfiler`) collects
-    per-template wall-clock, launch, match, and skip counts.
+    a memo, so is a template the still-unclaimed devices cannot host.
 
     ``match_memo`` is the sub-stage incremental-recompute hook: a
     mutable ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict of
@@ -272,14 +354,14 @@ def annotate_primitives(
     afterwards — which is what makes them safely reusable across
     library changes.
     """
+    plan = _library_plan(library, keyed=match_memo is not None)
     return _annotate(
         target,
-        _library_plan(library, keyed=match_memo is not None),
+        plan,
         lambda: context or TargetContext.build(target),
         indexed=indexed,
-        allow_overlap=allow_overlap,
         budget=budget,
-        profiler=profiler,
+        tally=_Tally(len(plan)),
         match_memo=match_memo,
     )
 
@@ -307,9 +389,8 @@ def _annotate(
     context_of,
     *,
     indexed: bool,
-    allow_overlap: bool,
     budget: Budget | None,
-    profiler: "PipelineProfiler | None",
+    tally: _Tally,
     match_memo: dict[str, list[PrimitiveMatch]] | None,
 ) -> AnnotationResult:
     """Largest-first matching and claiming over one target.
@@ -318,43 +399,46 @@ def _annotate(
     builds its :class:`TargetContext`, called at the first template
     that needs a search, so a target answered by the memo or by the
     kind histogram builds nothing.  The naive path uses the context's
-    signature index only.
+    signature index only.  ``tally`` counts every launch, skip and memo
+    hit by plan position.
 
     On the indexed memo-less claiming path a template is also skipped
     when the devices still unclaimed cannot host its kind histogram —
     ``accept`` would reject every match it found — and matching stops
-    once every device is claimed; the profiler counts both as skips.
+    once every device is claimed; ``tally`` counts both as skips.
     With a memo, raw lists must stay complete (library-change reuse
     and hier replay depend on them), so every template the memo lacks
     is searched.
     """
     result = AnnotationResult()
     claimed: set[str] = set()
-    all_matched: set[str] = set()
     elements = target.elements
     # Kind histogram of the unclaimed devices, built at the first kind
     # test.  An accepted match claims exactly its template's histogram;
     # only the claim-aware path subtracts it, elsewhere this stays the
     # target's histogram.
     free = None
-    claim_aware = indexed and match_memo is None and not allow_overlap
+    claim_aware = indexed and match_memo is None
+    launches, found, seconds, skips = (
+        tally.launches, tally.matches, tally.seconds, tally.skips
+    )
+    hits = 0
+    clock = time.perf_counter
 
     def accept(matches: list[PrimitiveMatch], kinds=None) -> None:
         for match in matches:
             names = match.elements
-            if not allow_overlap and names & claimed:
+            if names & claimed:
                 continue
             result.matches.append(match)
-            all_matched.update(names)
-            if not allow_overlap:
-                claimed.update(names)
-                if claim_aware and kinds is not None:
-                    free.subtract(kinds)
+            claimed.update(names)
+            if claim_aware and kinds is not None:
+                free.subtract(kinds)
 
     def finish() -> AnnotationResult:
-        covered = claimed if not allow_overlap else all_matched
+        tally.memo_hits += hits
         result.unclaimed = [
-            dev.name for dev in elements if dev.name not in covered
+            dev.name for dev in elements if dev.name not in claimed
         ]
         return result
 
@@ -366,21 +450,18 @@ def _annotate(
             if match_memo is not None:
                 cached = match_memo.get(fingerprint)
                 if cached is not None:
-                    if profiler is not None:
-                        profiler.count("match_cache_hits")
+                    hits += 1
                     if cached:
                         accept(cached)
                     continue
             if claim_aware and len(claimed) == len(elements):
-                if profiler is not None:
-                    for rest, _, _ in plan[position:]:
-                        profiler.record_template_skip(rest.name)
+                for rest in range(position, len(plan)):
+                    skips[rest] += 1
                 break
             if indexed and free is None:
                 free = Counter(dev.kind.value for dev in elements)
             if indexed and not _kinds_coverable(profile.kind_counts, free):
-                if profiler is not None:
-                    profiler.record_template_skip(template.name)
+                skips[position] += 1
                 if match_memo is not None:
                     # A kind-rejected template's raw match list is
                     # the empty list — memoize it so warm runs skip
@@ -389,7 +470,7 @@ def _annotate(
                 continue
             if context is None:
                 context = context_of()
-            started = time.perf_counter()
+            started = clock()
             matches = find_primitive_matches(
                 template,
                 target,
@@ -399,12 +480,9 @@ def _annotate(
                 context=context if indexed else None,
                 indexed=indexed,
             )
-            if profiler is not None:
-                profiler.record_template(
-                    template.name,
-                    seconds=time.perf_counter() - started,
-                    matches=len(matches),
-                )
+            seconds[position] += clock() - started
+            launches[position] += 1
+            found[position] += len(matches)
             if match_memo is not None:
                 match_memo[fingerprint] = list(matches)
             accept(matches, profile.kind_counts)
@@ -442,7 +520,7 @@ def annotate_components(
     partition: "CCCPartition",
     library: PrimitiveLibrary,
     budget: Budget | None = None,
-    profiler: "PipelineProfiler | None" = None,
+    stats: MatchStats | None = None,
     indexed: bool = True,
     match_cache=None,
 ) -> dict[int, AnnotationResult]:
@@ -459,6 +537,10 @@ def annotate_components(
     subgraph is built.  ``indexed=False`` matches the naive reference
     path against ``graph.subgraph_of_elements(members)``.
 
+    ``stats`` (a :class:`MatchStats`) receives the call's per-template
+    launches, matches, seconds and skips and its counters, also when a
+    budget cuts the call short; without one they are dropped.
+
     ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
     matching incremental across runs: each component's per-template raw
@@ -469,34 +551,39 @@ def annotate_components(
     budget blow-up must not persist a partial memo).
     """
     plan = _library_plan(library, keyed=match_cache is not None)
+    tally = _Tally(len(plan))
     results: dict[int, AnnotationResult] = {}
-    for cid, members in enumerate(partition.components):
-        if profiler is not None:
-            profiler.count("ccc_matched")
-        members = sorted(members)
-        if indexed:
-            target = _Members([graph.elements[i] for i in members])
-            context_of = partial(TargetContext.build, graph, members)
-        else:
-            target = graph.subgraph_of_elements(members)
-            context_of = partial(TargetContext.build, target)
-        memo = None
-        cache_key = None
-        known = 0
-        if match_cache is not None:
-            cache_key = match_cache.subgraph_key(target)
-            memo = match_cache.load(cache_key)
-            known = len(memo)
-        results[cid] = _annotate(
-            target,
-            plan,
-            context_of,
-            indexed=indexed,
-            allow_overlap=False,
-            budget=budget,
-            profiler=profiler,
-            match_memo=memo,
-        )
-        if match_cache is not None and len(memo) > known:
-            match_cache.store(cache_key, memo)
+    cid = -1
+    try:
+        for cid, members in enumerate(partition.components):
+            members = sorted(members)
+            if indexed:
+                target = _Members([graph.elements[i] for i in members])
+                context_of = partial(TargetContext.build, graph, members)
+            else:
+                target = graph.subgraph_of_elements(members)
+                context_of = partial(TargetContext.build, target)
+            memo = None
+            cache_key = None
+            known = 0
+            if match_cache is not None:
+                cache_key = match_cache.subgraph_key(target)
+                memo = match_cache.load(cache_key)
+                known = len(memo)
+            results[cid] = _annotate(
+                target,
+                plan,
+                context_of,
+                indexed=indexed,
+                budget=budget,
+                tally=tally,
+                match_memo=memo,
+            )
+            if match_cache is not None and len(memo) > known:
+                match_cache.store(cache_key, memo)
+    finally:
+        if stats is not None:
+            # Every component entered counts, the one a budget cut
+            # short included.
+            tally.merge_into(stats, plan, cccs=cid + 1)
     return results

@@ -17,10 +17,11 @@ code builds on:
 * :mod:`repro.runtime.resilience` — structured diagnostics for lenient
   parsing, per-item failure reports for fault-isolated batch runs,
   step/wall-clock budgets for unbounded searches, and SIGALRM
-  time limits;
-* :mod:`repro.runtime.profile` — a stage/per-template profiler for
-  annotation runs (``GanaPipeline.run(..., profile=True)``, CLI
-  ``--profile out.json``).
+  time limits.
+
+A run's profile needs no package of its own: the staged runner builds
+it for every run from the seconds and matcher statistics the run
+already records (:func:`repro.core.stages.run_profile`).
 """
 
 from repro.runtime.cache import (
@@ -30,7 +31,6 @@ from repro.runtime.cache import (
     fingerprint,
 )
 from repro.runtime.parallel import parallel_map, resolve_workers
-from repro.runtime.profile import PipelineProfiler, TemplateStats
 from repro.runtime.resilience import (
     Budget,
     Diagnostic,
@@ -53,8 +53,6 @@ __all__ = [
     "fingerprint",
     "parallel_map",
     "resolve_workers",
-    "PipelineProfiler",
-    "TemplateStats",
     "stage",
     "time_limit",
 ]

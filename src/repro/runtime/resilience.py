@@ -116,9 +116,11 @@ class FailureReport:
     index: int | None = None  # position in the input batch
     name: str = ""  # the item's system name, when given
     traceback: str = ""  # formatted traceback of the proximate error
-    #: Partial per-stage profile gathered before the failure (plain
-    #: dict, same shape as ``PipelineResult.profile``) when the run was
-    #: profiling; survives pickling across the batch pool.
+    #: Partial profile of the stages finished before the failure (plain
+    #: dict, same shape as ``PipelineResult.profile``), stamped by the
+    #: staged runner on every escaping exception; survives pickling
+    #: across the batch pool.  ``None`` when the failure escaped no
+    #: runner, as for a ``stage="worker"`` crash.
     profile: dict | None = None
 
     @property

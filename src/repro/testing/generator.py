@@ -30,8 +30,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from repro.primitives.library import PrimitiveLibrary, extended_library
-from repro.spice.netlist import Circuit, DeviceKind, is_power_net
-from repro.spice.parser import parse_netlist
+from repro.spice.netlist import DeviceKind, is_power_net
 from repro.spice.writer import _device_line
 
 #: Recipe schema version; bump on any change that would alter the deck
@@ -124,7 +123,6 @@ _CARD_LETTER: dict[DeviceKind, str] = {
 }
 
 _LIBRARY: PrimitiveLibrary | None = None
-_BODY_MEMO: dict[str, Circuit] = {}
 
 
 def _library() -> PrimitiveLibrary:
@@ -132,15 +130,6 @@ def _library() -> PrimitiveLibrary:
     if _LIBRARY is None:
         _LIBRARY = extended_library()
     return _LIBRARY
-
-
-def _template_body(template) -> Circuit:
-    """The template's parsed ``.subckt`` body (memoized per template)."""
-    body = _BODY_MEMO.get(template.name)
-    if body is None:
-        netlist = parse_netlist(template.spice)
-        body = _BODY_MEMO[template.name] = next(iter(netlist.subckts.values()))
-    return body
 
 
 def _template_rail(template) -> str:
@@ -181,7 +170,8 @@ def _emit_snippet(scope: _Scope, namer: _Namer) -> list[str]:
     """One primitive-template instantiation as raw device cards."""
     rng = scope.rng
     template = rng.choice(_library().templates)
-    body = _template_body(template)
+    # The ``.subckt`` body the template parsed once at construction.
+    body = template.graph.circuit
     roles = dict(template.port_roles)
     net_map: dict[str, str] = {}
     for port in body.ports:
@@ -215,7 +205,10 @@ def _emit_glue(scope: _Scope, namer: _Namer) -> str:
     if kind == "r":
         return f"{namer.fresh('r')} {scope.signal()} {scope.signal()} {rng.choice(_R_VALUES)}"
     if kind == "c":
-        return f"{namer.fresh('c')} {scope.signal()} {rng.choice(('gnd!', scope.signal()))} {rng.choice(_C_VALUES)}"
+        return (
+            f"{namer.fresh('c')} {scope.signal()} "
+            f"{rng.choice(('gnd!', scope.signal()))} {rng.choice(_C_VALUES)}"
+        )
     if kind == "l":
         return f"{namer.fresh('l')} {scope.signal()} {scope.signal()} {rng.choice(_L_VALUES)}"
     if kind == "mdiode":

@@ -162,7 +162,10 @@ def _match_key(match) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@_oracle("strict vs lenient parse+flatten agree on clean decks; dirt is strict-fatal, lenient-recovered")
+@_oracle(
+    "strict vs lenient parse+flatten agree on clean decks; "
+    "dirt is strict-fatal, lenient-recovered"
+)
 def check_parse_modes(deck: GeneratedDeck, ctx: OracleContext) -> None:
     if deck.mode == "strict":
         strict = flatten(parse_netlist(deck.text, mode="strict"))

@@ -15,7 +15,6 @@ from repro.gcn.coarsening import build_pyramid
 from repro.gcn.layers import (
     BatchNorm,
     ChebConv,
-    Concat,
     Dense,
     Dropout,
     GraphPool,
@@ -277,20 +276,6 @@ class TestPooling:
         ctx = _ctx(8)
         with pytest.raises(ModelConfigError):
             GraphUnpool().forward(np.zeros((8, 2)), ctx, True)
-
-
-class TestConcat:
-    def test_concat_and_split(self):
-        layer = Concat()
-        layer.saved = np.ones((4, 2))
-        out = layer.forward(np.zeros((4, 3)), _ctx(), True)
-        assert out.shape == (4, 5)
-        grad = layer.backward(np.arange(20.0).reshape(4, 5))
-        assert grad.shape == (4, 3)
-
-    def test_requires_saved(self):
-        with pytest.raises(ModelConfigError):
-            Concat().forward(np.zeros((4, 3)), _ctx(), True)
 
 
 class TestGraphPoolVectorization:

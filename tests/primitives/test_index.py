@@ -55,16 +55,6 @@ class TestIndexedEqualsNaive:
         assert indexed.matches == naive.matches
         assert indexed.unclaimed == naive.unclaimed
 
-    def test_overlapping_annotation_identical(self, graph_name):
-        graph = GRAPHS[graph_name]
-        naive = annotate_primitives(
-            graph, LIBRARY, allow_overlap=True, indexed=False
-        )
-        indexed = annotate_primitives(
-            graph, LIBRARY, allow_overlap=True, indexed=True
-        )
-        assert indexed.matches == naive.matches
-
 
 class TestComponentScopedAnnotation:
     def test_matches_per_component_subgraph(self):

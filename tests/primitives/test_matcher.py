@@ -98,12 +98,6 @@ m4 no nc gnd! gnd! nmos
         assert len(result.claimed) == 4
         assert not result.unclaimed
 
-    def test_allow_overlap_reports_everything(self):
-        result = annotate_primitives(
-            _graph(self.CASCODE_DECK), LIB, allow_overlap=True
-        )
-        assert len(result.matches) > 1
-
     def test_unclaimed_devices_listed(self):
         deck = "m1 out in gnd! gnd! nmos\nm2 x y z gnd! nmos\nr1 z q 1k\n.end\n"
         result = annotate_primitives(_graph(deck), LIB)

@@ -1,149 +1,112 @@
-"""Direct coverage for :mod:`repro.runtime.profile`.
+"""Direct coverage for the run profile every pipeline run carries.
 
-The profiler was previously exercised only transitively (through
-``GanaPipeline.run(profile=True)``); these tests pin its accumulation
-semantics — additive stage timing, max-vs-additive definition fields,
-seconds-descending report ordering — and the JSON round-trip.
+The staged runner builds ``PipelineResult.profile`` from what the run
+already records (:func:`repro.core.stages.run_profile`): its stage
+seconds, Postprocessing I's per-template :class:`MatchStats`, and on
+hier runs its ``HierReport.per_definition``.  These tests pin the
+collector's accumulation semantics, the seconds-descending report
+ordering and rounding, and the profile of real runs.
 """
 
 from __future__ import annotations
 
-import json
+from types import SimpleNamespace
 
-import pytest
+from repro.core.hier_annotate import HierReport
+from repro.core.stages import RunContext, StageName, run_profile
+from repro.graph.bipartite import CircuitGraph
+from repro.graph.ccc import channel_connected_components
+from repro.primitives.library import default_library
+from repro.primitives.matcher import MatchStats, TemplateStats, annotate_components
+from repro.spice.flatten import flatten
+from repro.spice.parser import parse_netlist
+from tests.conftest import DIFF_OTA_DECK
 
-from repro.core.stages import StageName
-from repro.runtime.profile import PipelineProfiler, TemplateStats
+LIBRARY = default_library()
 
 
-class TestStageTiming:
-    def test_record_stage_is_additive(self):
-        profiler = PipelineProfiler()
-        profiler.record_stage("post1", 0.25)
-        profiler.record_stage("post1", 0.5)
-        assert profiler.stages["post1"] == pytest.approx(0.75)
+def _graph(deck: str) -> CircuitGraph:
+    return CircuitGraph.from_circuit(flatten(parse_netlist(deck)))
 
-    def test_record_stage_accepts_enum_and_stores_value(self):
-        profiler = PipelineProfiler()
-        profiler.record_stage(StageName.GCN, 0.1)
-        profiler.record_stage(StageName.GCN.value, 0.1)
-        assert set(profiler.stages) == {"gcn"}
-        assert profiler.stages["gcn"] == pytest.approx(0.2)
 
-    def test_stage_contextmanager_times_block(self):
-        profiler = PipelineProfiler()
-        with profiler.stage("graph"):
-            pass
-        assert profiler.stages["graph"] >= 0.0
-        # re-entry is additive, not replacing
-        before = profiler.stages["graph"]
-        with profiler.stage("graph"):
-            pass
-        assert profiler.stages["graph"] >= before
-
-    def test_stage_records_on_exception(self):
-        profiler = PipelineProfiler()
-        with pytest.raises(RuntimeError):
-            with profiler.stage("gcn"):
-                raise RuntimeError("boom")
-        assert "gcn" in profiler.stages
+def _match_into(stats: MatchStats, deck: str) -> int:
+    """Annotate ``deck`` per CCC into ``stats``; its CCC count."""
+    graph = _graph(deck)
+    partition = channel_connected_components(graph)
+    annotate_components(graph, partition, LIBRARY, stats=stats)
+    return partition.n_components
 
 
 class TestTemplateStats:
     def test_launches_accumulate(self):
-        profiler = PipelineProfiler()
-        profiler.record_template("DP-N", 0.1, matches=2)
-        profiler.record_template("DP-N", 0.3, matches=1)
-        stats = profiler.templates["DP-N"]
-        assert stats.launches == 2
-        assert stats.matches == 3
-        assert stats.seconds == pytest.approx(0.4)
+        once, twice = MatchStats(), MatchStats()
+        _match_into(once, DIFF_OTA_DECK)
+        _match_into(twice, DIFF_OTA_DECK)
+        _match_into(twice, DIFF_OTA_DECK)
+        assert set(twice.templates) == set(once.templates)
+        assert any(stats.launches for stats in once.templates.values())
+        for name, stats in once.templates.items():
+            again = twice.templates[name]
+            assert again.launches == 2 * stats.launches, name
+            assert again.matches == 2 * stats.matches, name
+            assert again.skips == 2 * stats.skips, name
+            assert (again.seconds > 0) == (stats.launches > 0), name
 
     def test_skips_do_not_count_as_launches(self):
-        profiler = PipelineProfiler()
-        profiler.record_template_skip("CM-N")
-        profiler.record_template_skip("CM-N")
-        stats = profiler.templates["CM-N"]
-        assert stats == TemplateStats(launches=0, matches=0, skips=2)
+        # One lone resistor: every template's kind histogram fails, so
+        # each is skipped without a VF2 launch.
+        stats = MatchStats()
+        _match_into(stats, "r1 a b 1k\n.end\n")
+        assert set(stats.templates) == set(LIBRARY.names())
+        for entry in stats.templates.values():
+            assert entry == TemplateStats(launches=0, matches=0, skips=1)
 
     def test_counters_accumulate(self):
-        profiler = PipelineProfiler()
-        profiler.count("cccs")
-        profiler.count("cccs", 3)
-        assert profiler.counters == {"cccs": 4}
-
-
-class TestRecordDefinition:
-    def test_single_record(self):
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "ota_cell", instances=4, cccs=2, reused=1, seconds=0.5
-        )
-        assert profiler.definitions["ota_cell"] == {
-            "instances": 4,
-            "cccs": 2,
-            "reused": 1,
-            "seconds": 0.5,
-        }
-
-    def test_instances_take_max_other_fields_add(self):
-        # instances is a population size (how many copies exist), the
-        # rest are event counts — re-recording must not double-count
-        # the population.
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "cell", instances=4, cccs=2, reused=1, seconds=0.25
-        )
-        profiler.record_definition(
-            "cell", instances=3, cccs=1, reused=2, seconds=0.25
-        )
-        stats = profiler.definitions["cell"]
-        assert stats["instances"] == 4
-        assert stats["cccs"] == 3
-        assert stats["reused"] == 3
-        assert stats["seconds"] == pytest.approx(0.5)
+        stats = MatchStats()
+        first = _match_into(stats, DIFF_OTA_DECK)
+        second = _match_into(stats, "r1 a b 1k\n.end\n")
+        # Memo-less calls hit no memo: the counter is absent, not 0.
+        assert stats.counters == {"ccc_matched": first + second}
 
 
 class TestReporting:
     def test_templates_sorted_by_seconds_descending(self):
-        profiler = PipelineProfiler()
-        profiler.record_template("cheap", 0.01, matches=0)
-        profiler.record_template("hot", 2.0, matches=5)
-        profiler.record_template("mid", 0.5, matches=1)
-        assert list(profiler.as_dict()["per_template"]) == [
-            "hot",
-            "mid",
-            "cheap",
-        ]
+        stats = MatchStats(
+            templates={
+                "cheap": TemplateStats(launches=1, seconds=0.01),
+                "hot": TemplateStats(launches=1, matches=5, seconds=2.0),
+                "mid": TemplateStats(launches=1, seconds=0.123456789),
+            }
+        )
+        per_template = stats.as_dict()["per_template"]
+        assert list(per_template) == ["hot", "mid", "cheap"]
+        # Seconds are rounded to 1 µs at report time.
+        assert per_template["mid"]["seconds"] == 0.123457
 
-    def test_definitions_key_absent_when_flat_run(self):
-        profiler = PipelineProfiler()
-        profiler.record_stage("gcn", 0.1)
-        assert "definitions" not in profiler.as_dict()
+    def test_definitions_key_absent_when_flat_run(self, quick_ota_annotator):
+        from repro.core.pipeline import GanaPipeline
+
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        profile = pipeline.run(DIFF_OTA_DECK).profile
+        assert list(profile) == ["stages", "per_template", "counters"]
 
     def test_definitions_sorted_by_seconds_descending(self):
-        profiler = PipelineProfiler()
-        profiler.record_definition(
-            "cold", instances=1, cccs=1, reused=0, seconds=0.1
+        report = HierReport(
+            per_definition={
+                "cold": {"instances": 1, "cccs": 1, "reused": 0, "seconds": 0.1},
+                "hot": {"instances": 2, "cccs": 4, "reused": 2, "seconds": 1.5000004},
+            }
         )
-        profiler.record_definition(
-            "hot", instances=2, cccs=4, reused=2, seconds=1.5
-        )
-        assert list(profiler.as_dict()["definitions"]) == ["hot", "cold"]
-
-    def test_write_json_round_trips(self, tmp_path):
-        profiler = PipelineProfiler()
-        profiler.record_stage(StageName.POST1, 0.123456789)
-        profiler.record_template("DP-N", 0.1, matches=2)
-        profiler.count("components", 2)
-        profiler.record_definition(
-            "cell", instances=2, cccs=1, reused=1, seconds=0.2
-        )
-        out = profiler.write_json(tmp_path / "profile.json")
-        loaded = json.loads(out.read_text())
-        assert loaded == profiler.as_dict()
-        # rounding to microseconds happens at report time
-        assert loaded["stages"]["post1"] == 0.123457
+        ctx = RunContext(stage_seconds={StageName.POST1: 0.25})
+        ctx.artifacts[StageName.POST1] = SimpleNamespace(hier=report)
+        definitions = run_profile(ctx)["definitions"]
+        assert list(definitions) == ["hot", "cold"]
+        assert definitions["hot"] == {
+            "instances": 2,
+            "cccs": 4,
+            "reused": 2,
+            "seconds": 1.5,
+        }
 
 
 class TestPipelineIntegration:
@@ -151,13 +114,12 @@ class TestPipelineIntegration:
         self, quick_ota_annotator
     ):
         from repro.core.pipeline import GanaPipeline
-        from tests.conftest import DIFF_OTA_DECK
 
         pipeline = GanaPipeline(annotator=quick_ota_annotator)
-        result = pipeline.run(DIFF_OTA_DECK, profile=True)
-        assert result.profile is not None
-        assert set(result.timings) <= set(result.profile["stages"])
+        result = pipeline.run(DIFF_OTA_DECK)
+        assert set(result.profile["stages"]) == set(result.timings)
         assert result.profile["per_template"]
+        assert result.profile["counters"]["ccc_matched"] > 0
 
     def test_every_template_launched_or_skipped_once_per_ccc(
         self, quick_rf_annotator
@@ -171,7 +133,7 @@ class TestPipelineIntegration:
         system = phased_array(n_channels=2)
         pipeline = GanaPipeline(annotator=quick_rf_annotator)
         profile = pipeline.run(
-            system.circuit, port_labels=system.port_labels, profile=True
+            system.circuit, port_labels=system.port_labels
         ).profile
         cccs = profile["counters"]["ccc_matched"]
         assert cccs > 1
@@ -179,3 +141,34 @@ class TestPipelineIntegration:
         assert set(per_template) == set(pipeline.library.names())
         for name, stats in per_template.items():
             assert stats["launches"] + stats["skips"] == cccs, name
+
+    def test_every_run_profile_stages_are_its_rounded_timings(
+        self, quick_ota_annotator
+    ):
+        from repro.core.pipeline import GanaPipeline
+
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        result = pipeline.run(DIFF_OTA_DECK)
+        assert result.profile["stages"] == {
+            k: round(v, 6) for k, v in result.timings.items()
+        }
+
+    def test_hier_run_profile_definitions_are_its_hier_report(
+        self, quick_ota_annotator
+    ):
+        from repro.core.pipeline import GanaPipeline
+        from tests.conftest import EXAMPLE_DECK_PATHS
+
+        (deck,) = [p for p in EXAMPLE_DECK_PATHS if p.stem == "ota_array"]
+        pipeline = GanaPipeline(annotator=quick_ota_annotator)
+        result = pipeline.run(deck.read_text(), hier=True)
+        per_definition = result.hier.per_definition
+        assert per_definition
+        assert result.profile["definitions"] == {
+            name: {**stats, "seconds": round(stats["seconds"], 6)}
+            for name, stats in per_definition.items()
+        }
+        # Most expensive definition first.
+        seconds = [s["seconds"] for s in result.profile["definitions"].values()]
+        assert seconds == sorted(seconds, reverse=True)
+

@@ -156,7 +156,6 @@ def _jobs_for(decks, names):
                 "name": name,
                 "infer_testbench": True,
                 "mode": "strict",
-                "profile": False,
                 "artifact_cache": None,
             },
         }
@@ -229,7 +228,6 @@ class TestBatchedChunkFlow:
         jobs = _jobs_for(decks[:3], ["a", "b", "c"])
         for job in jobs:
             job["isolate"] = True
-            job["kwargs"]["profile"] = True
         first, report, third = _run_pipeline_chunk(pipeline, jobs)
         assert first.ok and third.ok and not report.ok
         assert report.stage == "post1"
@@ -237,9 +235,9 @@ class TestBatchedChunkFlow:
         assert report.profile["stages"]["preprocess"] > 0
         assert report.profile["stages"]["graph"] > 0
         # Successful siblings still count each stage once.
-        assert first.profile["stages"] == pytest.approx(
-            first.timings, abs=1e-6
-        )
+        assert first.profile["stages"] == {
+            k: round(v, 6) for k, v in first.timings.items()
+        }
 
     def test_run_many_reuses_warm_pool(self, pipeline, decks):
         from repro.runtime import parallel
@@ -310,7 +308,6 @@ class TestFailureMetadataSurvivesPool:
             names=["ok0", "bomb", "ok1"],
             workers=2,
             on_error="report",
-            profile=True,
         )
         ok0, report, ok1 = batch
         assert ok0.ok and ok1.ok and not report.ok
@@ -325,12 +322,12 @@ class TestFailureMetadataSurvivesPool:
         # Successful neighbours keep their own full profiles.
         assert set(ok0.profile["stages"]) == set(ok0.timings)
 
-    def test_report_mode_without_profiling_has_none(self, fragile_pipeline):
+    def test_report_mode_profile_needs_no_flag(self, fragile_pipeline):
         (report,) = fragile_pipeline.run_many(
-            [_bomb_circuit()], on_error="report", profile=False
+            [_bomb_circuit()], on_error="report"
         )
         assert not report.ok
-        assert report.profile is None
+        assert {"parse", "preprocess", "graph"} <= set(report.profile["stages"])
 
     def test_raise_mode_exception_carries_metadata(
         self, fragile_pipeline, decks
@@ -342,7 +339,6 @@ class TestFailureMetadataSurvivesPool:
                 [decks[0], _bomb_circuit()],
                 workers=2,
                 on_error="raise",
-                profile=True,
             )
         # The stage tag and partial profile are instance attributes on
         # the exception, so they pickle with it out of the worker and
@@ -369,7 +365,7 @@ class TestFailureMetadataSurvivesPool:
         import pickle
 
         (report,) = fragile_pipeline.run_many(
-            [_bomb_circuit()], on_error="report", profile=True
+            [_bomb_circuit()], on_error="report"
         )
         clone = pickle.loads(pickle.dumps(report))
         assert clone.stage == report.stage
