@@ -145,16 +145,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print(f"wrote constraints/hierarchy/graph exports to {out}", file=sys.stderr)
 
     if args.json:
-        payload = {
-            "devices": result.annotation.element_classes,
-            "nets": result.annotation.net_classes,
-            "hierarchy": result.hierarchy.to_dict(),
-            "hier": result.hier.as_dict() if result.hier else None,
-            "timings": result.timings,
-            "degraded": result.degraded,
-            "diagnostics": [d.to_dict() for d in result.diagnostics],
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_result_record(result), indent=2))
         return 0
 
     print("per-device annotation:")
@@ -171,10 +162,23 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _result_record(result) -> dict:
+    """The ``--json`` record of one annotated deck."""
+    return {
+        "devices": result.annotation.element_classes,
+        "nets": result.annotation.net_classes,
+        "hierarchy": result.hierarchy.to_dict(),
+        "hier": result.hier.as_dict() if result.hier else None,
+        "timings": result.timings,
+        "degraded": result.degraded,
+        "diagnostics": [d.to_dict() for d in result.diagnostics],
+    }
+
+
 def _report_staged_stop(args: argparse.Namespace, staged) -> int:
     """Render a staged run that halted before ``hierarchy``.
 
-    One line per produced artifact (stage, type, fingerprint), flagged
+    One line per produced artifact (stage, fingerprint), flagged
     with the cache-hit marker and the saved path when applicable.
     """
     last = staged.last_artifact()
@@ -269,22 +273,7 @@ def _annotate_batch(
         payload = []
         for path, result in zip(paths, results):
             if result.ok:
-                payload.append(
-                    {
-                        "netlist": str(path),
-                        "devices": result.annotation.element_classes,
-                        "nets": result.annotation.net_classes,
-                        "hierarchy": result.hierarchy.to_dict(),
-                        "hier": (
-                            result.hier.as_dict() if result.hier else None
-                        ),
-                        "timings": result.timings,
-                        "degraded": result.degraded,
-                        "diagnostics": [
-                            d.to_dict() for d in result.diagnostics
-                        ],
-                    }
-                )
+                payload.append({"netlist": str(path), **_result_record(result)})
             else:
                 payload.append(
                     {

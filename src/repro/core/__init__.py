@@ -45,14 +45,7 @@ _EXPORTS = {
     "GanaPipeline": "repro.core.pipeline",
     "PipelineResult": "repro.core.pipeline",
     "build_hierarchy": "repro.core.pipeline",
-    "AnnotatedDesign": "repro.core.stages",
     "Artifact": "repro.core.stages",
-    "FeaturedGraph": "repro.core.stages",
-    "FlatDesign": "repro.core.stages",
-    "GcnPrediction": "repro.core.stages",
-    "ParsedDeck": "repro.core.stages",
-    "Post1Result": "repro.core.stages",
-    "Post2Result": "repro.core.stages",
     "StageName": "repro.core.stages",
     "StagedRun": "repro.core.stages",
     "StagedRunner": "repro.core.stages",

@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 
 from repro.core.stages import MATCH_CACHE_VERSION
 from repro.primitives.matcher import PrimitiveMatch
-from repro.spice import netlist as spice_netlist
 from repro.spice.flatten import SEP, DesignTree, InstanceRecord
-from repro.spice.netlist import is_power_net
+from repro.spice.netlist import is_power_net, rail_conventions
 
 #: Versioned prefix shared by every hierarchy-scoped cache entry.
 HIER_MATCH_PREFIX = "hier-matches"
@@ -55,7 +54,8 @@ _PRED_PROFILE_MEMO: dict[str, tuple[bool, ...]] = {}
 #: Cleared when full.  The hier benchmark's 12 decks fill ~1k entries.
 _PRED_PROFILE_MEMO_MAX = 4096
 
-#: ``(SUPPLY_NET_RE, GROUND_NET_RE)`` the predicate memo was filled under.
+#: The :func:`~repro.spice.netlist.rail_conventions` the predicate memo
+#: was filled under.
 _MEMO_RAILS: tuple = ()
 
 
@@ -71,7 +71,7 @@ def _check_rail_conventions() -> None:
     nets from deck to deck.
     """
     global _MEMO_RAILS
-    rails = (spice_netlist.SUPPLY_NET_RE, spice_netlist.GROUND_NET_RE)
+    rails = rail_conventions()
     if rails != _MEMO_RAILS:
         _PRED_PROFILE_MEMO.clear()
         _MEMO_RAILS = rails

@@ -64,14 +64,7 @@ from repro.core.postprocess import (
     postprocess_ccc,
 )
 from repro.core.stages import (
-    AnnotatedDesign,
     Artifact,
-    FeaturedGraph,
-    FlatDesign,
-    GcnPrediction,
-    ParsedDeck,
-    Post1Result,
-    Post2Result,
     PrimitiveMatchCache,
     RunContext,
     StagedRun,
@@ -98,7 +91,7 @@ from repro.runtime.resilience import (
     worker_crash_report,
 )
 from repro.spice.flatten import SEP, flatten, flatten_hierarchical
-from repro.spice.netlist import Circuit, Netlist, is_power_net
+from repro.spice.netlist import Circuit, Netlist, is_power_net, rail_conventions
 from repro.spice.parser import parse_netlist
 from repro.spice.preprocess import PreprocessReport, preprocess
 
@@ -508,7 +501,7 @@ class GanaPipeline:
         staged run (raises if the run stopped before ``hierarchy``)."""
         final = staged.final
         return PipelineResult(
-            graph=final.gcn_annotation.graph,
+            graph=final.graph,
             gcn_annotation=final.gcn_annotation,
             post1=final.post1,
             post2=final.post2,
@@ -520,7 +513,7 @@ class GanaPipeline:
             degraded=final.degraded,
             degraded_reason=final.degraded_reason,
             profile=staged.profile,
-            hier=getattr(final, "hier", None),
+            hier=final.hier,
         )
 
     # -- graceful degradation ---------------------------------------------
@@ -734,7 +727,9 @@ class GanaPipeline:
     def _pool_key(self) -> str | None:
         """Content fingerprint of the state ``_pipeline_worker_init``
         installs, so :func:`~repro.runtime.parallel.parallel_map` can
-        hand an equivalent pipeline the already-warm worker pool.
+        hand an equivalent pipeline the already-warm worker pool.  The
+        rail conventions are part of it: a worker forked under other
+        rail regexes would annotate under those.
         ``None`` (no reuse) when any component lacks a stable
         fingerprint (injected fallbacks, stub annotators in tests).
         """
@@ -748,18 +743,20 @@ class GanaPipeline:
                 self.detect_bpf,
                 self.degrade,
                 self.confidence_floor,
+                rail_conventions(),
             )
         except Exception:
             return None
 
 
 # ---------------------------------------------------------------------------
-# Concrete stages (the Stage[I, O] implementations run() executes)
+# Concrete stages (the Stage implementations run() executes); each
+# returns only the Artifact fields it produced.
 # ---------------------------------------------------------------------------
 
 
 class ParseStage:
-    """``parse``: SPICE text (or a pre-parsed object) → :class:`ParsedDeck`."""
+    """``parse``: SPICE text (or a pre-parsed object) → ``source``."""
 
     name = StageName.PARSE
 
@@ -773,9 +770,13 @@ class ParseStage:
             # cheaper than the generic structural walk, and this key is
             # recomputed on every warm run.
             root = content_fingerprint("netlist-object", repr(source))
-        return content_fingerprint("stage", self.name.value, root, ctx.mode)
+        # The rail conventions decide every later stage's output, so
+        # they root the whole key chain.
+        return content_fingerprint(
+            "stage", self.name.value, root, ctx.mode, rail_conventions()
+        )
 
-    def run(self, upstream: None, ctx: RunContext) -> ParsedDeck:
+    def run(self, upstream: None, ctx: RunContext) -> dict:
         source = ctx.netlist
         if source is None:
             raise ValueError(
@@ -785,11 +786,7 @@ class ParseStage:
             source = parse_netlist(source, mode=ctx.mode)
         if isinstance(source, Netlist):
             ctx.diagnostics.extend(source.diagnostics)
-        return ParsedDeck(
-            source=source,
-            mode=ctx.mode,
-            diagnostics=tuple(ctx.diagnostics),
-        )
+        return {"source": source, "mode": ctx.mode}
 
 
 class PreprocessStage:
@@ -810,7 +807,7 @@ class PreprocessStage:
             ctx.hier,
         )
 
-    def run(self, upstream: ParsedDeck, ctx: RunContext) -> FlatDesign:
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
         source = upstream.source
         lenient = ctx.mode == "lenient"
         # Flatten failures keep their historical "parse" failure tag
@@ -847,16 +844,15 @@ class PreprocessStage:
             inferred_roles.update(net_roles or {})
             net_roles = inferred_roles
         reduced, report = preprocess(flat)
-        return FlatDesign(
-            flat=flat,
-            reduced=reduced,
-            report=report,
-            design_name=flat.name,
-            port_labels=port_labels,
-            net_roles=net_roles,
-            diagnostics=tuple(ctx.diagnostics),
-            tree=tree,
-        )
+        return {
+            "flat": flat,
+            "reduced": reduced,
+            "report": report,
+            "design_name": flat.name,
+            "port_labels": port_labels,
+            "net_roles": net_roles,
+            "tree": tree,
+        }
 
 
 class GraphStage:
@@ -869,17 +865,8 @@ class GraphStage:
             return None
         return content_fingerprint("stage", self.name.value, upstream_fp)
 
-    def run(self, upstream: FlatDesign, ctx: RunContext) -> FeaturedGraph:
-        graph = CircuitGraph.from_circuit(upstream.reduced)
-        return FeaturedGraph(
-            graph=graph,
-            design_name=upstream.design_name,
-            report=upstream.report,
-            port_labels=upstream.port_labels,
-            net_roles=upstream.net_roles,
-            diagnostics=tuple(ctx.diagnostics),
-            tree=getattr(upstream, "tree", None),
-        )
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
+        return {"graph": CircuitGraph.from_circuit(upstream.reduced)}
 
 
 class GcnStage:
@@ -909,7 +896,7 @@ class GcnStage:
             pipeline.confidence_floor,
         )
 
-    def run(self, upstream: FeaturedGraph, ctx: RunContext) -> GcnPrediction:
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
         pipeline = ctx.pipeline
         graph = upstream.graph
         degraded_reason: str | None = None
@@ -947,16 +934,11 @@ class GcnStage:
                     )
         if degraded_reason is not None:
             annotation = pipeline._degraded_annotation(graph)
-        return GcnPrediction(
-            annotation=annotation,
-            design_name=upstream.design_name,
-            report=upstream.report,
-            port_labels=upstream.port_labels,
-            degraded=degraded_reason is not None,
-            degraded_reason=degraded_reason,
-            diagnostics=tuple(ctx.diagnostics),
-            tree=getattr(upstream, "tree", None),
-        )
+        return {
+            "gcn_annotation": annotation,
+            "degraded": degraded_reason is not None,
+            "degraded_reason": degraded_reason,
+        }
 
 
 class Post1Stage:
@@ -976,11 +958,11 @@ class Post1Stage:
             ctx.hier,
         )
 
-    def run(self, upstream: GcnPrediction, ctx: RunContext) -> Post1Result:
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
         from repro.graph.ccc import CCCPartition
 
         pipeline = ctx.pipeline
-        tree = getattr(upstream, "tree", None)
+        tree = upstream.tree
         hier_cache = None
         if ctx.hier and tree is not None and tree.instances:
             from repro.core.hier_annotate import HierMatchCache
@@ -1006,7 +988,7 @@ class Post1Stage:
                 if isinstance(cached, CCCPartition):
                     partition = cached
         post1 = postprocess_ccc(
-            upstream.annotation,
+            upstream.gcn_annotation,
             pipeline.library,
             partition=partition,
             detect_bpf=pipeline.detect_bpf,
@@ -1015,21 +997,10 @@ class Post1Stage:
         )
         if partition is None and partition_key is not None:
             ctx.cache.store(partition_key, post1.partition)
-        hier_report = None
-        if hier_cache is not None:
-            hier_report = hier_cache.finalize()
-        return Post1Result(
-            post1=post1,
-            gcn_annotation=upstream.annotation,
-            design_name=upstream.design_name,
-            report=upstream.report,
-            port_labels=upstream.port_labels,
-            degraded=upstream.degraded,
-            degraded_reason=upstream.degraded_reason,
-            diagnostics=tuple(ctx.diagnostics),
-            tree=tree,
-            hier=hier_report,
-        )
+        return {
+            "post1": post1,
+            "hier": hier_cache.finalize() if hier_cache is not None else None,
+        }
 
 
 class Post2Stage:
@@ -1042,20 +1013,10 @@ class Post2Stage:
             return None
         return content_fingerprint("stage", self.name.value, upstream_fp)
 
-    def run(self, upstream: Post1Result, ctx: RunContext) -> Post2Result:
-        post2 = apply_port_rules(upstream.post1, upstream.port_labels or {})
-        return Post2Result(
-            post2=post2,
-            post1=upstream.post1,
-            gcn_annotation=upstream.gcn_annotation,
-            design_name=upstream.design_name,
-            report=upstream.report,
-            degraded=upstream.degraded,
-            degraded_reason=upstream.degraded_reason,
-            diagnostics=tuple(ctx.diagnostics),
-            tree=getattr(upstream, "tree", None),
-            hier=getattr(upstream, "hier", None),
-        )
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
+        return {
+            "post2": apply_port_rules(upstream.post1, upstream.port_labels or {})
+        }
 
 
 class HierarchyStage:
@@ -1070,8 +1031,8 @@ class HierarchyStage:
             "stage", self.name.value, upstream_fp, ctx.name, ctx.hier_tree
         )
 
-    def run(self, upstream: Post2Result, ctx: RunContext) -> AnnotatedDesign:
-        tree = getattr(upstream, "tree", None)
+    def run(self, upstream: Artifact, ctx: RunContext) -> dict:
+        tree = upstream.tree
         instances = (
             tree.instances if ctx.hier_tree and tree is not None else None
         )
@@ -1080,19 +1041,7 @@ class HierarchyStage:
             system_name=ctx.name or upstream.design_name,
             instances=instances,
         )
-        return AnnotatedDesign(
-            hierarchy=hierarchy,
-            constraints=constraints,
-            post2=upstream.post2,
-            post1=upstream.post1,
-            gcn_annotation=upstream.gcn_annotation,
-            report=upstream.report,
-            design_name=upstream.design_name,
-            degraded=upstream.degraded,
-            degraded_reason=upstream.degraded_reason,
-            diagnostics=tuple(ctx.diagnostics),
-            hier=getattr(upstream, "hier", None),
-        )
+        return {"hierarchy": hierarchy, "constraints": constraints}
 
 
 def default_stages() -> tuple:

@@ -1,4 +1,4 @@
-"""Staged pipeline architecture: canonical stage names, typed artifacts,
+"""Staged pipeline architecture: canonical stage names, one run record,
 and a resumable, incrementally-cached runner.
 
 The paper's flow (Sec. II-B) is a linear chain —
@@ -11,23 +11,23 @@ cacheable step instead of one inline monolith:
 * :class:`StageName` — THE canonical stage vocabulary.  Timing keys,
   ``resilience.stage()`` failure tags, and profile stage keys all
   derive from it (no more three ad-hoc string sets).
-* :class:`Artifact` subclasses (:class:`ParsedDeck`,
-  :class:`FlatDesign`, :class:`FeaturedGraph`, :class:`GcnPrediction`,
-  :class:`Post1Result`, :class:`Post2Result`,
-  :class:`AnnotatedDesign`) — the typed, picklable product of each
-  stage.  Every artifact carries the forward context (design name,
-  preprocess report, resolved port labels, cumulative diagnostics,
-  degradation flags) needed to resume the chain from that point alone.
+* :class:`Artifact` — the one picklable run record.  It holds its
+  ``stage`` tag, the cumulative diagnostics, and every product of the
+  chain so far (each product is ``None`` until its stage runs), so any
+  single artifact is a self-sufficient resume point.
 * :func:`content_fingerprint` — a canonical recursive hasher over
   dataclasses / dicts / numpy arrays (pickle bytes are *not*
   content-stable, so fingerprints get their own encoder).
-* :class:`Stage` — the ``Stage[I, O]`` protocol: consume the upstream
-  artifact, produce this stage's artifact, and derive a cache key from
-  the upstream *fingerprint* plus the stage's own configuration.
+* :class:`Stage` — the stage protocol: read the upstream artifact,
+  return a dict of only the products this stage made, and derive a
+  cache key from the upstream *fingerprint* plus the stage's own
+  configuration.
 * :class:`StagedRunner` — executes a stage chain with
   derivation-fingerprint caching (unchanged fingerprint ⇒ cache hit),
-  ``stop_after``/``resume`` support, and per-stage save-to-disk, and
-  assembles every run's profile from what the run recorded.
+  ``stop_after``/``resume`` support, and per-stage save-to-disk; it
+  builds each stage's artifact from the upstream one, the stage's
+  products and the diagnostics snapshot, and assembles every run's
+  profile from what the run recorded.
 
 Fingerprints chain: every stage's key is a hash of the upstream key
 and the stage's config fingerprint, never of artifact *contents*.  A
@@ -53,15 +53,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Iterable,
-    Protocol,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -71,16 +63,23 @@ from repro.primitives.matcher import MatchStats
 from repro.runtime.cache import ArtifactCache, Memo, atomic_write
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
-from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
+from repro.spice.netlist import (
+    Circuit,
+    Netlist,
+    rail_conventions,
+    reset_power_net_memo,
+)
 from repro.spice.preprocess import PreprocessReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.annotator import Annotation, GcnAnnotator
     from repro.core.constraints import ConstraintSet
+    from repro.core.hier_annotate import HierReport
     from repro.core.hierarchy import HierarchyNode
     from repro.core.postprocess import PostprocessResult
     from repro.graph.features import NetRole
     from repro.primitives.matcher import PrimitiveMatch
+    from repro.spice.flatten import DesignTree
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +247,21 @@ def annotator_fingerprint(annotator: "GcnAnnotator") -> str:
 #: different version refuse to load (and cache entries miss).
 #: Version 2: artifacts grew the hierarchy-scoped annotation fields
 #: (``tree``/``hier``) — version-1 pickles predate them.
-ARTIFACT_FORMAT_VERSION = 2
+#: Version 3: the seven per-stage classes became one :class:`Artifact`.
+ARTIFACT_FORMAT_VERSION = 3
 
 #: File suffix used by :meth:`Artifact.save` / :func:`load_artifacts`.
 ARTIFACT_SUFFIX = ".artifact.pkl"
 
 
+@dataclass
 class Artifact:
-    """Base class for the typed product of one pipeline stage.
+    """The run record after ``stage``: every product of the chain so far.
+
+    A stage returns only what it produced; the runner builds the next
+    artifact from the upstream one, those products and the diagnostics
+    snapshot, so each product below is ``None`` until its stage runs
+    and is carried forward unchanged after that.
 
     ``fingerprint`` is the *derivation* fingerprint — the cache key the
     runner computed for the stage that produced this artifact — when
@@ -266,14 +272,46 @@ class Artifact:
     (the round-trip tests assert save/load preserves it exactly).
     """
 
-    stage: ClassVar[StageName]
-    fingerprint: str = ""
+    stage: StageName
+    #: Cumulative diagnostics through ``stage``.
+    diagnostics: tuple[Diagnostic, ...] = ()
+    # parse: the deck as parsed (or the object passed through).
+    source: "Netlist | Circuit | None" = None
+    mode: str | None = None
+    # preprocess: flattened and reduced circuit plus testbench
+    # inference results (the resolved port labels / net roles).
+    flat: Circuit | None = None
+    reduced: Circuit | None = None
+    report: PreprocessReport | None = None
+    design_name: str | None = None
+    port_labels: dict[str, str] | None = None
+    net_roles: "dict[str, NetRole] | None" = None
+    #: Hierarchy sidecar (``--hier`` runs only; None on the flat path).
+    tree: "DesignTree | None" = None
+    # graph: the bipartite element/net graph.
+    graph: CircuitGraph | None = None
+    # gcn: per-vertex class annotation (possibly the degraded
+    # template-library fallback).
+    gcn_annotation: "Annotation | None" = None
+    degraded: bool | None = None
+    degraded_reason: str | None = None
+    # post1: CCC vote + primitive matching.
+    post1: "PostprocessResult | None" = None
+    #: Hierarchy-scoped annotation report (``--hier`` runs only).
+    hier: "HierReport | None" = None
+    # post2: port rules applied.
+    post2: "PostprocessResult | None" = None
+    # hierarchy: the hierarchy tree + propagated constraints.
+    hierarchy: "HierarchyNode | None" = None
+    constraints: "ConstraintSet | None" = None
+    fingerprint: str = field(default="", init=False, repr=False, compare=False)
 
     def content_fingerprint(self) -> str:
-        """Canonical digest of every dataclass field of this artifact."""
+        """Canonical digest of every field of this artifact except
+        ``fingerprint``."""
         return content_fingerprint(
-            type(self).__name__,
-            *(getattr(self, f.name) for f in dataclasses.fields(self)),
+            "artifact",
+            *(getattr(self, f.name) for f in dataclasses.fields(self) if f.compare),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -283,7 +321,6 @@ class Artifact:
             self.fingerprint = self.content_fingerprint()
         envelope = {
             "format_version": ARTIFACT_FORMAT_VERSION,
-            "kind": type(self).__name__,
             "stage": self.stage.value,
             "fingerprint": self.fingerprint,
             "artifact": self,
@@ -296,9 +333,9 @@ class Artifact:
         )
         return path
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Artifact":
-        """Load a saved artifact; validates envelope, version, and type."""
+    @staticmethod
+    def load(path: str | Path) -> "Artifact":
+        """Load a saved artifact; validates envelope, version, and stage."""
         path = Path(path)
         try:
             with open(path, "rb") as handle:
@@ -315,13 +352,10 @@ class Artifact:
                 f"{path}: not a version-{ARTIFACT_FORMAT_VERSION} artifact"
             )
         artifact = envelope.get("artifact")
-        if not isinstance(artifact, Artifact):
+        if not isinstance(artifact, Artifact) or not isinstance(
+            artifact.stage, StageName
+        ):
             raise ArtifactError(f"{path}: envelope holds no artifact")
-        if cls is not Artifact and not isinstance(artifact, cls):
-            raise ArtifactError(
-                f"{path}: expected {cls.__name__}, "
-                f"found {type(artifact).__name__}"
-            )
         artifact.fingerprint = (
             envelope.get("fingerprint", "") or artifact.fingerprint
         )
@@ -330,140 +364,7 @@ class Artifact:
     def describe(self) -> str:
         """One-line rendering for CLI output."""
         fp = self.fingerprint or self.content_fingerprint()
-        return f"{self.stage.value}: {type(self).__name__} [{fp}]"
-
-
-@dataclass
-class ParsedDeck(Artifact):
-    """``parse`` — the deck as parsed (or the object passed through)."""
-
-    stage: ClassVar[StageName] = StageName.PARSE
-
-    source: "Netlist | Circuit"
-    mode: str = "strict"
-    #: Cumulative diagnostics through this stage (here: parse problems).
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-
-@dataclass
-class FlatDesign(Artifact):
-    """``preprocess`` — flattened and reduced circuit plus testbench
-    inference results (the resolved port labels / net roles downstream
-    stages consume)."""
-
-    stage: ClassVar[StageName] = StageName.PREPROCESS
-
-    flat: Circuit
-    reduced: Circuit
-    report: PreprocessReport
-    design_name: str
-    port_labels: dict[str, str] | None = None
-    net_roles: "dict[str, NetRole] | None" = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    #: Hierarchy sidecar (``--hier`` runs only; None on the flat path).
-    tree: "DesignTree | None" = None
-
-
-@dataclass
-class FeaturedGraph(Artifact):
-    """``graph`` — the bipartite element/net graph (feature extraction
-    reads directly off it during GCN inference)."""
-
-    stage: ClassVar[StageName] = StageName.GRAPH
-
-    graph: CircuitGraph
-    design_name: str
-    report: PreprocessReport
-    port_labels: dict[str, str] | None = None
-    net_roles: "dict[str, NetRole] | None" = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    tree: "DesignTree | None" = None
-
-
-@dataclass
-class GcnPrediction(Artifact):
-    """``gcn`` — per-vertex class annotation (possibly the degraded
-    template-library fallback)."""
-
-    stage: ClassVar[StageName] = StageName.GCN
-
-    annotation: "Annotation"
-    design_name: str
-    report: PreprocessReport
-    port_labels: dict[str, str] | None = None
-    degraded: bool = False
-    degraded_reason: str | None = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    tree: "DesignTree | None" = None
-
-
-@dataclass
-class Post1Result(Artifact):
-    """``post1`` — Postprocessing I (CCC vote + primitive matching)."""
-
-    stage: ClassVar[StageName] = StageName.POST1
-
-    post1: "PostprocessResult"
-    gcn_annotation: "Annotation"
-    design_name: str
-    report: PreprocessReport
-    port_labels: dict[str, str] | None = None
-    degraded: bool = False
-    degraded_reason: str | None = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    tree: "DesignTree | None" = None
-    #: Hierarchy-scoped annotation report (``--hier`` runs only).
-    hier: "HierReport | None" = None
-
-
-@dataclass
-class Post2Result(Artifact):
-    """``post2`` — Postprocessing II (port rules applied)."""
-
-    stage: ClassVar[StageName] = StageName.POST2
-
-    post2: "PostprocessResult"
-    post1: "PostprocessResult"
-    gcn_annotation: "Annotation"
-    design_name: str
-    report: PreprocessReport
-    degraded: bool = False
-    degraded_reason: str | None = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    tree: "DesignTree | None" = None
-    hier: "HierReport | None" = None
-
-
-@dataclass
-class AnnotatedDesign(Artifact):
-    """``hierarchy`` — the final product: hierarchy tree + constraints
-    plus everything needed to assemble a ``PipelineResult``."""
-
-    stage: ClassVar[StageName] = StageName.HIERARCHY
-
-    hierarchy: "HierarchyNode"
-    constraints: "ConstraintSet"
-    post2: "PostprocessResult"
-    post1: "PostprocessResult"
-    gcn_annotation: "Annotation"
-    report: PreprocessReport
-    design_name: str
-    degraded: bool = False
-    degraded_reason: str | None = None
-    diagnostics: tuple[Diagnostic, ...] = ()
-    hier: "HierReport | None" = None
-
-
-#: Stage → artifact type produced by it.
-ARTIFACT_TYPES: dict[StageName, type[Artifact]] = {
-    StageName.PARSE: ParsedDeck,
-    StageName.PREPROCESS: FlatDesign,
-    StageName.GRAPH: FeaturedGraph,
-    StageName.GCN: GcnPrediction,
-    StageName.POST1: Post1Result,
-    StageName.POST2: Post2Result,
-    StageName.HIERARCHY: AnnotatedDesign,
-}
+        return f"{self.stage.value} [{fp}]"
 
 
 def load_artifacts(path: str | Path) -> list[Artifact]:
@@ -484,14 +385,13 @@ def load_artifacts(path: str | Path) -> list[Artifact]:
 # The Stage protocol and run context
 # ---------------------------------------------------------------------------
 
-I = TypeVar("I", contravariant=True)
-O = TypeVar("O", bound=Artifact, covariant=True)
-
 
 @runtime_checkable
-class Stage(Protocol[I, O]):
-    """One pipeline step: upstream artifact in, this stage's artifact out.
+class Stage(Protocol):
+    """One pipeline step: upstream artifact in, this stage's products out.
 
+    ``run`` returns a dict of only the :class:`Artifact` fields the
+    stage produced; the runner carries everything else forward.
     ``cache_key`` derives the stage's cache key from the *upstream
     fingerprint* plus the stage's own configuration — never from
     artifact contents — so the whole key chain is computable without
@@ -504,7 +404,7 @@ class Stage(Protocol[I, O]):
     def cache_key(self, upstream_fp: str | None, ctx: "RunContext") -> str | None:
         ...  # pragma: no cover - protocol
 
-    def run(self, upstream: I, ctx: "RunContext") -> O:
+    def run(self, upstream: "Artifact | None", ctx: "RunContext") -> dict[str, Any]:
         ...  # pragma: no cover - protocol
 
 
@@ -565,10 +465,10 @@ class StagedRun:
         return StageName.HIERARCHY in self.artifacts
 
     @property
-    def final(self) -> AnnotatedDesign:
+    def final(self) -> Artifact:
         """The finished design; raises if the run stopped early."""
         artifact = self.artifacts.get(StageName.HIERARCHY)
-        if not isinstance(artifact, AnnotatedDesign):
+        if artifact is None:
             done = ", ".join(s.value for s in self.artifacts)
             raise ArtifactError(
                 f"run is incomplete (stages done: {done or 'none'})"
@@ -681,7 +581,13 @@ class StagedRunner:
                 artifact = self._load_hit(ctx, keys.get(name), name)
                 if artifact is None:
                     with stage_guard(name, ctx.diagnostics):
-                        artifact = impl.run(prev, ctx)
+                        produced = impl.run(prev, ctx)
+                    artifact = dataclasses.replace(
+                        prev if prev is not None else Artifact(stage=name),
+                        stage=name,
+                        diagnostics=tuple(ctx.diagnostics),
+                        **produced,
+                    )
                     key = keys.get(name)
                     if key is not None:
                         artifact.fingerprint = key
@@ -762,7 +668,7 @@ class StagedRunner:
         name: StageName,
         probe: bool = False,
     ) -> Artifact | None:
-        """Cache lookup; only trusts entries of the stage's artifact type."""
+        """Cache lookup; only trusts an artifact of the stage ``name``."""
         if key is None or ctx.cache is None:
             return None
         if not probe and ctx.save_dir is None:
@@ -770,7 +676,7 @@ class StagedRunner:
             # the forward loop only computes.
             return None
         artifact = ctx.cache.load(key)
-        if not isinstance(artifact, ARTIFACT_TYPES.get(name, Artifact)):
+        if not isinstance(artifact, Artifact) or artifact.stage is not name:
             return None
         artifact.fingerprint = key
         if not probe:
@@ -798,7 +704,7 @@ def run_profile(ctx: RunContext) -> dict[str, Any]:
         **ctx.match_stats.as_dict(),
     }
     for artifact in ctx.artifacts.values():
-        report = getattr(artifact, "hier", None)
+        report = artifact.hier
         if report is not None and report.per_definition:
             profile["definitions"] = {
                 name: {**stats, "seconds": round(stats["seconds"], 6)}
@@ -843,13 +749,14 @@ class PrimitiveMatchCache:
     @staticmethod
     def subgraph_key(component) -> str:
         """Content key of a CCC: its member devices (``.elements``, in
-        element order; a CCC has no ports of its own).
+        element order) under the current rail conventions, which decide
+        the port predicates its matches passed.
 
         ``repr`` of the element dataclasses is deterministic (strings,
         enums, floats, tuples) and an order of magnitude faster than
         the generic walker — this runs once per CCC per run.
         """
-        raw = repr((tuple(component.elements), ()))
+        raw = repr((tuple(component.elements), rail_conventions()))
         digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:32]
         return f"ccc-matches-v{MATCH_CACHE_VERSION}-{digest}"
 

@@ -20,7 +20,7 @@ fast test paths.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -76,6 +76,18 @@ class GCNConfig:
     def with_(self, **changes) -> "GCNConfig":
         """Functional update, e.g. ``config.with_(filter_size=16)``."""
         return replace(self, **changes)
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields (``channels`` as a list), the form saved
+        models, cache entries and checkpoint envelopes store."""
+        raw = asdict(self)
+        raw["channels"] = list(raw["channels"])
+        return raw
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "GCNConfig":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{**raw, "channels": tuple(raw["channels"])})
 
     @property
     def levels_needed(self) -> int:
@@ -249,14 +261,11 @@ class GCNModel:
 
     def save(self, path: str) -> None:
         """Persist parameters and the config in one npz file."""
-        import dataclasses
         import json
 
-        config = dataclasses.asdict(self.config)
-        config["channels"] = list(config["channels"])
         np.savez(
             path,
-            __config__=np.array(json.dumps(config)),
+            __config__=np.array(json.dumps(self.config.to_dict())),
             **self.state_dict(),
         )
 
@@ -273,9 +282,9 @@ class GCNModel:
                     raise ModelConfigError(
                         f"{path} carries no config; pass one explicitly"
                     )
-                raw = json.loads(str(data["__config__"]))
-                raw["channels"] = tuple(raw["channels"])
-                config = GCNConfig(**raw)
+                config = GCNConfig.from_dict(
+                    json.loads(str(data["__config__"]))
+                )
         model = cls(config)
         model.load_state_dict(state)
         return model

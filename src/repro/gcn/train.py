@@ -306,14 +306,6 @@ def _restore_loop_state(
     rng.bit_generator.state = checkpoint.shuffle_rng
 
 
-def _model_config_dict(config: GCNConfig) -> dict:
-    import dataclasses
-
-    raw = dataclasses.asdict(config)
-    raw["channels"] = list(raw["channels"])
-    return raw
-
-
 def train(
     model: GCNModel,
     train_samples: list[GraphSample],
@@ -358,7 +350,7 @@ def train(
         if fault.checkpoint_dir is not None
         else None
     )
-    model_config = _model_config_dict(model.config)
+    model_config = model.config.to_dict()
     epoch = 0
     if store is not None and fault.resume:
         resumed = store.load_latest(model_config, history.diagnostics)

@@ -320,9 +320,7 @@ def annotate_primitives(
     library: PrimitiveLibrary,
     budget: Budget | None = None,
     *,
-    context: TargetContext | None = None,
     indexed: bool = True,
-    match_memo: dict[str, list[PrimitiveMatch]] | None = None,
 ) -> AnnotationResult:
     """Recognize every primitive in ``target``.
 
@@ -335,34 +333,22 @@ def annotate_primitives(
     :class:`AnnotationResult` (matches accepted before the cutoff, plus
     the partial matches of the interrupted template) as ``exc.partial``.
 
-    On the indexed path a shared ``context`` (built here, at the first
-    template that needs a search, when not given) serves every
-    template, and a template whose element-kind histogram cannot be
-    covered by the target's is skipped without launching VF2 — on
-    small CCCs this rejects most of the library in O(1) each.  Without
-    a memo, so is a template the still-unclaimed devices cannot host.
-
-    ``match_memo`` is the sub-stage incremental-recompute hook: a
-    mutable ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict of
-    *raw* per-template match lists for this exact target.  Templates
-    present in the memo skip VF2 entirely (their matches feed straight
-    into overlap resolution, which stays order- and claim-identical);
-    templates this call does compute are written back so the caller can
-    persist the memo (see
-    :class:`repro.core.stages.PrimitiveMatchCache`).  Raw match lists
-    are independent of library composition — claiming happens here,
-    afterwards — which is what makes them safely reusable across
-    library changes.
+    On the indexed path one :class:`TargetContext`, built at the first
+    template that needs a search, serves every template, and a
+    template whose element-kind histogram cannot be covered by the
+    target's is skipped without launching VF2 — on small CCCs this
+    rejects most of the library in O(1) each — and so is a template the
+    still-unclaimed devices cannot host.
     """
-    plan = _library_plan(library, keyed=match_memo is not None)
+    plan = _library_plan(library, keyed=False)
     return _annotate(
         target,
         plan,
-        lambda: context or TargetContext.build(target),
+        partial(TargetContext.build, target),
         indexed=indexed,
         budget=budget,
         tally=_Tally(len(plan)),
-        match_memo=match_memo,
+        match_memo=None,
     )
 
 
@@ -543,12 +529,17 @@ def annotate_components(
 
     ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
-    matching incremental across runs: each component's per-template raw
-    match lists are loaded by a content key of its member devices
-    (``subgraph_key``, ``load`` and ``store`` only read ``.elements``),
-    templates already present skip VF2, and any newly computed lists
-    are stored back — but only when the component finished cleanly (a
-    budget blow-up must not persist a partial memo).
+    matching incremental across runs: each component's
+    ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict of *raw*
+    per-template match lists is loaded by a content key of its member
+    devices (``subgraph_key``, ``load`` and ``store`` only read
+    ``.elements``), templates already present skip VF2 (their matches
+    feed straight into overlap resolution, which stays order- and
+    claim-identical), and any newly computed lists are stored back —
+    but only when the component finished cleanly (a budget blow-up must
+    not persist a partial memo).  Raw match lists are independent of
+    library composition — claiming happens afterwards — which is what
+    makes them safely reusable across library changes.
     """
     plan = _library_plan(library, keyed=match_cache is not None)
     tally = _Tally(len(plan))

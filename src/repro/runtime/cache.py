@@ -170,7 +170,7 @@ class ModelCache:
         meta = {
             "format_version": CACHE_FORMAT_VERSION,
             "class_names": list(annotator.class_names),
-            "config": _config_dict(annotator.model.config),
+            "config": annotator.model.config.to_dict(),
         }
         try:
             atomic_write(
@@ -205,9 +205,7 @@ class ModelCache:
                 meta = json.loads(str(data["__meta__"]))
                 if meta.get("format_version") != CACHE_FORMAT_VERSION:
                     raise ValueError("stale cache format")
-                raw = dict(meta["config"])
-                raw["channels"] = tuple(raw["channels"])
-                config = GCNConfig(**raw)
+                config = GCNConfig.from_dict(meta["config"])
                 state = {
                     k: data[k] for k in data.files if k != "__meta__"
                 }
@@ -367,9 +365,3 @@ class ArtifactCache:
             except OSError:
                 pass
         return removed
-
-
-def _config_dict(config) -> dict[str, Any]:
-    raw = dataclasses.asdict(config)
-    raw["channels"] = list(raw["channels"])
-    return raw

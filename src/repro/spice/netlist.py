@@ -26,6 +26,22 @@ SUPPLY_NET_RE = re.compile(r"^(vdd|vcc|avdd|dvdd|vddd|vdda)[!]?\d*$", re.IGNOREC
 GROUND_NET_RE = re.compile(r"^(0|gnd|vss|agnd|dgnd|avss|gnd!|vss!|agnd!)[!]?\d*$", re.IGNORECASE)
 
 
+def rail_conventions() -> tuple:
+    """The rail regexes' patterns and flags, as plain data.
+
+    Which nets count as supply or ground changes flattening,
+    preprocessing, features and port predicates, and callers may
+    replace :data:`SUPPLY_NET_RE` / :data:`GROUND_NET_RE` between runs.
+    Every key that outlives a run (artifact-cache keys, per-CCC match
+    keys, the warm-pool key) includes this value, and so does the
+    staleness check of the hier predicate memo.
+    """
+    return (
+        (SUPPLY_NET_RE.pattern, SUPPLY_NET_RE.flags),
+        (GROUND_NET_RE.pattern, GROUND_NET_RE.flags),
+    )
+
+
 def is_supply_net(net: str) -> bool:
     """True for power-supply nets (``vdd`` and friends)."""
     return bool(SUPPLY_NET_RE.match(net))

@@ -36,6 +36,27 @@ def parse_mode(request) -> str:
     return request.param
 
 
+@pytest.fixture
+def wide_rails(monkeypatch):
+    """Call to widen ``SUPPLY_NET_RE`` so the ``vb*`` bias nets read as
+    supplies; the stock regex (and an empty rail memo) is restored
+    after the test."""
+    import re
+
+    from repro.spice import netlist
+
+    def widen():
+        monkeypatch.setattr(
+            netlist,
+            "SUPPLY_NET_RE",
+            re.compile(r"^(vdd|vcc|avdd|dvdd|vddd|vdda|vb\w*)[!]?\d*$", re.IGNORECASE),
+        )
+
+    yield widen
+    monkeypatch.undo()
+    netlist.reset_power_net_memo()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_worker_pools():
     """Tear down warm executor pools after every test.

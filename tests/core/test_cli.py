@@ -300,6 +300,31 @@ class TestHierOutput:
         assert json.loads(capsys.readouterr().out)["hier"] is None
 
 
+class TestBatchJson:
+    def test_batch_records_are_single_deck_records(
+        self, tmp_path, deck_path, quick_model, capsys
+    ):
+        other = tmp_path / "otacells.sp"
+        other.write_text(OTACELL_MULTIPLIER_DECK)
+        base = ["--task", "ota", "--model", str(quick_model), "--json"]
+        capsys.readouterr()  # drop the train command's output
+        assert main(["annotate", str(deck_path), str(other), *base]) == 0
+        batch = json.loads(capsys.readouterr().out)
+        assert [record["netlist"] for record in batch] == [
+            str(deck_path),
+            str(other),
+        ]
+        for record, path in zip(batch, (deck_path, other)):
+            assert main(["annotate", str(path), *base]) == 0
+            single = json.loads(capsys.readouterr().out)
+            assert list(record) == ["netlist", *single]
+            assert set(record["timings"]) == set(single["timings"])
+            for key in ("netlist", "timings"):
+                record.pop(key)
+            single.pop("timings")
+            assert record == single
+
+
 class TestErrorHandling:
     """ISSUE 2 satellite: GanaError → one-line diagnostic, non-zero exit."""
 

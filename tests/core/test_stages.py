@@ -2,9 +2,9 @@
 
 Golden equivalence: ``run()`` on the cases below, and on a lenient
 deck with one bogus card, reproduces the committed goldens of
-``tests/core/test_golden.py``.  Plus: artifact save/load round-trips,
-incremental recompute via the artifact cache, early stop, resume, and
-the canonical stage-name enum.
+``tests/core/test_golden.py``.  Plus: the one run record each stage
+extends, artifact save/load round-trips, incremental recompute via the
+artifact cache, early stop, resume, and the canonical stage-name enum.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import pytest
 
 from repro.core.pipeline import GanaPipeline
 from repro.core.stages import (
-    ARTIFACT_TYPES,
     STAGE_ORDER,
     TIMING_STAGES,
-    AnnotatedDesign,
     Artifact,
+    PrimitiveMatchCache,
     StageName,
     coerce_stage,
     content_fingerprint,
@@ -30,7 +29,12 @@ from repro.core.stages import (
 from repro.datasets.systems import phased_array, switched_cap_filter
 from repro.exceptions import ArtifactError
 from repro.runtime.cache import ArtifactCache
-from tests.conftest import CURRENT_MIRROR_DECK, DIFF_OTA_DECK, HIERARCHICAL_DECK
+from tests.conftest import (
+    CURRENT_MIRROR_DECK,
+    DIFF_OTA_DECK,
+    EXAMPLES_DIR,
+    HIERARCHICAL_DECK,
+)
 from tests.core.test_golden import CASES as GOLDEN_CASES
 from tests.core.test_golden import REGENERATE, first_difference, golden_payload
 
@@ -150,10 +154,11 @@ class TestStageNames:
         result = ota_pipeline.run(CURRENT_MIRROR_DECK)
         assert set(result.timings) == set(TIMING_STAGES)
 
-    def test_stage_order_covers_artifact_types(self):
-        assert tuple(ARTIFACT_TYPES) == STAGE_ORDER
-        for name, artifact_type in ARTIFACT_TYPES.items():
-            assert artifact_type.stage is name
+    def test_artifact_stages_follow_stage_order(self, ota_pipeline):
+        staged = ota_pipeline.run_staged(DIFF_OTA_DECK)
+        assert tuple(staged.artifacts) == STAGE_ORDER
+        for name, artifact in staged.artifacts.items():
+            assert artifact.stage is name
 
     def test_coerce_stage(self):
         assert coerce_stage("gcn") is StageName.GCN
@@ -171,7 +176,7 @@ class TestStageNames:
 
 
 class TestArtifactRoundTrip:
-    """Every artifact type saves and loads back fingerprint-identical."""
+    """Every stage's artifact saves and loads back fingerprint-identical."""
 
     @pytest.fixture(scope="class")
     def saved_runs(self, ota_pipeline, rf_pipeline, tmp_path_factory):
@@ -214,13 +219,18 @@ class TestArtifactRoundTrip:
         loaded = load_artifacts(out)
         assert [a.stage for a in loaded] == list(STAGE_ORDER)
         final = loaded[-1]
-        assert isinstance(final, AnnotatedDesign)
+        assert final.stage is StageName.HIERARCHY
         assert final.hierarchy.render() == staged.final.hierarchy.render()
 
-    def test_load_rejects_wrong_type(self, saved_runs):
-        _case, staged, _out = saved_runs[0]
-        with pytest.raises(ArtifactError):
-            AnnotatedDesign.load(staged.saved[StageName.PARSE])
+    def test_load_rejects_wrong_type(self, ota_pipeline, tmp_path):
+        """A cache entry holding another stage's artifact is a miss."""
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        cache.store(cold.final.fingerprint, cold.artifacts[StageName.POST2])
+        warm = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        assert set(warm.cache_hits) == set(STAGE_ORDER) - {StageName.HIERARCHY}
+        assert warm.final.stage is StageName.HIERARCHY
+        assert warm.final.hierarchy.render() == cold.final.hierarchy.render()
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.artifact.pkl"
@@ -320,13 +330,16 @@ class TestStopAndResume:
         with pytest.raises(ArtifactError):
             staged.final
 
-    def test_resume_completes_identically(self, ota_pipeline, tmp_path):
+    @pytest.mark.parametrize(
+        "stop", [s.value for s in STAGE_ORDER if s is not StageName.HIERARCHY]
+    )
+    def test_resume_completes_identically(self, ota_pipeline, tmp_path, stop):
         cold = ota_pipeline.run(DIFF_OTA_DECK, name="resume-case")
         ota_pipeline.run_staged(
             DIFF_OTA_DECK,
             name="resume-case",
             save_artifacts=tmp_path,
-            stop_after=StageName.GCN,
+            stop_after=stop,
         )
         resumed = ota_pipeline.run_staged(
             name="resume-case", resume_from=tmp_path
@@ -352,3 +365,66 @@ class TestStopAndResume:
     def test_resume_with_nothing_fails(self, ota_pipeline):
         with pytest.raises((ArtifactError, ValueError)):
             ota_pipeline.run_staged(None)
+
+
+class TestOneRecord:
+    """Every artifact is the one run record, extended stage by stage."""
+
+    def test_final_carries_every_earlier_product(self, ota_pipeline):
+        deck = (EXAMPLES_DIR / "ota_array.sp").read_text()
+        staged = ota_pipeline.run_staged(
+            deck, port_labels={"c0": "output"}, hier=True
+        )
+        final = staged.final
+        earlier = staged.artifacts
+        assert final.source is earlier[StageName.PARSE].source
+        assert final.report is earlier[StageName.PREPROCESS].report
+        assert final.port_labels == {"c0": "output"}
+        assert final.tree is earlier[StageName.PREPROCESS].tree
+        assert final.tree is not None and final.tree.instances
+        assert final.graph is earlier[StageName.GRAPH].graph
+        assert final.graph is final.gcn_annotation.graph
+        assert final.post1 is earlier[StageName.POST1].post1
+        assert final.hier is earlier[StageName.POST1].hier
+        assert final.hier is not None and final.hier.n_instances == 3
+
+    def test_each_stage_adds_only_its_products(self, ota_pipeline):
+        staged = ota_pipeline.run_staged(DIFF_OTA_DECK, stop_after="graph")
+        graph = staged.artifacts[StageName.GRAPH]
+        assert graph.graph is not None and graph.report is not None
+        assert graph.gcn_annotation is None and graph.degraded is None
+        assert graph.post1 is None and graph.hierarchy is None
+        assert staged.artifacts[StageName.PARSE].graph is None
+
+
+class TestRailConventions:
+    """Keys that outlive a run include the rail conventions."""
+
+    def test_artifact_cache_misses_after_rail_change(
+        self, ota_pipeline, tmp_path, wide_rails
+    ):
+        deck = (EXAMPLES_DIR / "diff_ota.sp").read_text()
+        cache = ArtifactCache(tmp_path / "cache")
+        stock = ota_pipeline.run_staged(deck, artifact_cache=cache)
+        wide_rails()
+        fresh = ota_pipeline.run(deck)
+        rerun = ota_pipeline.run_staged(deck, artifact_cache=cache)
+        assert rerun.cache_hits == ()
+        got = pipeline_result_fingerprint(ota_pipeline.result_from_staged(rerun))
+        assert got == pipeline_result_fingerprint(fresh)
+        assert got != pipeline_result_fingerprint(
+            ota_pipeline.result_from_staged(stock)
+        )
+
+    def test_subgraph_key_differs_under_other_rails(self, wide_rails):
+        from types import SimpleNamespace
+
+        from repro.spice.netlist import DeviceKind, make_mos
+
+        ccc = SimpleNamespace(
+            elements=[make_mos("m4", DeviceKind.PMOS, "voutn", "vbp", "vdd!")]
+        )
+        stock = PrimitiveMatchCache.subgraph_key(ccc)
+        assert PrimitiveMatchCache.subgraph_key(ccc) == stock
+        wide_rails()
+        assert PrimitiveMatchCache.subgraph_key(ccc) != stock

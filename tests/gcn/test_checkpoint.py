@@ -268,7 +268,7 @@ class TestCorruptCheckpoints:
         # ... which the current reader must treat as a miss.
         diagnostics: list = []
         store = CheckpointStore(tmp_path)
-        assert store.load_latest(_config_dict(config), diagnostics) is None
+        assert store.load_latest(config.to_dict(), diagnostics) is None
         assert diagnostics
         assert "format version" in diagnostics[0].message
 
@@ -294,12 +294,6 @@ class TestCorruptCheckpoints:
         # The foreign envelopes were not deleted.
         store = CheckpointStore(tmp_path, keep=50)
         assert len(store.paths()) >= n_envelopes
-
-
-def _config_dict(config: GCNConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["channels"] = list(raw["channels"])
-    return raw
 
 
 class TestOptimizerStateDicts:

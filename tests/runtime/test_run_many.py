@@ -13,6 +13,7 @@ from repro.core.pipeline import GanaPipeline
 from repro.core.stages import TIMING_STAGES
 from repro.datasets.ota import OtaSpec, generate_ota, ota_variants
 from repro.spice.writer import write_circuit
+from tests.conftest import EXAMPLES_DIR
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,28 @@ class TestBatchedChunkFlow:
         # Same pipeline content → same key → the pool survived the
         # first call and served the second.
         assert list(parallel._POOLS) == [key]
+
+    def test_rail_change_does_not_reuse_warm_pool(self, pipeline, wide_rails):
+        """A pool forked under other rail regexes is not reused."""
+        from repro.runtime import parallel
+
+        deck = (EXAMPLES_DIR / "diff_ota.sp").read_text()
+        batch = [deck] * 4
+        try:
+            pipeline.run_many(batch, workers=2)
+            stock = pipeline.run(deck)
+            wide_rails()
+            serial = [pipeline.run(deck) for _ in batch]
+            assert (
+                serial[0].preprocess_report.removed_names
+                != stock.preprocess_report.removed_names
+            )
+            pooled = pipeline.run_many(batch, workers=2)
+            _assert_same_results(pooled, serial)
+            for got, want in zip(pooled, serial):
+                assert got.preprocess_report == want.preprocess_report
+        finally:
+            parallel.shutdown_pools()
 
 
 class _BoobyTrappedAnnotator:
