@@ -26,8 +26,8 @@ Resilience (see :mod:`repro.runtime.resilience`):
   item yields either a :class:`PipelineResult` or a structured
   :class:`~repro.runtime.resilience.FailureReport` (stage, exception
   chain, diagnostics), in input order, with per-item wall-clock
-  ``timeout`` ceilings and bounded retry-with-backoff for transient
-  worker-pool failures.
+  ``timeout`` ceilings; a deck that kills its pool worker is bisected
+  out and costs one ``stage="worker"`` report.
 
 Staged architecture (see :mod:`repro.core.stages`): :meth:`run` is a
 thin façade over a :class:`~repro.core.stages.StagedRunner` executing
@@ -576,7 +576,6 @@ class GanaPipeline:
         mode: str = "strict",
         on_error: str = "raise",
         timeout: float | None = None,
-        pool_retries: int = 2,
         artifact_cache: ArtifactCache | str | Path | None = None,
         hier: bool = False,
     ) -> list[PipelineResult | FailureReport]:
@@ -589,8 +588,8 @@ class GanaPipeline:
         every netlist or a per-netlist list; ``names`` is an optional
         per-netlist system-name list.  ``workers`` follows
         :func:`repro.runtime.parallel.resolve_workers` (explicit >
-        ``GANA_WORKERS`` > cpu count); one worker, one netlist, or an
-        unusable pool all degrade to the serial loop.
+        ``GANA_WORKERS`` > cpu count); one worker, one netlist, or a
+        host that cannot build a pool all degrade to the serial loop.
 
         Fault isolation: with ``on_error="report"`` a failing item does
         not sink the batch — its slot holds a
@@ -605,9 +604,9 @@ class GanaPipeline:
         ``mode`` is forwarded to :meth:`run`.  Each result carries its
         own profile, and so does each failure report: the stages the
         item finished before it failed (``None`` only for a
-        ``stage="worker"`` crash); ``pool_retries`` bounds
-        retry-with-backoff when the worker pool itself dies a transient
-        death (see :func:`repro.runtime.parallel.parallel_map`).
+        ``stage="worker"`` report: a deck that kills its pool worker,
+        which raises ``BrokenProcessPool`` with ``on_error="raise"``;
+        see :func:`repro.runtime.parallel.parallel_map`).
 
         The trained pipeline ships to each worker once (pool
         initializer), not once per netlist, so per-item IPC stays
@@ -691,14 +690,13 @@ class GanaPipeline:
             ]
         pool_key = self._pool_key()
 
-        # Pool supervision (on_error="report" only): a worker killed
-        # outright (segfault, OOM kill, os._exit) breaks the whole
-        # executor, so parallel_map bisects the chunks to quarantine the
-        # one that crashed.  That chunk re-enters the same dispatch as
-        # singleton chunks, so only the poison deck becomes a
-        # stage="worker" FailureReport while every sibling completes.
-        # With on_error="raise" the historical contract stands: blind
-        # retry, then the serial fallback re-raises.
+        # A worker killed outright (segfault, OOM kill, os._exit) breaks
+        # the whole executor, so parallel_map bisects the chunks to
+        # isolate the one that crashed.  With on_error="report" that
+        # chunk re-enters the same dispatch as singleton chunks, so only
+        # the poison deck becomes a stage="worker" FailureReport while
+        # every sibling completes; with on_error="raise" its
+        # BrokenProcessPool propagates.
         def chunk_crash(chunk, exc):
             if len(chunk) == 1:
                 job = chunk[0]
@@ -716,7 +714,6 @@ class GanaPipeline:
                 workers=n_workers,
                 initializer=_pipeline_worker_init,
                 initargs=(self,),
-                pool_retries=pool_retries,
                 pool_key=pool_key,
                 on_crash=chunk_crash if on_error == "report" else None,
             )

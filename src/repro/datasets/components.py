@@ -312,9 +312,6 @@ class CircuitBuilder:
 
     # -- completion ----------------------------------------------------------
 
-    def set_ports(self, *ports: str) -> None:
-        self.circuit.ports = tuple(ports)
-
     def mark_port(self, net: str, label: str) -> None:
         """Attach a testbench label ("antenna", "oscillating") to a net."""
         self.port_labels[net] = label

@@ -71,10 +71,6 @@ class PrimitiveMatch:
         return frozenset(name for _, name in self.element_map)
 
     @property
-    def element_dict(self) -> dict[str, str]:
-        return dict(self.element_map)
-
-    @property
     def net_dict(self) -> dict[str, str]:
         return dict(self.net_map)
 

@@ -11,8 +11,8 @@ code builds on:
   trained recognition models, so ``GanaPipeline.pretrained()`` is a
   millisecond load after the first call in *any* process;
 * :mod:`repro.runtime.parallel` — a process-pool ``parallel_map`` with
-  chunking, deterministic result ordering, transient-failure retries,
-  and a logged serial fallback; used for dataset generation,
+  chunking, deterministic result ordering, crash bisection, and a
+  logged serial fallback; used for dataset generation,
   cross-validation folds, and batch annotation;
 * :mod:`repro.runtime.resilience` — structured diagnostics for lenient
   parsing, per-item failure reports for fault-isolated batch runs,

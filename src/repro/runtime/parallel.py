@@ -1,5 +1,5 @@
-"""Process-pool ``parallel_map`` with chunking, retries, and a serial
-fallback.
+"""Process-pool ``parallel_map`` with chunking, crash bisection, and a
+serial path.
 
 The GANA flow has three embarrassingly parallel loops: synthetic
 dataset generation, cross-validation folds, and fleet-scale batch
@@ -10,8 +10,6 @@ annotation.  All three funnel through :func:`parallel_map`, which
 * preserves input order in the result list regardless of completion
   order (``ProcessPoolExecutor.map`` semantics),
 * chunks items so per-task IPC overhead amortizes,
-* retries transient pool failures (a killed/OOMed worker breaks the
-  whole pool) with exponential backoff before giving up on the pool,
 * keeps executors warm between calls: pools are expensive to build
   (fork + per-worker initializer), so pools without an initializer —
   and pools whose initializer state is fingerprinted by a ``pool_key``
@@ -20,20 +18,22 @@ annotation.  All three funnel through :func:`parallel_map`, which
   :func:`shutdown_pools`); a cached pool is health-checked at checkout
   (broken flag, shut-down flag, per-worker liveness) and silently
   rebuilt when a worker died between calls,
-* supervises crashes when the caller passes ``on_crash``: a broken
-  pool triggers a bisection over the item list that quarantines the
-  specific poison item (run alone in a sacrificial single-worker
-  pool) and maps it through ``on_crash`` while every sibling item
-  completes normally — per-pool health counters (:func:`pool_health`)
-  record breaks, rebuilds, and quarantines, and
-* falls back to a plain serial loop when only one worker is available,
-  when the item list is tiny, or when the pool cannot be used at all
-  (unpicklable payloads, sandboxed environments without ``fork``) —
-  results are identical either way, only wall-clock differs.  The
-  fallback is *logged* with the original pool failure (logger
-  ``repro.runtime.parallel``), and if the serial rerun itself fails,
-  the pool failure is chained in as the exception's ``__cause__`` so
-  batch failures stay debuggable.
+* has one answer to a broken pool (a worker killed mid-map by the OOM
+  killer, a segfault, ``os._exit``): the pool is evicted and the item
+  list is bisected across fresh pools, so a transient crash loses
+  nothing and the poison item that kills its worker every time is
+  isolated — it maps through ``on_crash`` when the caller passes one,
+  and its ``BrokenProcessPool`` propagates otherwise; per-pool health
+  counters (:func:`pool_health`) record breaks, rebuilds, and
+  quarantines,
+* lets every exception ``fn`` raises propagate as a serial loop would
+  raise it, with the worker's traceback as its ``__cause__``; nothing
+  is retried or rerun, and
+* runs a plain serial loop when only one worker is available, when
+  the item list is tiny, when ``fn`` does not pickle, or when the host
+  cannot build a pool or fork its workers — results are identical
+  either way, only wall-clock differs.  The last two are logged
+  (logger ``repro.runtime.parallel``) with the reason.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import logging
 import math
 import os
 import pickle
-import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -52,20 +51,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV = "GANA_WORKERS"
-
-#: Pool failures worth retrying: a crashed worker (OOM-kill, segfault,
-#: ``os._exit``) breaks the executor, but a fresh pool usually works.
-TRANSIENT_POOL_ERRORS = (BrokenProcessPool, OSError)
-
-#: Pool failures that will never succeed on retry (unpicklable payloads,
-#: missing multiprocessing support) — go straight to the serial path.
-_FATAL_POOL_ERRORS = (
-    ValueError,
-    TypeError,
-    AttributeError,
-    ImportError,
-    pickle.PicklingError,
-)
 
 _LOG = logging.getLogger(__name__)
 
@@ -92,11 +77,8 @@ class PoolHealth:
     instance, so a long-lived host can watch crash rates over time.
     """
 
-    checkouts: int = 0  # warm (reused) checkouts served
     rebuilt: int = 0  # cached pools found unhealthy and rebuilt
-    maps: int = 0  # completed parallel_map calls
-    items: int = 0  # items completed across those maps
-    breaks: int = 0  # BrokenProcessPool/OSError events
+    breaks: int = 0  # BrokenProcessPool events
     quarantined: int = 0  # poison items isolated by bisection
 
 
@@ -160,8 +142,6 @@ def _checkout_pool(
             initializer=initializer,
             initargs=tuple(initargs),
         )
-    else:
-        _health(key).checkouts += 1
     _POOLS[key] = pool
     while len(_POOLS) > _MAX_POOLS:
         _, stale = _POOLS.popitem(last=False)
@@ -258,21 +238,17 @@ def parallel_map(
     chunksize: int | None = None,
     initializer: Callable[..., None] | None = None,
     initargs: Sequence[Any] = (),
-    pool_retries: int = 1,
-    backoff: float = 0.2,
     pool_key: str | None = None,
     on_crash: Callable[[Any, BaseException], Any] | None = None,
 ) -> list[Any]:
     """``[fn(x) for x in items]``, possibly across a process pool.
 
-    The result order always matches the input order.  ``fn`` (and the
-    items) must be picklable for the pool path.  Transient pool
-    failures (a worker killed mid-batch) are retried ``pool_retries``
-    times with exponential backoff (``backoff * 2**attempt`` seconds);
-    ``fn`` must therefore be effectively pure, since a retry recomputes
-    the whole batch.  If the pool stays unusable the map reruns
-    serially, logging the original pool failure — callers get the same
-    values either way.
+    The result order always matches the input order.  ``fn`` and the
+    items must be picklable for the pool path; a ``fn`` that does not
+    pickle runs serially, as does a map on a host that cannot build a
+    pool or fork its workers (both logged).  An exception ``fn`` raises
+    propagates as it would from a serial loop, carrying the worker's
+    traceback as its ``__cause__``; nothing is retried or rerun.
 
     ``initializer(*initargs)`` runs once per worker (pool path) or once
     up front (serial path) — use it to install heavyweight shared state
@@ -283,106 +259,72 @@ def parallel_map(
     when ``pool_key`` is given — the key must fingerprint the
     initializer state, because reused workers keep the state the pool's
     *first* call installed.  Without a key, an initializer call gets a
-    throwaway pool, exactly as before.
+    throwaway pool.
 
-    ``on_crash`` switches a broken pool from blind whole-batch retry to
-    *supervision*: the item list is bisected across fresh pools until
-    the poison item that kills its worker is isolated, that item maps
-    to ``on_crash(item, exc)`` (e.g. a
-    :class:`~repro.runtime.resilience.FailureReport`), and every other
-    item completes normally.  The broken pool is evicted from the warm
-    registry either way, so the next call gets a healthy pool.
+    A worker that dies mid-map breaks its pool.  The pool is evicted
+    from the warm registry, so the next call gets a healthy one, and
+    the item list is bisected across fresh pools until the poison item
+    that kills its worker is isolated (see :func:`_bisect_map`): a
+    transient crash loses nothing, and the poison item maps to
+    ``on_crash(item, exc)`` (e.g. a
+    :class:`~repro.runtime.resilience.FailureReport`) while every other
+    item completes normally.  Without ``on_crash`` its
+    ``BrokenProcessPool`` propagates.  Bisection recomputes items that
+    ran on the broken pool, so ``fn`` must be effectively pure.
     """
     items = list(items)
     n_workers = min(resolve_workers(workers), len(items))
     if n_workers <= 1 or len(items) <= 1:
         return _serial_map(fn, items, initializer, initargs)
+    try:
+        # Before any pool is touched: a pool fed a callable it cannot
+        # pickle fails inside its executor thread, after forking its
+        # workers.
+        pickle.dumps(fn)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        return _serial_fallback(exc, fn, items, initializer, initargs)
     chunksize = chunksize or default_chunksize(len(items), n_workers)
     reusable = initializer is None or pool_key is not None
     key = (n_workers, pool_key if initializer is not None else None)
 
-    pool_failure: BaseException | None = None
-    for attempt in range(max(0, pool_retries) + 1):
-        pool: ProcessPoolExecutor | None = None
+    pool: ProcessPoolExecutor | None = None
+    try:
         try:
-            # Before any pool is touched: a pool fed a callable it
-            # cannot pickle fails inside its executor thread, after
-            # forking its workers.
-            pickle.dumps(fn)
             if reusable:
-                pool = _checkout_pool(
-                    n_workers,
-                    pool_key if initializer is not None else None,
-                    initializer,
-                    initargs,
-                )
-                result = list(pool.map(fn, items, chunksize=chunksize))
+                pool = _checkout_pool(*key, initializer, initargs)
             else:
-                with ProcessPoolExecutor(
+                pool = ProcessPoolExecutor(
                     max_workers=n_workers,
                     initializer=initializer,
                     initargs=tuple(initargs),
-                ) as pool:
-                    result = list(pool.map(fn, items, chunksize=chunksize))
-            health = _health(key)
-            health.maps += 1
-            health.items += len(items)
-            return result
-        except _FATAL_POOL_ERRORS as exc:
-            pool_failure = exc
-            _LOG.warning(
-                "process pool unusable (%s: %s); falling back to the "
-                "serial path",
-                type(exc).__name__,
-                exc,
-            )
-            break
-        except TRANSIENT_POOL_ERRORS as exc:
-            pool_failure = exc
-            _health(key).breaks += 1
-            if reusable and pool is not None:
-                # A broken pool must never be handed to the next call.
+                )
+            # ``map`` submits every chunk now; a fresh pool forks its
+            # workers on the first submit, before any ``fn`` runs.
+            results = pool.map(fn, items, chunksize=chunksize)
+        except (OSError, NotImplementedError, ImportError) as exc:
+            if pool is not None:
                 _discard_pool(pool)
-            if on_crash is not None:
-                _LOG.warning(
-                    "process pool broke (%s: %s); bisecting %d item(s) to "
-                    "quarantine the crash",
-                    type(exc).__name__,
-                    exc,
-                    len(items),
-                )
-                return _bisect_map(
-                    fn, items, n_workers, initializer, initargs, on_crash, key
-                )
-            if attempt < pool_retries:
-                delay = backoff * (2**attempt)
-                _LOG.warning(
-                    "process pool failed (%s: %s); rebuilding and "
-                    "retrying in %.2gs (attempt %d of %d)",
-                    type(exc).__name__,
-                    exc,
-                    delay,
-                    attempt + 1,
-                    pool_retries,
-                )
-                time.sleep(delay)
-            else:
-                _LOG.warning(
-                    "process pool failed %d time(s) (%s: %s); falling "
-                    "back to the serial path",
-                    attempt + 1,
-                    type(exc).__name__,
-                    exc,
-                )
-
-    try:
-        return _serial_map(fn, items, initializer, initargs)
-    except Exception as exc:
-        if pool_failure is not None and exc.__cause__ is None:
-            # Surface the pool failure alongside the serial one —
-            # "silently swallowed the pool error" is undebuggable.
-            raise exc from pool_failure
-        raise
+            return _serial_fallback(exc, fn, items, initializer, initargs)
+        return list(results)
+    except BrokenProcessPool as exc:
+        # Raised while results are read, or by a later ``submit`` when
+        # an early item killed its worker before every chunk was in.
+        _health(key).breaks += 1
+        # A broken pool must never be handed to the next call.
+        _discard_pool(pool)
+        _LOG.warning(
+            "process pool broke (%s: %s); bisecting %d item(s) to "
+            "isolate the crash",
+            type(exc).__name__,
+            exc,
+            len(items),
+        )
+        return _bisect_map(
+            fn, items, n_workers, initializer, initargs, on_crash, key
+        )
+    finally:
+        if not reusable and pool is not None:
+            _shutdown_quietly(pool, wait=True)
 
 
 def _bisect_map(
@@ -391,17 +333,18 @@ def _bisect_map(
     n_workers: int,
     initializer: Callable[..., None] | None,
     initargs: Sequence[Any],
-    on_crash: Callable[[Any, BaseException], Any],
+    on_crash: Callable[[Any, BaseException], Any] | None,
     key: tuple[int, str | None],
 ) -> list[Any]:
-    """Quarantine the poison item(s) in a crashed batch.
+    """Isolate the poison item(s) in a crashed batch.
 
     ``BrokenProcessPool`` gives no hint *which* item killed its worker
     — every in-flight future is marked broken — so the whole list is
     suspect.  Classic fault isolation: split in half, run each half on
     a fresh throwaway pool, recurse into halves that crash again.  A
     single suspect item runs alone in a sacrificial one-worker pool; if
-    it kills that worker too, it is quarantined through ``on_crash``.
+    it kills that worker too, it is quarantined: it maps through
+    ``on_crash``, or, without one, its ``BrokenProcessPool`` propagates.
     A purely transient crash (a worker OOM-killed once) costs one level
     of bisection and quarantines nothing — both halves simply succeed
     on their fresh pools.
@@ -414,11 +357,13 @@ def _bisect_map(
                 initargs=tuple(initargs),
             ) as solo:
                 return [solo.submit(fn, items[0]).result()]
-        except TRANSIENT_POOL_ERRORS as exc:
+        except BrokenProcessPool as exc:
             _health(key).quarantined += 1
             _LOG.warning(
                 "quarantined poison item (%s: %s)", type(exc).__name__, exc
             )
+            if on_crash is None:
+                raise
             return [on_crash(items[0], exc)]
     mid = len(items) // 2
     results: list[Any] = []
@@ -442,7 +387,7 @@ def _bisect_map(
                 # must not leave half-consumed results in the output.
                 mapped = list(pool.map(fn, half, chunksize=1))
             results.extend(mapped)
-        except TRANSIENT_POOL_ERRORS:
+        except BrokenProcessPool:
             _health(key).breaks += 1
             results.extend(
                 _bisect_map(
@@ -450,6 +395,15 @@ def _bisect_map(
                 )
             )
     return results
+
+
+def _serial_fallback(exc, fn, items, initializer, initargs) -> list[Any]:
+    _LOG.warning(
+        "process pool unusable (%s: %s); falling back to the serial path",
+        type(exc).__name__,
+        exc,
+    )
+    return _serial_map(fn, items, initializer, initargs)
 
 
 def _serial_map(fn, items, initializer, initargs) -> list[Any]:

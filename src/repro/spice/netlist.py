@@ -223,10 +223,6 @@ class Circuit:
                 seen.setdefault(net, None)
         return tuple(seen)
 
-    @property
-    def device_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.devices)
-
     def device(self, name: str) -> Device:
         """Look up a device by name; raises KeyError if absent."""
         for dev in self.devices:
@@ -270,10 +266,6 @@ class Netlist:
     def define(self, circuit: Circuit) -> None:
         """Register a subcircuit definition (case-insensitive name)."""
         self.subckts[circuit.name.lower()] = circuit
-
-    def total_devices(self) -> int:
-        """Leaf-device count of the *unexpanded* deck (top level only)."""
-        return len(self.top.devices)
 
 
 def make_mos(

@@ -151,24 +151,19 @@ class TestPoolRecovery:
         marker = tmp_path / "crash-once"
         marker.write_text("armed")
         items = [(str(marker), i) for i in range(8)]
-        out = parallel_map(
-            _crash_once, items, workers=2, pool_retries=2, backoff=0.01
-        )
+        out = parallel_map(_crash_once, items, workers=2)
         assert out == [i * 2 for i in range(8)]
 
-    def test_serial_fallback_chains_pool_failure(self, caplog):
-        # A ValueError out of the pool is fatal (never retried); the
-        # serial rerun fails too, and must chain the pool failure so
-        # batch failures stay debuggable (the ISSUE 2 satellite bugfix).
+    def test_fn_error_propagates_without_serial_rerun(self, caplog):
+        # A ValueError raised by fn is fn's own error, not a pool
+        # failure: it propagates out of the pool with the worker's
+        # traceback as its __cause__, and nothing reruns in the caller.
         with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
             with pytest.raises(ValueError, match="poisoned") as info:
                 parallel_map(_always_raise, [1, 2, 3, 4], workers=2)
-        assert info.value.__cause__ is not None
+        assert "Traceback" in str(info.value.__cause__)
         assert "poisoned" in str(info.value.__cause__)
-        assert any(
-            "falling back to the serial path" in record.getMessage()
-            for record in caplog.records
-        )
+        assert not caplog.records
 
     def test_unpicklable_payload_falls_back_serially(self, caplog):
         # A lambda cannot cross the process boundary; the map must

@@ -1,13 +1,18 @@
-"""The process-pool map: ordering, fallback, worker resolution, and
-the warm-pool registry."""
+"""The process-pool map: ordering, fallback, worker resolution, the
+warm-pool registry, and its one failure path."""
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.runtime import parallel
@@ -311,3 +316,158 @@ class TestPoolSupervision:
         health = parallel.pool_health()[(2, None)]
         assert health.breaks >= 1
         assert health.quarantined == 0
+
+
+def _log_and_raise(payload) -> int:
+    """Append ``item pid`` to the log per call; item 5 raises."""
+    log, x, error = payload
+    with open(log, "a") as fh:
+        fh.write(f"{x} {os.getpid()}\n")
+    time.sleep(0.05)
+    if x == 5:
+        raise error(f"item {x} failed")
+    return x
+
+
+#: Run in a subprocess: a poison item mapped in the calling process
+#: would end that process with the item's exit status.
+_POISON_SCRIPT = """
+import os
+from concurrent.futures.process import BrokenProcessPool
+from repro.runtime.parallel import parallel_map
+
+def exit_on_three(x):
+    if x == 3:
+        os._exit(7)
+    return x
+
+try:
+    parallel_map(exit_on_three, range(6), workers=2)
+except BrokenProcessPool:
+    print("BrokenProcessPool")
+"""
+
+
+def _serial_path_records(caplog) -> list[str]:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if "serial path" in record.getMessage()
+    ]
+
+
+class TestOneFailurePath:
+    """A broken pool always bisects, and ``fn``'s own errors propagate
+    from the pool: nothing is retried, and nothing reruns in the
+    calling process."""
+
+    def test_poison_item_without_on_crash_raises(self):
+        src_dir = Path(parallel.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        proc = subprocess.run(
+            [sys.executable, "-c", _POISON_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["BrokenProcessPool"]
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_fn_error_propagates_from_the_pool(self, error, tmp_path, caplog):
+        log = tmp_path / "calls.log"
+        items = [(str(log), x, error) for x in range(8)]
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
+            with pytest.raises(error, match="item 5 failed"):
+                parallel_map(_log_and_raise, items, workers=2)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        called = [int(x) for x, _ in calls]
+        assert 5 in called
+        assert len(called) == len(set(called))  # each item at most once
+        assert str(os.getpid()) not in {pid for _, pid in calls}
+        assert not _serial_path_records(caplog)
+
+    def test_break_during_submission_bisects(self, monkeypatch):
+        # An early item can kill its worker while ``map`` is still
+        # submitting later chunks; ``submit`` then raises
+        # BrokenProcessPool before any result is read.
+        class _BreaksOnSubmit:
+            def map(self, *args, **kwargs):
+                raise BrokenProcessPool("worker died during submission")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        shutdown_pools()
+        parallel.reset_pool_health()
+        monkeypatch.setattr(
+            parallel, "_checkout_pool", lambda *args: _BreaksOnSubmit()
+        )
+        out = parallel_map(_square, range(6), workers=2, on_crash=_lost)
+        assert out == [x * x for x in range(6)]
+        assert parallel.pool_health()[(2, None)].breaks == 1
+
+
+def _sample_arrays(sample) -> list[np.ndarray]:
+    pyramid = sample.pyramid
+    return [
+        sample.features,
+        sample.labels,
+        sample.mask,
+        *pyramid.assignments,
+        *(
+            array
+            for lap in pyramid.laplacians
+            for array in (lap.indptr, lap.indices, lap.data)
+        ),
+    ]
+
+
+class TestRealCallersUseThePool:
+    """Every real caller's items and results pickle, so ``workers=2``
+    runs on the pool (an unpicklable item would raise, not fall back)
+    and equals ``workers=1``."""
+
+    def test_dataset_samples_and_folds_match_serial(self, caplog):
+        from repro.datasets.synth import (
+            build_samples,
+            generate_ota_bias_dataset,
+            task_classes,
+        )
+        from repro.gcn.model import GCNConfig
+        from repro.gcn.train import TrainConfig, cross_validate
+
+        shutdown_pools()
+        classes = task_classes("ota")
+        runs = {}
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.parallel"):
+            for workers in (1, 2):
+                dataset = generate_ota_bias_dataset(12, workers=workers)
+                samples = build_samples(dataset, classes, workers=workers)
+                config = GCNConfig(
+                    n_features=samples[0].features.shape[1],
+                    n_classes=len(classes),
+                    filter_size=4,
+                    channels=(8, 8),
+                    fc_size=16,
+                    seed=0,
+                )
+                folds = cross_validate(
+                    config,
+                    samples,
+                    folds=3,
+                    train_config=TrainConfig(epochs=3, patience=0),
+                    workers=workers,
+                )
+                runs[workers] = dataset, samples, folds
+        assert (2, None) in parallel._POOLS
+        assert not _serial_path_records(caplog)
+        serial_data, serial_samples, serial_folds = runs[1]
+        pooled_data, pooled_samples, pooled_folds = runs[2]
+        assert pooled_data == serial_data
+        assert [s.name for s in pooled_samples] == [s.name for s in serial_samples]
+        for got, want in zip(pooled_samples, serial_samples):
+            for a, b in zip(_sample_arrays(got), _sample_arrays(want), strict=True):
+                assert np.array_equal(a, b)
+        assert pooled_folds == serial_folds

@@ -6,6 +6,8 @@ serial ``run()`` results exactly, including the ``timings`` keys.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -394,3 +396,30 @@ class TestFailureMetadataSurvivesPool:
         assert clone.stage == report.stage
         assert clone.profile == report.profile
         assert clone.diagnostics == report.diagnostics
+
+
+class TestRaiseModeStaysInThePool:
+    def test_deck_error_is_not_rerun_in_the_caller(
+        self, pipeline, decks, tmp_path, monkeypatch
+    ):
+        """A deck that raises in its worker under ``on_error="raise"``
+        propagates from the pool; no chunk reruns in the caller."""
+        import repro.core.pipeline as pipeline_module
+        from repro.runtime.parallel import shutdown_pools
+
+        log = tmp_path / "chunk-pids.log"
+        real_chunk = pipeline_module._run_pipeline_chunk
+
+        def logged_chunk(pipe, jobs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_chunk(pipe, jobs)
+
+        monkeypatch.setattr(pipeline_module, "_run_pipeline_chunk", logged_chunk)
+        shutdown_pools()  # fresh forks inherit the logging chunk runner
+        batch = [*decks[:3], None, *decks[3:]]  # ParseStage: ValueError
+        with pytest.raises(ValueError):
+            pipeline.run_many(batch, workers=2, on_error="raise")
+        pids = log.read_text().split()
+        assert pids
+        assert str(os.getpid()) not in pids
