@@ -4,10 +4,13 @@ Annotates the phased array cold (fresh artifact cache), then re-runs
 with *only the primitive library changed*.  The warm run must
 
 * reuse the cached parse/preprocess/graph/GCN artifacts (the library
-  fingerprint only enters the key chain at Postprocessing I), and
+  fingerprint only enters the key chain at Postprocessing I),
+* answer every (CCC, template) pair of the recomputed post1 stage from
+  the primitive-match cache: no VF2 search, and exactly
+  ``ccc_matched x len(default_library())`` match-cache hits, and
 * finish at least ``--factor`` times faster than the cold run (default
-  3x) — the primitive-match cache makes even the recomputed post1
-  stage mostly memo lookups.
+  3x).  The cold run searches each CCC shape once per run, so this
+  ratio reads lower than before that change with no slower warm run.
 
 The measured cold/warm wall-clock lands in ``BENCH_runtime.json``
 under ``staged_incremental``.
@@ -67,6 +70,7 @@ def measure(reps: int) -> dict:
 
         warm_seconds = float("inf")
         reused: tuple[str, ...] = ()
+        warm_searches = match_cache_hits = ccc_matched = 0
         for _ in range(reps):
             for entry in cache.entries():
                 if entry not in baseline_entries:
@@ -80,12 +84,21 @@ def measure(reps: int) -> dict:
             )
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
             reused = tuple(s.value for s in warm.cache_hits)
+            counters = warm.profile["counters"]
+            warm_searches = sum(
+                entry["launches"] for entry in warm.profile["per_template"].values()
+            )
+            match_cache_hits = counters.get("match_cache_hits", 0)
+            ccc_matched = counters.get("ccc_matched", 0)
 
     return {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "speedup": cold_seconds / max(warm_seconds, 1e-9),
         "reused_stages": sorted(reused),
+        "warm_searches": warm_searches,
+        "match_cache_hits": match_cache_hits,
+        "expected_hits": ccc_matched * len(default_library()),
         "change": "primitive library extended->default, deck unchanged",
     }
 
@@ -115,10 +128,21 @@ def main(argv: list[str] | None = None) -> int:
     print(
         "staged incremental: cold {cold_seconds:.4f}s vs warm "
         "{warm_seconds:.4f}s ({speedup:.2f}x, limit {factor:.1f}x); "
-        "reused: {reused}".format(
+        "reused: {reused}; warm post1: {warm_searches} VF2 searches, "
+        "{match_cache_hits}/{expected_hits} match-cache hits".format(
             factor=args.factor,
             reused=", ".join(stats["reused_stages"]) or "none",
-            **{k: stats[k] for k in ("cold_seconds", "warm_seconds", "speedup")},
+            **{
+                k: stats[k]
+                for k in (
+                    "cold_seconds",
+                    "warm_seconds",
+                    "speedup",
+                    "warm_searches",
+                    "match_cache_hits",
+                    "expected_hits",
+                )
+            },
         )
     )
 
@@ -131,6 +155,20 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAIL: warm run reused library-dependent stages {sorted(stale)} "
             f"— a changed library must invalidate them"
+        )
+        return 1
+    if stats["warm_searches"]:
+        print(
+            f"FAIL: warm post1 ran {stats['warm_searches']} VF2 searches "
+            f"— every (CCC, template) pair should come from the match cache"
+        )
+        return 1
+    if not stats["expected_hits"] or (
+        stats["match_cache_hits"] != stats["expected_hits"]
+    ):
+        print(
+            f"FAIL: warm post1 hit the match cache {stats['match_cache_hits']} "
+            f"times, not once per CCC and template ({stats['expected_hits']})"
         )
         return 1
     if stats["speedup"] < args.factor:

@@ -74,6 +74,7 @@ from repro.core.stages import (
     content_fingerprint,
     load_artifacts,
 )
+from repro.exceptions import WorkerCrashed
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.features import NetRole
 from repro.primitives.library import (
@@ -605,8 +606,9 @@ class GanaPipeline:
         own profile, and so does each failure report: the stages the
         item finished before it failed (``None`` only for a
         ``stage="worker"`` report: a deck that kills its pool worker,
-        which raises ``BrokenProcessPool`` with ``on_error="raise"``;
-        see :func:`repro.runtime.parallel.parallel_map`).
+        which raises :class:`~repro.exceptions.WorkerCrashed` with its
+        index and name under ``on_error="raise"``; see
+        :func:`repro.runtime.parallel.parallel_map`).
 
         The trained pipeline ships to each worker once (pool
         initializer), not once per netlist, so per-item IPC stays
@@ -692,20 +694,23 @@ class GanaPipeline:
 
         # A worker killed outright (segfault, OOM kill, os._exit) breaks
         # the whole executor, so parallel_map bisects the chunks to
-        # isolate the one that crashed.  With on_error="report" that
-        # chunk re-enters the same dispatch as singleton chunks, so only
-        # the poison deck becomes a stage="worker" FailureReport while
-        # every sibling completes; with on_error="raise" its
-        # BrokenProcessPool propagates.
+        # isolate the one that crashed.  That chunk re-enters the same
+        # dispatch as singleton chunks, so the poison deck is isolated
+        # by name: with on_error="report" it becomes a stage="worker"
+        # FailureReport while every sibling completes, and with
+        # on_error="raise" it raises WorkerCrashed.
         def chunk_crash(chunk, exc):
-            if len(chunk) == 1:
-                job = chunk[0]
-                return [
-                    worker_crash_report(
-                        exc, index=job["index"], name=job["kwargs"]["name"]
-                    )
-                ]
-            return dispatch([[job] for job in chunk])
+            if len(chunk) > 1:
+                return dispatch([[job] for job in chunk])
+            index, name = chunk[0]["index"], chunk[0]["kwargs"]["name"]
+            if on_error == "report":
+                return [worker_crash_report(exc, index=index, name=name)]
+            raise WorkerCrashed(
+                f"deck {index}{f' ({name})' if name else ''} killed its "
+                f"pool worker: {exc}",
+                index=index,
+                name=name,
+            ) from exc
 
         def dispatch(chunks):
             nested = parallel_map(
@@ -715,7 +720,7 @@ class GanaPipeline:
                 initializer=_pipeline_worker_init,
                 initargs=(self,),
                 pool_key=pool_key,
-                on_crash=chunk_crash if on_error == "report" else None,
+                on_crash=chunk_crash,
             )
             return [result for chunk in nested for result in chunk]
 

@@ -85,6 +85,23 @@ class TrainingDiverged(GanaError):
         self.rollbacks = rollbacks
 
 
+class WorkerCrashed(GanaError):
+    """Raised when a batch item kills its pool worker outright.
+
+    A segfault, an ``os._exit`` or an out-of-memory kill leaves the
+    caller only the executor's ``BrokenProcessPool``, which names no
+    item.  Once bisection has isolated the item that kills its worker
+    every time, ``GanaPipeline.run_many(on_error="raise")`` raises this
+    with the deck's input ``index`` and ``name``, chained from that
+    ``BrokenProcessPool``.
+    """
+
+    def __init__(self, message: str, index: int | None = None, name: str = ""):
+        super().__init__(message)
+        self.index = index
+        self.name = name
+
+
 class BudgetExceeded(GanaError):
     """Raised when a search exhausts its step or wall-clock budget.
 

@@ -13,8 +13,11 @@ pure function of one side of the match:
   :class:`repro.runtime.cache.Memo`;
 * :class:`TargetContext` — per-circuit invariants (adjacency +
   :class:`~repro.primitives.signatures.TargetIndex` signature tables),
-  computed **once per circuit** (or per CCC, in one pass over its
-  members' edges) and shared across all templates.
+  computed **once per circuit** (or per CCC shape, in one pass over its
+  members' edges) and shared across all templates, together with each
+  template's raw search result.  The tables depend only on the
+  target's :func:`member_shape`, never on a name, so channel-connected
+  components of one shape share one context.
 
 VF2 then only launches from (template-root, target-vertex) pairs whose
 signatures are compatible (the root row of the compatibility filter),
@@ -37,7 +40,7 @@ constraints they imply.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.graph.bipartite import CircuitGraph
 from repro.primitives.isomorphism import (
@@ -57,9 +60,12 @@ from repro.runtime.cache import Memo
 _PROFILE_MEMO = Memo()
 
 
-@dataclass
+@dataclass(eq=False)
 class TemplateProfile:
-    """Everything about one template that every match launch reuses."""
+    """Everything about one template that every match launch reuses.
+
+    Hashed and compared by identity: a profile keys its template's
+    entry in :attr:`TargetContext.searches`."""
 
     template: object  # PrimitiveTemplate (untyped to avoid an import cycle)
     pattern: PatternGraph
@@ -98,10 +104,19 @@ class TemplateProfile:
 
 @dataclass
 class TargetContext:
-    """Per-target tables shared by every template of one matching pass."""
+    """Per-target tables shared by every template of one matching pass.
+
+    ``searches`` maps a :class:`TemplateProfile` to the canonical,
+    pre-predicate images (``image[pattern_vertex] -> target vertex``)
+    of its completed search here.  Nothing in a context is a name —
+    the adjacency's ``elements`` and ``nets`` are those of the target
+    it was built from, and no matcher reads them — so a context and its
+    searches serve every target of the same :func:`member_shape`.
+    """
 
     adjacency: _Adjacency
     index: TargetIndex
+    searches: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, graph: CircuitGraph, members=None) -> "TargetContext":
@@ -111,6 +126,35 @@ class TargetContext:
         built in one pass over the members' edges, with no subgraph."""
         adjacency = _Adjacency(graph, members)
         return cls(adjacency=adjacency, index=TargetIndex.build(adjacency))
+
+
+def member_shape(graph: CircuitGraph, members) -> tuple[tuple, list[str]]:
+    """The shape key of the subgraph ``members`` induce, and its net
+    names in local order.
+
+    The key holds each member's kind and its incident ``(local net,
+    edge label)`` list, in member order, with nets numbered by first
+    appearance: exactly what :class:`_Adjacency` and
+    :class:`~repro.primitives.signatures.TargetIndex` are built from,
+    and no name.  Two member lists with one key get identical tables,
+    so every search returns the same images on both.
+    """
+    edge_lists = graph.element_edge_lists()
+    graph_nets = graph.nets
+    elements = graph.elements
+    local: dict[int, int] = {}
+    nets: list[str] = []
+    key = []
+    for i in members:
+        incident = []
+        for edge in edge_lists[i]:
+            v = local.get(edge.net)
+            if v is None:
+                v = local[edge.net] = len(nets)
+                nets.append(graph_nets[edge.net])
+            incident.append((v, edge.label))
+        key.append((elements[i].kind, tuple(incident)))
+    return tuple(key), nets
 
 
 def template_profile(template) -> TemplateProfile:

@@ -19,9 +19,11 @@ Two execution paths produce identical results (the property tests in
   kept as the reference implementation and performance baseline.
 
 :func:`annotate_components` scopes matching per channel-connected
-component: one context per CCC, read in one pass out of the deck's
-graph and only once some template needs a search, with the library's
-order and template profiles resolved once for all of them.  Every call
+component: one context per CCC *shape*, read in one pass out of the
+deck's graph and only once some template needs a search, so repeated
+sub-blocks (the channels of a phased array) are searched once per
+call and only named per copy, with the library's order and template
+profiles resolved once for all of them.  Every call
 records what its matching cost, per template, into a
 :class:`MatchStats`; the pipeline turns a run's stats into the
 ``per_template`` and ``counters`` sections of its profile.
@@ -42,6 +44,7 @@ from repro.primitives.index import (
     TargetContext,
     TemplateProfile,
     canonical_image,
+    member_shape,
     template_profile,
 )
 from repro.primitives.isomorphism import Isomorphism, VF2Matcher
@@ -91,20 +94,25 @@ def find_primitive_matches(
 ) -> list[PrimitiveMatch]:
     """All predicate-respecting, deduplicated matches of one template.
 
-    ``target_index`` (a :class:`repro.primitives.signatures.TargetIndex`)
-    shares the signature tables across templates of one circuit.
-    ``budget`` bounds the underlying VF2 search; on exhaustion the
-    raised :class:`~repro.exceptions.BudgetExceeded` carries the
-    deduplicated matches translated so far as ``exc.partial``.
+    ``target`` names the matches: its ``elements`` and ``nets``, in the
+    numbering of the graph being searched.  ``target_index`` (a
+    :class:`repro.primitives.signatures.TargetIndex`) shares the
+    signature tables across templates of one circuit.  ``budget``
+    bounds the underlying VF2 search; on exhaustion the raised
+    :class:`~repro.exceptions.BudgetExceeded` carries the deduplicated
+    matches translated so far as ``exc.partial``.
 
     ``indexed`` selects the hot path: the template's memoized
     :func:`~repro.primitives.index.template_profile` (or an explicit
-    ``profile``) plus a shared ``context`` for the target (built from
-    ``target`` when not given), with symmetry breaking on.  A target
-    with no host for one of the template's elements or internal nets
-    is answered before any matcher is constructed.
-    ``indexed=False`` is the naive reference path — per-call setup,
-    enumerate-all-then-deduplicate — guaranteed to return the same
+    ``profile``) plus a shared ``context`` for the target's structure
+    (built from ``target`` when not given), with symmetry breaking on.
+    A target with no host for one of the template's elements or
+    internal nets is answered before any matcher is constructed.  A
+    completed search records its canonical images in
+    ``context.searches``, where a later target of the same shape finds
+    them (see :func:`annotate_components`).  ``indexed=False`` is the
+    naive reference path — per-call setup, enumerate-all-then-
+    deduplicate, nothing recorded — guaranteed to return the same
     matches.
     """
     # The profile also carries the automorphism group used to
@@ -113,7 +121,8 @@ def find_primitive_matches(
     if indexed:
         context = context or TargetContext.build(target)
         if not context.index.by_exact.keys() >= profile.exact_keys:
-            return []  # some exact-signature bucket is empty
+            context.searches[profile] = []  # some exact bucket is empty
+            return []
         matcher = VF2Matcher(
             template.pattern, target, profile=profile, target_context=context
         )
@@ -125,40 +134,51 @@ def find_primitive_matches(
             symmetry_break=False,
         )
     try:
-        isos = matcher.find_all(budget=budget)
+        images = _images(profile, matcher.find_all(budget=budget))
     except BudgetExceeded as exc:
-        exc.partial = _translate(profile, matcher.t, exc.partial or [])
+        exc.partial = _translate(
+            profile, target, _images(profile, exc.partial or [])
+        )
         raise
-    return _translate(profile, matcher.t, isos)
+    if indexed:
+        context.searches[profile] = images
+    return _translate(profile, target, images)
+
+
+def _images(
+    profile: TemplateProfile, isos: list[Isomorphism]
+) -> list[tuple[int, ...]]:
+    """Each raw mapping's target-vertex tuple (``image[pattern_vertex]``),
+    rewritten to its orbit-canonical representative under the profile's
+    automorphism group, so the reported match does not depend on which
+    orbit member the search happened to reach first — the naive and
+    symmetry-broken paths report byte-identical matches."""
+    automorphisms = profile.automorphisms
+    # A complete mapping, sorted by pattern vertex: position = pv.
+    images = [tuple(tv for _, tv in iso.mapping) for iso in isos]
+    if automorphisms:
+        images = [canonical_image(image, automorphisms) for image in images]
+    return images
 
 
 def _translate(
-    profile: TemplateProfile, target, isos: list[Isomorphism]
+    profile: TemplateProfile, target, images: list[tuple[int, ...]]
 ) -> list[PrimitiveMatch]:
-    """Named, deduplicated matches of raw vertex mappings.
+    """Named, deduplicated matches of canonical images.
 
-    Each mapping is first rewritten to its orbit-canonical
-    representative (under the profile's automorphism group), so the
-    reported match does not depend on which orbit member the search
-    happened to reach first — the naive and symmetry-broken paths
-    report byte-identical matches.  Port predicates are orbit
-    invariants (semantic automorphisms preserve port predicate
-    profiles), so they are checked on the canonical mapping; then
-    duplicates on the same target elements (e.g. a DP arm swap) are
-    dropped, and only the survivors are named and given their
-    constraints.  ``target`` is the matcher's target adjacency.
+    Port predicates are orbit invariants (semantic automorphisms
+    preserve port predicate profiles), so they are checked on the
+    canonical image, against ``target``'s net names; then duplicates on
+    the same target elements (e.g. a DP arm swap) are dropped, and only
+    the survivors are named and given their constraints.
     """
     n_el = profile.n_elements
-    t_n_el = target.n_elements
     t_elements, t_nets = target.elements, target.nets
+    t_n_el = len(t_elements)
     port_checks = profile.port_checks.items()
     seen: set[frozenset[int]] = set()
     matches: list[PrimitiveMatch] = []
-    for iso in isos:
-        # A complete mapping, sorted by pattern vertex: position = pv.
-        image = tuple(tv for _, tv in iso.mapping)
-        if profile.automorphisms:
-            image = canonical_image(image, profile.automorphisms)
+    for image in images:
         if not all(
             predicate(t_nets[image[pv] - t_n_el])
             for pv, predicates in port_checks
@@ -234,6 +254,8 @@ class TemplateStats:
     seconds: float = 0.0
     # Kind-histogram and claimed-device rejections (no VF2 launch).
     skips: int = 0
+    # Answered by the search of an earlier same-shape CCC (no launch).
+    shared: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -241,6 +263,7 @@ class TemplateStats:
             "matches": self.matches,
             "seconds": round(self.seconds, 6),
             "skips": self.skips,
+            "shared": self.shared,
         }
 
 
@@ -249,9 +272,11 @@ class MatchStats:
     """What Postprocessing I's matching cost, per template, over a run.
 
     :func:`annotate_components` adds to it on every call: per template,
-    the VF2 launches, matches found, seconds, and skips (rejected
-    without a launch); the ``ccc_matched`` counter, and
-    ``match_cache_hits`` once a memo answered a template.
+    the VF2 launches, matches found, seconds, skips (rejected without a
+    launch) and shared answers (the search of an earlier CCC of the
+    same shape in the same call); the ``ccc_matched`` counter, and
+    ``match_cache_hits`` once a memo answered a template.  Without a
+    memo, every CCC launches, shares or skips each template once.
     """
 
     templates: dict[str, TemplateStats] = field(default_factory=dict)
@@ -275,25 +300,29 @@ class MatchStats:
 class _Tally:
     """Per-plan-position event counts of one annotation call.
 
-    List increments are the cheapest record a launch or a skip can
-    leave; :meth:`merge_into` folds them into a :class:`MatchStats` by
-    template name once the call ends.
+    List increments are the cheapest record a launch, a shared answer or
+    a skip can leave; :meth:`merge_into` folds them into a
+    :class:`MatchStats` by template name once the call ends.
     """
 
-    __slots__ = ("launches", "matches", "seconds", "skips", "memo_hits")
+    __slots__ = (
+        "launches", "matches", "seconds", "skips", "shared", "memo_hits"
+    )
 
     def __init__(self, n: int):
         self.launches = [0] * n
         self.matches = [0] * n
         self.seconds = [0.0] * n
         self.skips = [0] * n
+        self.shared = [0] * n
         self.memo_hits = 0
 
     def merge_into(self, stats: MatchStats, plan: list[tuple], cccs: int) -> None:
         for position, (template, _, _) in enumerate(plan):
             launches = self.launches[position]
             skips = self.skips[position]
-            if not (launches or skips):
+            shared = self.shared[position]
+            if not (launches or skips or shared):
                 continue  # memo hits only: no per-template entry
             entry = stats.templates.get(template.name)
             if entry is None:
@@ -302,6 +331,7 @@ class _Tally:
             entry.matches += self.matches[position]
             entry.seconds += self.seconds[position]
             entry.skips += skips
+            entry.shared += shared
         counters = stats.counters
         for key, n in (
             ("ccc_matched", cccs),
@@ -377,12 +407,16 @@ def _annotate(
 ) -> AnnotationResult:
     """Largest-first matching and claiming over one target.
 
-    ``target`` supplies the devices (``.elements``); ``context_of()``
-    builds its :class:`TargetContext`, called at the first template
-    that needs a search, so a target answered by the memo or by the
-    kind histogram builds nothing.  The naive path uses the context's
-    signature index only.  ``tally`` counts every launch, skip and memo
-    hit by plan position.
+    ``target`` supplies the devices (``.elements``) and, once
+    ``context_of()`` has returned, the net names (``.nets``) that name
+    its matches.  ``context_of()`` returns its :class:`TargetContext`,
+    called at the first template that needs a search, so a target
+    answered by the memo or by the kind histogram builds nothing.  A
+    template the context has already searched (for an earlier target
+    of the same shape) is named from that search's images instead of
+    searching again.  The naive path uses the context's signature index
+    only, and its contexts record no searches.  ``tally`` counts every
+    launch, shared answer, skip and memo hit by plan position.
 
     On the indexed memo-less claiming path a template is also skipped
     when the devices still unclaimed cannot host its kind histogram —
@@ -401,8 +435,8 @@ def _annotate(
     # target's histogram.
     free = None
     claim_aware = indexed and match_memo is None
-    launches, found, seconds, skips = (
-        tally.launches, tally.matches, tally.seconds, tally.skips
+    launches, found, seconds, skips, shared = (
+        tally.launches, tally.matches, tally.seconds, tally.skips, tally.shared
     )
     hits = 0
     clock = time.perf_counter
@@ -453,17 +487,22 @@ def _annotate(
             if context is None:
                 context = context_of()
             started = clock()
-            matches = find_primitive_matches(
-                template,
-                target,
-                None if indexed else context.index,
-                budget=budget,
-                profile=profile,
-                context=context if indexed else None,
-                indexed=indexed,
-            )
+            images = context.searches.get(profile)
+            if images is None:
+                matches = find_primitive_matches(
+                    template,
+                    target,
+                    None if indexed else context.index,
+                    budget=budget,
+                    profile=profile,
+                    context=context if indexed else None,
+                    indexed=indexed,
+                )
+                launches[position] += 1
+            else:
+                matches = _translate(profile, target, images)
+                shared[position] += 1
             seconds[position] += clock() - started
-            launches[position] += 1
             found[position] += len(matches)
             if match_memo is not None:
                 match_memo[fingerprint] = list(matches)
@@ -491,10 +530,27 @@ def _kinds_coverable(needed: Counter, available: Counter) -> bool:
 
 @dataclass
 class _Members:
-    """The member devices of one CCC, in element order: all a
-    ``match_cache`` reads of it."""
+    """The member devices of one CCC, in element order (all a
+    ``match_cache`` reads of it), and its net names in local order,
+    filled in with its shape's context."""
 
     elements: list
+    nets: list = field(default_factory=list)
+
+
+def _shape_context(
+    shapes: dict[tuple, TargetContext],
+    graph: CircuitGraph,
+    members: list[int],
+    target: _Members,
+) -> TargetContext:
+    """The context ``target``'s shape has in this call, built by the
+    first CCC of that shape; fills in ``target.nets``."""
+    key, target.nets = member_shape(graph, members)
+    context = shapes.get(key)
+    if context is None:
+        context = shapes[key] = TargetContext.build(graph, members)
+    return context
 
 
 def annotate_components(
@@ -513,15 +569,25 @@ def annotate_components(
     bounds every VF2 launch to a handful of vertices and lets the
     kind-histogram test reject most templates per component outright.
     The library's order, profiles and (with a cache) fingerprints are
-    resolved once per call.  On the indexed path a component's
-    :class:`TargetContext` is built in one pass over its members' edges
-    in ``graph``, and only once some template needs a search; no
+    resolved once per call.  On the indexed path each component that
+    needs a search is keyed by its
+    :func:`~repro.primitives.index.member_shape` once some template
+    needs one; components of one shape share one
+    :class:`TargetContext`, built in one pass over the first one's
+    members' edges in ``graph``, and each template's canonical images
+    on it, so a repeated channel is searched once per call.  Each
+    component still checks port predicates on its own net names, and
+    dedups, names, sorts and claims its own matches, so results are
+    those of matching it alone.  The table lives only as long as the
+    call; a search cut short by ``budget`` records nothing.  No
     subgraph is built.  ``indexed=False`` matches the naive reference
-    path against ``graph.subgraph_of_elements(members)``.
+    path against ``graph.subgraph_of_elements(members)``, sharing
+    nothing.
 
     ``stats`` (a :class:`MatchStats`) receives the call's per-template
-    launches, matches, seconds and skips and its counters, also when a
-    budget cuts the call short; without one they are dropped.
+    launches, shared answers, matches, seconds and skips and its
+    counters, also when a budget cuts the call short; without one they
+    are dropped.
 
     ``match_cache`` (a
     :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
@@ -540,13 +606,16 @@ def annotate_components(
     plan = _library_plan(library, keyed=match_cache is not None)
     tally = _Tally(len(plan))
     results: dict[int, AnnotationResult] = {}
+    shapes: dict[tuple, TargetContext] = {}
     cid = -1
     try:
         for cid, members in enumerate(partition.components):
             members = sorted(members)
             if indexed:
                 target = _Members([graph.elements[i] for i in members])
-                context_of = partial(TargetContext.build, graph, members)
+                context_of = partial(
+                    _shape_context, shapes, graph, members, target
+                )
             else:
                 target = graph.subgraph_of_elements(members)
                 context_of = partial(TargetContext.build, target)

@@ -10,16 +10,19 @@ ISSUE 7 acceptance:
   budget raises the typed :class:`TrainingDiverged`;
 * a poison deck in ``run_many`` yields exactly one ``FailureReport``
   while its chunk siblings succeed, and the next ``run_many`` reuses a
-  healthy warm pool.
+  healthy warm pool; under ``on_error="raise"`` it raises the typed
+  :class:`WorkerCrashed` naming the deck.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ from repro.datasets.synth import (
     generate_ota_bias_dataset,
     task_classes,
 )
-from repro.exceptions import GanaError, TrainingDiverged
+from repro.exceptions import GanaError, TrainingDiverged, WorkerCrashed
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.train import FaultTolerance, TrainConfig, evaluate, train
 from repro.runtime import parallel
@@ -243,18 +246,18 @@ def good_decks():
     ]
 
 
-def _arm_poison_parse(monkeypatch):
+def _arm_poison_parse(monkeypatch, status: int = 1):
     """Patch ``parse_netlist`` to hard-kill the worker on the poison
-    deck.  Fork-based workers inherit the patched module state, so the
-    crash happens inside the pool, not in the test process (the parent
-    never parses the poison deck itself)."""
+    deck with exit ``status``.  Fork-based workers inherit the patched
+    module state, so the crash happens inside the pool, not in the test
+    process (the parent never parses the poison deck itself)."""
     import repro.core.pipeline as pipeline_module
 
     real_parse = pipeline_module.parse_netlist
 
     def kill_on_poison(text, **kwargs):
         if "poisonpill" in text:
-            os._exit(1)  # simulated segfault
+            os._exit(status)  # simulated segfault
         return real_parse(text, **kwargs)
 
     monkeypatch.setattr(pipeline_module, "parse_netlist", kill_on_poison)
@@ -327,3 +330,30 @@ class TestPoisonDeckQuarantine:
         assert {
             key: id(pool) for key, pool in parallel._POOLS.items()
         } == warm  # same executor objects served the second clean run
+
+    def test_raise_mode_names_the_poison_deck(self, pipeline, monkeypatch):
+        """Under the default ``on_error="raise"``, a deck that kills its
+        worker raises :class:`WorkerCrashed` with its index and name,
+        chained from the pool's ``BrokenProcessPool``, and the broken
+        pools leave no worker process behind."""
+        _arm_poison_parse(monkeypatch, status=9)
+        shutdown_pools()
+        specs = ota_variants(7, seed="raise-mode-fleet")
+        decks = [
+            write_circuit(generate_ota(spec, name=f"fleet{i}").circuit)
+            for i, spec in enumerate(specs)
+        ]
+        decks.insert(5, POISON_DECK)
+        names = [f"deck{i}" for i in range(len(decks))]
+        with pytest.raises(WorkerCrashed) as info:
+            pipeline.run_many(decks, names=names, workers=2)
+        crash = info.value
+        assert isinstance(crash, GanaError)
+        assert (crash.index, crash.name) == (5, "deck5")
+        assert "deck5" in str(crash)
+        assert isinstance(crash.__cause__, BrokenProcessPool)
+        shutdown_pools()
+        deadline = time.monotonic() + 30
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not multiprocessing.active_children()

@@ -124,9 +124,12 @@ class TestPipelineIntegration:
     def test_every_template_launched_or_skipped_once_per_ccc(
         self, quick_rf_annotator
     ):
-        """Without a match memo, each CCC either launches or skips every
-        template, so a template rejected because its matches could only
-        reuse claimed devices still shows up, as a skip."""
+        """Without a match memo, each CCC launches, shares or skips every
+        template exactly once: a template rejected because its matches
+        could only reuse claimed devices still shows up, as a skip, and
+        one answered by an earlier CCC of the same shape, as shared.
+        The two channels repeat their CCCs, so some answers are shared,
+        and a shared template was launched by its shape's first CCC."""
         from repro.core.pipeline import GanaPipeline
         from repro.datasets.systems import phased_array
 
@@ -139,8 +142,12 @@ class TestPipelineIntegration:
         assert cccs > 1
         per_template = profile["per_template"]
         assert set(per_template) == set(pipeline.library.names())
+        assert any(stats["shared"] for stats in per_template.values())
         for name, stats in per_template.items():
-            assert stats["launches"] + stats["skips"] == cccs, name
+            assert (
+                stats["launches"] + stats["shared"] + stats["skips"] == cccs
+            ), name
+            assert stats["launches"] or not stats["shared"], name
 
     def test_every_run_profile_stages_are_its_rounded_timings(
         self, quick_ota_annotator
