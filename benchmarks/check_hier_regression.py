@@ -1,26 +1,29 @@
-"""CI smoke check: repeated channels must not multiply VF2 searches.
+"""CI smoke check: hier runs match like flat runs, and repeated channels
+must not multiply VF2 searches.
 
 Runs the quick-trained RF pipeline on the hierarchical phased array
 (one ``channel`` subckt definition instantiated N times) in both
-elaboration modes, and fails unless
+elaboration modes, on 2 and on 16 channels, and fails unless
 
 * the ``--hier`` run is byte-identical to the flat run,
-* hier replay answered every interior CCC of every channel but the
-  first (``reused == replayed == interior x 15/16``) with no
-  order-preservation guard failure, and
+* on each size, hier and flat run the same number of VF2 searches (a
+  hier run's Postprocessing I is the flat run's),
+* on each size, the hier report's ``reused`` equals the run profile's
+  ``ccc_shared`` counter,
+* in both modes, the run's searched shapes — ``ccc_matched -
+  ccc_shared``, the CCCs no earlier CCC of the same shape answered —
+  are as many on 16 channels as on 2, and
 * in both modes, going from 2 to 16 channels (8x the channels) grows
   the run's VF2 searches at most ``8 / --factor`` times (default
   factor 2).  A 16-channel run that searched each channel anew would
   grow them about 8x.
 
-Flat annotation shares one search among the same-shape
-channel-connected components of a run, and hier replay shares the
-match sets of one definition's instances, so both pay for a repeated
-channel once.  The ``post1`` (primitive annotation) stage wall-clock of
-both modes is printed for the record, without a floor: with flat runs
-sharing searches too, hier/flat reads about 0.8-1.1x on a 2-vCPU
-host, too close to 1 for a wall-clock floor.  Both modes run without
-an artifact cache.
+Postprocessing I shares one search among the same-shape
+channel-connected components of a run, so a repeated channel is paid
+for once.  The ``post1`` (primitive annotation) stage wall-clock of
+both modes is printed for the record, without a floor: both modes run
+the same matching, so hier/flat reads about 1x.  Both modes run
+without an artifact cache.
 
 With ``--commit`` the measurement also lands in ``BENCH_runtime.json``
 under ``hier_annotation``.
@@ -39,18 +42,21 @@ import time
 
 from _common import load_pipeline, update_bench_json
 
-#: Repeated channel instances — well above 8, so the per-unique-
-#: definition cost (one representative walk) amortizes visibly.
+#: Repeated channel instances — well above 8, so a search per channel
+#: would show as growth.
 N_CHANNELS = 16
-#: The small deck the search count of the large one is held to.
+#: The small deck the counts of the large one are held to.
 BASE_CHANNELS = 2
 
 
-def searches(result) -> int:
-    """VF2 searches a run's Postprocessing I ran."""
-    return sum(
+def match_counts(result) -> tuple[int, int]:
+    """VF2 searches and searched shapes (``ccc_matched - ccc_shared``)
+    of a run's Postprocessing I."""
+    counters = result.profile["counters"]
+    searches = sum(
         entry["launches"] for entry in result.profile["per_template"].values()
     )
+    return searches, counters["ccc_matched"] - counters.get("ccc_shared", 0)
 
 
 def measure(reps: int) -> dict:
@@ -58,25 +64,33 @@ def measure(reps: int) -> dict:
     from repro.datasets.systems import phased_array_hier
 
     pipeline = load_pipeline("rf")
-    netlist, port_labels = phased_array_hier(n_channels=N_CHANNELS)
-    base_netlist, base_labels = phased_array_hier(n_channels=BASE_CHANNELS)
+    decks = {n: phased_array_hier(n_channels=n) for n in (BASE_CHANNELS, N_CHANNELS)}
+    stats = {"n_channels": N_CHANNELS, "base_channels": BASE_CHANNELS}
+    for prefix, n in (("base_", BASE_CHANNELS), ("", N_CHANNELS)):
+        netlist, port_labels = decks[n]
+        flat, hier = (
+            pipeline.run(
+                netlist, port_labels=port_labels, name="pa_hier", hier=mode
+            )
+            for mode in (False, True)
+        )
+        if pipeline_result_fingerprint(flat) != pipeline_result_fingerprint(
+            hier
+        ):
+            raise AssertionError(
+                f"--hier produced a different annotation than the flat "
+                f"path on {n} channels"
+            )
+        for mode, result in (("flat", flat), ("hier", hier)):
+            searches, shapes = match_counts(result)
+            stats[f"{prefix}{mode}_searches"] = searches
+            stats[f"{prefix}{mode}_shapes"] = shapes
+        stats[f"{prefix}reused"] = hier.hier.reused
+        stats[f"{prefix}ccc_shared"] = hier.profile["counters"].get(
+            "ccc_shared", 0
+        )
 
-    # Warm both paths (library match profiles, predicate memos) before
-    # timing anything, and assert byte-identity while at it.
-    flat = pipeline.run(netlist, port_labels=port_labels, name="pa_hier")
-    hier = pipeline.run(
-        netlist, port_labels=port_labels, name="pa_hier", hier=True
-    )
-    if pipeline_result_fingerprint(flat) != pipeline_result_fingerprint(hier):
-        raise AssertionError(
-            "--hier produced a different annotation than the flat path"
-        )
-    base_flat, base_hier = (
-        pipeline.run(
-            base_netlist, port_labels=base_labels, name="pa_hier", hier=mode
-        )
-        for mode in (False, True)
-    )
+    netlist, port_labels = decks[N_CHANNELS]
 
     def timed_post1(hier_mode: bool) -> float:
         result = pipeline.run(
@@ -99,45 +113,48 @@ def measure(reps: int) -> dict:
             hier_s = min(hier_s, timed_post1(True))
     finally:
         gc.enable()
-    report = hier.hier
-    return {
-        "n_channels": N_CHANNELS,
-        "flat_post1_s": round(flat_s, 6),
-        "hier_post1_s": round(hier_s, 6),
-        "speedup": round(flat_s / hier_s, 3),
-        "interior_cccs": report.interior,
-        "reused": report.reused,
-        "replayed": report.replayed,
-        "guard_failures": report.guard_failures,
-        "base_channels": BASE_CHANNELS,
-        "flat_searches": searches(flat),
-        "hier_searches": searches(hier),
-        "base_flat_searches": searches(base_flat),
-        "base_hier_searches": searches(base_hier),
-    }
+    stats.update(
+        flat_post1_s=round(flat_s, 6),
+        hier_post1_s=round(hier_s, 6),
+        speedup=round(flat_s / hier_s, 3),
+    )
+    return stats
 
 
 def failures(stats: dict, factor: float) -> list[str]:
     """Why ``stats`` fails the gate (empty when it passes)."""
     out = []
-    if stats["guard_failures"]:
-        out.append(f"{stats['guard_failures']} hier guard failures")
-    n = stats["n_channels"]
-    replayable = stats["interior_cccs"] * (n - 1)
-    if not (stats["reused"] * n == stats["replayed"] * n == replayable):
-        out.append(
-            f"hier reused {stats['reused']} and replayed "
-            f"{stats['replayed']} of {stats['interior_cccs']} interior CCCs, "
-            f"not every CCC of every channel but the first"
-        )
-    growth = n / stats["base_channels"] / factor
+    n, base = stats["n_channels"], stats["base_channels"]
+    for prefix, size in (("base_", base), ("", n)):
+        flat = stats[f"{prefix}flat_searches"]
+        hier = stats[f"{prefix}hier_searches"]
+        if hier != flat:
+            out.append(
+                f"hier ran {hier} VF2 searches on {size} channels against "
+                f"{flat} flat"
+            )
+        reused = stats[f"{prefix}reused"]
+        shared = stats[f"{prefix}ccc_shared"]
+        if reused != shared:
+            out.append(
+                f"hier reused {reused} CCCs on {size} channels but the "
+                f"profile counts {shared} ccc_shared"
+            )
+    growth = n / base / factor
     for mode in ("flat", "hier"):
         large = stats[f"{mode}_searches"]
         small = stats[f"base_{mode}_searches"]
         if large > growth * small:
             out.append(
                 f"{mode} ran {large} VF2 searches on {n} channels against "
-                f"{small} on {stats['base_channels']} (limit {growth:g}x)"
+                f"{small} on {base} (limit {growth:g}x)"
+            )
+        shapes = stats[f"{mode}_shapes"]
+        base_shapes = stats[f"base_{mode}_shapes"]
+        if shapes != base_shapes:
+            out.append(
+                f"{mode} searched {shapes} CCC shapes on {n} channels "
+                f"against {base_shapes} on {base}"
             )
     return out
 
@@ -168,21 +185,26 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     stats = measure(args.reps)
     elapsed = time.perf_counter() - started
+    base, n = stats["base_channels"], stats["n_channels"]
     print(
-        f"hier annotation ({stats['n_channels']} channels): "
+        f"hier annotation ({n} channels): "
         f"flat post1 {stats['flat_post1_s']:.4f}s vs hier "
         f"{stats['hier_post1_s']:.4f}s -> {stats['speedup']:.2f}x "
-        f"(no floor; reused {stats['reused']}/"
-        f"{stats['interior_cccs']} interior CCCs, "
-        f"{stats['guard_failures']} guard failures; "
-        f"{args.reps} reps/mode in {elapsed:.1f}s)"
+        f"(no floor; {args.reps} reps/mode in {elapsed:.1f}s)"
     )
     print(
-        f"VF2 searches, {stats['base_channels']} -> {stats['n_channels']} "
-        f"channels: flat {stats['base_flat_searches']} -> "
-        f"{stats['flat_searches']}, hier {stats['base_hier_searches']} -> "
-        f"{stats['hier_searches']} (limit "
-        f"{stats['n_channels'] / stats['base_channels'] / args.factor:g}x)"
+        f"VF2 searches, {base} -> {n} channels: "
+        f"flat {stats['base_flat_searches']} -> {stats['flat_searches']}, "
+        f"hier {stats['base_hier_searches']} -> {stats['hier_searches']} "
+        f"(hier = flat; limit {n / base / args.factor:g}x)"
+    )
+    print(
+        f"searched shapes (ccc_matched - ccc_shared), {base} -> {n} "
+        f"channels: flat {stats['base_flat_shapes']} -> "
+        f"{stats['flat_shapes']}, hier {stats['base_hier_shapes']} -> "
+        f"{stats['hier_shapes']}; hier reused {stats['base_reused']} -> "
+        f"{stats['reused']} CCCs, ccc_shared {stats['base_ccc_shared']} -> "
+        f"{stats['ccc_shared']}"
     )
     if args.commit:
         update_bench_json("hier_annotation", stats)

@@ -56,6 +56,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if len(paths) > 1 and args.hier_tree:
+        print("error: --hier-tree takes one deck, not a batch", file=sys.stderr)
+        return 2
     if args.model:
         classes = task_classes(args.task)
         model = GCNModel.load(args.model)
@@ -197,15 +200,15 @@ def _report_staged_stop(args: argparse.Namespace, staged) -> int:
 
 
 def _report_hier_summary(result) -> None:
-    """One stderr line summarizing what ``--hier`` reused, if anything."""
+    """One stderr line summarizing the ``--hier`` report, if any."""
     report = getattr(result, "hier", None)
     if report is None:
         return
     print(
         f"hier: {report.n_instances} instance(s) of "
         f"{report.n_unique_groups} (definition, multiplier) group(s); "
-        f"{report.reused}/{report.interior} interior CCC match sets "
-        f"reused ({report.boundary} boundary)",
+        f"{report.reused} CCC(s) matched from an earlier same-shape "
+        f"CCC's search",
         file=sys.stderr,
     )
 
@@ -451,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     elaboration.add_argument(
         "--hier",
         action="store_true",
-        help="hierarchy-scoped annotation: match each unique subckt "
-        "definition once and replay the results onto every instance "
-        "(byte-identical output, faster on repeated-instance designs)",
+        help="hierarchy-scoped annotation: also record the subckt "
+        "instance tree and report on it (the annotation is the flat "
+        "path's, byte for byte)",
     )
     elaboration.add_argument(
         "--flat",
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hier-tree",
         action="store_true",
         help="with --hier (implied): nest recognized blocks under their "
-        "owning subckt instances in the hierarchy tree",
+        "owning subckt instances in the hierarchy tree (one deck only)",
     )
     strictness = annotate.add_mutually_exclusive_group()
     strictness.add_argument(

@@ -65,6 +65,7 @@ from repro.core.postprocess import (
 )
 from repro.core.stages import (
     Artifact,
+    HierReport,
     PrimitiveMatchCache,
     RunContext,
     StagedRun,
@@ -113,8 +114,7 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
     #: The run's profile (:func:`~repro.core.stages.run_profile`):
     #: ``stages`` (``timings`` rounded to 1 µs), ``per_template`` and
-    #: ``counters`` from Postprocessing I's matching, and on hier runs
-    #: ``definitions`` (``hier.per_definition``); plain dict so it
+    #: ``counters`` from Postprocessing I's matching; plain dict so it
     #: pickles across the ``run_many`` pool and JSON-serializes
     #: unchanged.
     profile: dict = field(default_factory=dict)
@@ -125,10 +125,11 @@ class PipelineResult:
     #: fallback instead.
     degraded: bool = False
     degraded_reason: str | None = None
-    #: Hierarchy-scoped annotation report (``--hier`` runs only):
-    #: definition/instance statistics and reuse counts.  The annotation
-    #: itself is byte-identical to the flat path.
-    hier: "HierReport | None" = None
+    #: Hierarchy report (``--hier`` runs of decks with instances
+    #: only): definition/instance counts and the CCCs matched from an
+    #: earlier same-shape CCC's search.  The annotation itself is the
+    #: flat path's.
+    hier: HierReport | None = None
 
     @property
     def ok(self) -> bool:
@@ -456,10 +457,10 @@ class GanaPipeline:
         as in :meth:`run`.
 
         ``hier`` turns on hierarchy-scoped annotation: flattening also
-        emits a :class:`~repro.spice.flatten.DesignTree`, and
-        Postprocessing I dedupes VF2 matching across repeated subckt
-        instances (byte-identical results; see
-        :mod:`repro.core.hier_annotate`).  ``hier_tree`` (implies
+        emits a :class:`~repro.spice.flatten.DesignTree`, and the
+        result carries a :class:`~repro.core.stages.HierReport` on it;
+        the annotation is the flat run's, whose Postprocessing I
+        already searches each CCC shape once.  ``hier_tree`` (implies
         ``hier``) additionally builds the hierarchy tree from the
         instance table, nesting recognized blocks under their true
         subckt instances — a deliberate output-shape deviation from
@@ -964,19 +965,9 @@ class Post1Stage:
         from repro.graph.ccc import CCCPartition
 
         pipeline = ctx.pipeline
-        tree = upstream.tree
-        hier_cache = None
-        if ctx.hier and tree is not None and tree.instances:
-            from repro.core.hier_annotate import HierMatchCache
-
-            hier_cache = HierMatchCache(tree, artifact_cache=ctx.cache)
-            match_cache = hier_cache
-        else:
-            match_cache = (
-                PrimitiveMatchCache(ctx.cache)
-                if ctx.cache is not None
-                else None
-            )
+        match_cache = (
+            PrimitiveMatchCache(ctx.cache) if ctx.cache is not None else None
+        )
         # The CCC partition depends only on the graph/annotation, not on
         # the library — key it off the upstream (gcn) derivation key so
         # a library-only change reuses it across runs.
@@ -999,10 +990,16 @@ class Post1Stage:
         )
         if partition is None and partition_key is not None:
             ctx.cache.store(partition_key, post1.partition)
-        return {
-            "post1": post1,
-            "hier": hier_cache.finalize() if hier_cache is not None else None,
-        }
+        tree = upstream.tree
+        hier = None
+        if ctx.hier and tree is not None and tree.instances:
+            hier = HierReport(
+                n_definitions=len(tree.definitions),
+                n_instances=len(tree.instances),
+                n_unique_groups=tree.n_unique(),
+                reused=ctx.match_stats.counters.get("ccc_shared", 0),
+            )
+        return {"post1": post1, "hier": hier}
 
 
 class Post2Stage:

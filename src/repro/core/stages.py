@@ -74,7 +74,6 @@ from repro.spice.preprocess import PreprocessReport
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.annotator import Annotation, GcnAnnotator
     from repro.core.constraints import ConstraintSet
-    from repro.core.hier_annotate import HierReport
     from repro.core.hierarchy import HierarchyNode
     from repro.core.postprocess import PostprocessResult
     from repro.graph.features import NetRole
@@ -248,10 +247,44 @@ def annotator_fingerprint(annotator: "GcnAnnotator") -> str:
 #: Version 2: artifacts grew the hierarchy-scoped annotation fields
 #: (``tree``/``hier``) — version-1 pickles predate them.
 #: Version 3: the seven per-stage classes became one :class:`Artifact`.
-ARTIFACT_FORMAT_VERSION = 3
+#: Version 4: ``hier`` became the four-count :class:`HierReport`.
+ARTIFACT_FORMAT_VERSION = 4
 
 #: File suffix used by :meth:`Artifact.save` / :func:`load_artifacts`.
 ARTIFACT_SUFFIX = ".artifact.pkl"
+
+
+@dataclass
+class HierReport:
+    """What a hier run (``run(hier=True)``) knows beyond the flat run.
+
+    Postprocessing I is the flat run's either way; the report holds the
+    :class:`~repro.spice.flatten.DesignTree`'s ``n_definitions``,
+    ``n_instances`` and ``n_unique_groups`` (distinct (definition,
+    multiplier) pairs), and ``reused``: the CCCs whose shape an earlier
+    CCC of the run had already searched (the run's ``ccc_shared``
+    counter), which is how a repeated instance's interior is matched
+    from one search.
+    """
+
+    n_definitions: int = 0
+    n_instances: int = 0
+    n_unique_groups: int = 0
+    reused: int = 0
+
+    @property
+    def replayed(self) -> int:
+        """``reused``, under the name older readers of the report use."""
+        return self.reused
+
+    @property
+    def guard_failures(self) -> int:
+        """Always 0: every CCC names its own matches, so there is no
+        rename guard to fail."""
+        return 0
+
+    def as_dict(self) -> dict[str, int]:
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -297,8 +330,8 @@ class Artifact:
     degraded_reason: str | None = None
     # post1: CCC vote + primitive matching.
     post1: "PostprocessResult | None" = None
-    #: Hierarchy-scoped annotation report (``--hier`` runs only).
-    hier: "HierReport | None" = None
+    #: Hierarchy report (``--hier`` runs of decks with instances only).
+    hier: HierReport | None = None
     # post2: port rules applied.
     post2: "PostprocessResult | None" = None
     # hierarchy: the hierarchy tree + propagated constraints.
@@ -430,8 +463,8 @@ class RunContext:
     #: gcn stage adopts it instead of calling the annotator, so packed
     #: multi-deck forwards slot into the ordinary stage chain.
     gcn_annotation: "Annotation | None" = None
-    #: Hierarchy-scoped annotation (``--hier``): Postprocessing I
-    #: dedupes VF2 across repeated subckt instances via the DesignTree.
+    #: Hierarchy-scoped annotation (``--hier``): flattening also
+    #: records the DesignTree, and post1 reports on it.
     hier: bool = False
     #: Build the hierarchy tree from the instance table (implies the
     #: tree *shape* deviates from the flat path; opt-in).
@@ -690,32 +723,17 @@ def run_profile(ctx: RunContext) -> dict[str, Any]:
 
     ``stages`` is the run's stage seconds, rounded to 1 µs (equal to
     ``round`` of each ``StagedRun.timings()`` value); ``per_template``
-    and ``counters`` are Postprocessing I's :class:`MatchStats`; and a
-    hier run adds ``definitions``, its ``HierReport.per_definition``
-    sorted by seconds, most expensive first.  Plain ``dict``/``float``/
-    ``int``, so it pickles across the batch pool and JSON-serializes
-    unchanged.
+    and ``counters`` are Postprocessing I's :class:`MatchStats`, hier
+    run or not.  Plain ``dict``/``float``/``int``, so it pickles across
+    the batch pool and JSON-serializes unchanged.
     """
-    profile = {
+    return {
         "stages": {
             name.value: round(seconds, 6)
             for name, seconds in ctx.stage_seconds.items()
         },
         **ctx.match_stats.as_dict(),
     }
-    for artifact in ctx.artifacts.values():
-        report = artifact.hier
-        if report is not None and report.per_definition:
-            profile["definitions"] = {
-                name: {**stats, "seconds": round(stats["seconds"], 6)}
-                for name, stats in sorted(
-                    report.per_definition.items(),
-                    key=lambda item: item[1]["seconds"],
-                    reverse=True,
-                )
-            }
-            break
-    return profile
 
 
 # ---------------------------------------------------------------------------

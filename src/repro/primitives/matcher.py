@@ -274,9 +274,11 @@ class MatchStats:
     :func:`annotate_components` adds to it on every call: per template,
     the VF2 launches, matches found, seconds, skips (rejected without a
     launch) and shared answers (the search of an earlier CCC of the
-    same shape in the same call); the ``ccc_matched`` counter, and
-    ``match_cache_hits`` once a memo answered a template.  Without a
-    memo, every CCC launches, shares or skips each template once.
+    same shape in the same call); the ``ccc_matched`` counter,
+    ``ccc_shared`` once a CCC's shape had been searched by an earlier
+    CCC of the call, and ``match_cache_hits`` once a memo answered a
+    template.  Without a memo, every CCC launches, shares or skips each
+    template once.
     """
 
     templates: dict[str, TemplateStats] = field(default_factory=dict)
@@ -306,7 +308,8 @@ class _Tally:
     """
 
     __slots__ = (
-        "launches", "matches", "seconds", "skips", "shared", "memo_hits"
+        "launches", "matches", "seconds", "skips", "shared", "memo_hits",
+        "ccc_shared",
     )
 
     def __init__(self, n: int):
@@ -316,6 +319,7 @@ class _Tally:
         self.skips = [0] * n
         self.shared = [0] * n
         self.memo_hits = 0
+        self.ccc_shared = 0
 
     def merge_into(self, stats: MatchStats, plan: list[tuple], cccs: int) -> None:
         for position, (template, _, _) in enumerate(plan):
@@ -335,6 +339,7 @@ class _Tally:
         counters = stats.counters
         for key, n in (
             ("ccc_matched", cccs),
+            ("ccc_shared", self.ccc_shared),
             ("match_cache_hits", self.memo_hits),
         ):
             if n:
@@ -423,8 +428,7 @@ def _annotate(
     ``accept`` would reject every match it found — and matching stops
     once every device is claimed; ``tally`` counts both as skips.
     With a memo, raw lists must stay complete (library-change reuse
-    and hier replay depend on them), so every template the memo lacks
-    is searched.
+    depends on them), so every template the memo lacks is searched.
     """
     result = AnnotationResult()
     claimed: set[str] = set()
@@ -540,16 +544,20 @@ class _Members:
 
 def _shape_context(
     shapes: dict[tuple, TargetContext],
+    tally: _Tally,
     graph: CircuitGraph,
     members: list[int],
     target: _Members,
 ) -> TargetContext:
     """The context ``target``'s shape has in this call, built by the
-    first CCC of that shape; fills in ``target.nets``."""
+    first CCC of that shape (``tally`` counts every later one as
+    ``ccc_shared``); fills in ``target.nets``."""
     key, target.nets = member_shape(graph, members)
     context = shapes.get(key)
     if context is None:
         context = shapes[key] = TargetContext.build(graph, members)
+    else:
+        tally.ccc_shared += 1
     return context
 
 
@@ -614,7 +622,7 @@ def annotate_components(
             if indexed:
                 target = _Members([graph.elements[i] for i in members])
                 context_of = partial(
-                    _shape_context, shapes, graph, members, target
+                    _shape_context, shapes, tally, graph, members, target
                 )
             else:
                 target = graph.subgraph_of_elements(members)

@@ -337,24 +337,6 @@ class ArtifactCache:
         except OSError:
             return False
 
-    def invalidate_prefix(self, prefix: str) -> int:
-        """Delete every entry whose key starts with ``prefix``.
-
-        Definition-keyed sub-entries (``hier-matches-def-<fp12>-…``)
-        make targeted invalidation possible: sweeping the prefix of one
-        definition fingerprint drops exactly that definition's shared
-        match entries and nothing else.  Returns the number removed.
-        """
-        removed = 0
-        for path in self.entries():
-            if path.name.startswith(prefix):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""
         removed = 0

@@ -18,9 +18,8 @@ parameter-resolved, port-ordered content fingerprint, hashed once per
 definition via :func:`definition_fingerprints`) and one
 :class:`InstanceRecord` per elaborated instance (path → definition,
 accumulated multiplier, resolved port bindings), recorded in the same
-single elaboration pass.  The tree is what the hierarchy-scoped
-annotation path (:mod:`repro.core.hier_annotate`) uses to run VF2 once
-per unique definition and replay the match lists per call site.
+single elaboration pass.  ``run(hier=True)`` reports on the tree, and
+``hier_tree`` nests recognized blocks under the instances it lists.
 """
 
 from __future__ import annotations

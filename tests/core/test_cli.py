@@ -277,7 +277,7 @@ x1 a1 b1 c1 d1 otacell m=2
 
 class TestHierOutput:
     def test_hier_json_and_summary(self, tmp_path, quick_model, capsys):
-        from repro.core.hier_annotate import HierReport
+        from repro.core.stages import HierReport
 
         deck = tmp_path / "otacells.sp"
         deck.write_text(OTACELL_MULTIPLIER_DECK)
@@ -298,6 +298,21 @@ class TestHierOutput:
 
         assert main(argv + ["--flat"]) == 0
         assert json.loads(capsys.readouterr().out)["hier"] is None
+
+    def test_hier_tree_refuses_a_batch(
+        self, tmp_path, deck_path, quick_model, capsys
+    ):
+        other = tmp_path / "otacells.sp"
+        other.write_text(OTACELL_MULTIPLIER_DECK)
+        capsys.readouterr()  # drop the train command's output
+        code = main(
+            ["annotate", str(deck_path), str(other), "--task", "ota",
+             "--model", str(quick_model), "--hier-tree"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --hier-tree takes one deck, not a batch\n"
 
 
 class TestBatchJson:

@@ -1,11 +1,10 @@
-"""Hierarchy-scoped annotation (ISSUE 9).
+"""Hierarchy-scoped annotation.
 
 Golden byte-identity: the ``--hier`` path must produce exactly the
-annotation the flat path computes on every example netlist — repeated
-instances only make it faster, never different.  Plus: the
-HierMatchCache reuse/replay machinery, definition-keyed persistence
-and invalidation, one GCN forward, one elaboration and one graph build
-per run, and the instance-table hierarchy mode.
+annotation the flat path computes on every example netlist.  Plus: hier
+and flat runs do the same matching (same per-template counts, same
+match-cache entries), the hier report, one GCN forward, one elaboration
+and one graph build per run, and the instance-table hierarchy mode.
 """
 
 from __future__ import annotations
@@ -17,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import GanaPipeline
-from repro.core.stages import pipeline_result_fingerprint
+from repro.core.stages import StageName, pipeline_result_fingerprint
 from repro.datasets.systems import phased_array, phased_array_hier
 from repro.graph.bipartite import CircuitGraph
+from repro.primitives import matcher
 from repro.runtime.cache import ArtifactCache
-from repro.spice.flatten import flatten_hierarchical
+from repro.spice.flatten import SEP
 from repro.spice.parser import parse_netlist
 from tests.conftest import HIERARCHICAL_DECK
 from tests.core.test_stages import (
@@ -111,33 +111,39 @@ class TestExampleNetlistIdentity:
         _assert_results_equivalent(hier, flat)
 
 
+def _match_counts(result) -> dict:
+    """Per template: VF2 launches, shared answers and skips."""
+    return {
+        name: (stats["launches"], stats["shared"], stats["skips"])
+        for name, stats in result.profile["per_template"].items()
+    }
+
+
 class TestHierReport:
     def test_flat_run_has_no_report(self, ota_pipeline):
         assert ota_pipeline.run(OTA_ARRAY_DECK).hier is None
 
     def test_reuse_on_repeated_instances(self, ota_pipeline):
-        report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
+        result = ota_pipeline.run(OTA_ARRAY_DECK, hier=True)
+        report = result.hier
         assert report is not None
+        assert report.n_definitions == 1
         assert report.n_instances == 3
         assert report.n_unique_groups == 1
         assert report.reused > 0
-        assert report.replayed > 0
+        assert report.reused == result.profile["counters"]["ccc_shared"]
+        # Read-only names kept for older readers of the report.
+        assert report.replayed == report.reused
         assert report.guard_failures == 0
-        assert report.interior + report.boundary == report.cccs
-
-    def test_per_definition_attribution(self, ota_pipeline):
-        report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
-        assert "otacell" in report.per_definition
-        stats = report.per_definition["otacell"]
-        assert stats["instances"] == 3
-        assert stats["reused"] > 0
 
     def test_as_dict_round_trips_counts(self, ota_pipeline):
         report = ota_pipeline.run(OTA_ARRAY_DECK, hier=True).hier
-        data = report.as_dict()
-        assert data["reused"] == report.reused
-        assert data["replayed"] == report.replayed
-        assert data["per_definition"]["otacell"]["instances"] == 3
+        assert report.as_dict() == {
+            "n_definitions": 1,
+            "n_instances": 3,
+            "n_unique_groups": 1,
+            "reused": report.reused,
+        }
 
     def test_flat_deck_degrades_gracefully(self, ota_pipeline):
         # No instances → the hier flag is a no-op, not an error.
@@ -148,49 +154,98 @@ class TestHierReport:
         _assert_results_equivalent(hier, flat)
 
 
-class TestDefinitionKeyedPersistence:
+class TestSameMatching:
+    """A hier run's Postprocessing I is the flat run's, count for count."""
+
+    def test_ota_array(self, ota_pipeline):
+        hier = ota_pipeline.run(OTA_ARRAY_DECK, hier=True)
+        flat = ota_pipeline.run(OTA_ARRAY_DECK)
+        assert _match_counts(hier) == _match_counts(flat)
+        assert hier.profile["counters"] == flat.profile["counters"]
+
+    @pytest.mark.parametrize("n_channels", [2, 16])
+    def test_phased_array_hier(self, rf_pipeline, n_channels):
+        netlist, port_labels = phased_array_hier(n_channels=n_channels)
+        hier = rf_pipeline.run(netlist, port_labels=port_labels, hier=True)
+        flat = rf_pipeline.run(netlist, port_labels=port_labels)
+        assert _match_counts(hier) == _match_counts(flat)
+        assert hier.profile["counters"] == flat.profile["counters"]
+        assert hier.hier.reused == hier.profile["counters"]["ccc_shared"] > 0
+
+
+#: Two cell definitions: the OTA array's three ``otacell`` instances
+#: plus two of a ``mirror`` cell.  No channel crosses a cell, so every
+#: CCC belongs to one instance (or to the top level).
+TWO_CELL_DECK = OTA_ARRAY_DECK.replace(
+    ".end\n",
+    """.subckt mirror ref out
+m0 ref ref gnd! gnd! nmos w=5u l=100n
+m1 out ref gnd! gnd! nmos w=5u l=100n
+m2 out out vdd! vdd! pmos w=5u l=100n
+.ends
+xm0 r0 o0 mirror
+xm1 r1 o1 mirror
+.end
+""",
+)
+
+
+class TestMatchCachePersistence:
+    """Hier runs keep the flat run's per-CCC match entries."""
+
     def test_warm_run_hits_persisted_entries(self, ota_pipeline, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         cold = ota_pipeline.run_staged(
             OTA_ARRAY_DECK, hier=True, artifact_cache=cache
         )
         # Force post1 to recompute while keeping the persisted match
-        # entries: drop everything except the hier-matches entries
+        # entries: drop everything except the per-CCC match entries
         # (stage-artifact keys are bare content hashes).
         removed = 0
         for path in cache.directory.glob("*.pkl"):
-            if not path.name.startswith("hier-matches"):
+            if not path.name.startswith("ccc-matches"):
                 path.unlink()
                 removed += 1
         assert removed > 0
         warm = ota_pipeline.run_staged(
             OTA_ARRAY_DECK, hier=True, artifact_cache=cache
         )
-        report = warm.final.hier
-        assert report.persisted_hits > 0
+        assert StageName.POST1 not in warm.cache_hits
+        counters = warm.profile["counters"]
+        per_template = warm.profile["per_template"]
+        assert sum(stats["launches"] for stats in per_template.values()) == 0
+        assert counters["match_cache_hits"] == counters["ccc_matched"] * len(
+            ota_pipeline.library.names()
+        )
         assert pipeline_result_fingerprint(
             ota_pipeline.result_from_staged(warm)
         ) == pipeline_result_fingerprint(ota_pipeline.result_from_staged(cold))
 
-    def test_invalidate_one_definition(self, ota_pipeline, tmp_path):
+    def test_cell_edit_searches_only_its_shapes(
+        self, ota_pipeline, tmp_path, monkeypatch
+    ):
         cache = ArtifactCache(tmp_path / "cache")
-        ota_pipeline.run_staged(OTA_ARRAY_DECK, hier=True, artifact_cache=cache)
-        _flat, tree = flatten_hierarchical(parse_netlist(OTA_ARRAY_DECK))
-        fp = tree.definitions["otacell"].fingerprint
-        prefix = f"hier-matches-def-{fp[:12]}"
-        entries = list(cache.directory.glob(f"{prefix}*"))
-        assert entries, "definition-scoped entries were persisted"
-        removed = cache.invalidate_prefix(prefix)
-        assert removed == len(entries)
-        assert not list(cache.directory.glob(f"{prefix}*"))
+        ota_pipeline.run(TWO_CELL_DECK, hier=True, artifact_cache=cache)
+        edited = TWO_CELL_DECK.replace("w=5u", "w=6u")
+        assert edited != TWO_CELL_DECK
 
-    def test_body_edit_changes_entry_keys(self, tmp_path):
-        edited = OTA_ARRAY_DECK.replace("w=2u", "w=3u")
-        _f1, tree1 = flatten_hierarchical(parse_netlist(OTA_ARRAY_DECK))
-        _f2, tree2 = flatten_hierarchical(parse_netlist(edited))
-        fp1 = tree1.definitions["otacell"].fingerprint
-        fp2 = tree2.definitions["otacell"].fingerprint
-        assert fp1 != fp2  # old entries become unreachable, sweepable
+        searched = set()
+        original = matcher.find_primitive_matches
+
+        def recording(template, target, *args, **kwargs):
+            searched.update(dev.name.split(SEP)[0] for dev in target.elements)
+            return original(template, target, *args, **kwargs)
+
+        monkeypatch.setattr(matcher, "find_primitive_matches", recording)
+        warm = ota_pipeline.run(edited, hier=True, artifact_cache=cache)
+        # Only the edited cell's shapes are searched, once for both
+        # instances; the unedited cell and the glue come from the cache.
+        assert searched == {"xm0"}
+        monkeypatch.undo()
+        fresh = ota_pipeline.run(edited, hier=True)
+        assert pipeline_result_fingerprint(warm) == pipeline_result_fingerprint(
+            fresh
+        )
 
 
 def _nested_chain_deck(depth: int) -> str:
@@ -306,24 +361,27 @@ class TestRailConventions:
     ):
         import re
 
-        from repro.core import hier_annotate as ha
         from repro.spice import netlist
 
-        ha._PRED_PROFILE_MEMO.clear()
         monkeypatch.setattr(
             netlist,
             "SUPPLY_NET_RE",
             re.compile(r"^(vdd[!]?|railx)$", re.IGNORECASE),
         )
-        ota_pipeline.run(RAIL_DEPENDENT_DECK, hier=True)
-        custom_profile = ha._PRED_PROFILE_MEMO["railx"]
+        custom = ota_pipeline.run(RAIL_DEPENDENT_DECK, hier=True)
+        assert pipeline_result_fingerprint(custom) == pipeline_result_fingerprint(
+            ota_pipeline.run(RAIL_DEPENDENT_DECK)
+        )
 
         monkeypatch.undo()
         hier = ota_pipeline.run(RAIL_DEPENDENT_DECK, hier=True)
-        assert ha._PRED_PROFILE_MEMO.get("railx") != custom_profile
         flat = ota_pipeline.run(RAIL_DEPENDENT_DECK)
         assert pipeline_result_fingerprint(hier) == pipeline_result_fingerprint(
             flat
+        )
+        # The rails decide the answer, so a stale one would show.
+        assert pipeline_result_fingerprint(hier) != pipeline_result_fingerprint(
+            custom
         )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import hier_annotate, stages
+from repro.core import stages
 from repro.core.pipeline import GanaPipeline
 from repro.core.stages import pipeline_result_fingerprint
 from repro.primitives import index, library
@@ -19,14 +19,11 @@ from repro.spice.writer import write_netlist
 from repro.testing.generator import GenConfig, generate_deck
 
 #: Larger hierarchies than the generator default, so the 200 decks
-#: carry more distinct net names than the predicate-profile cap.
+#: carry more distinct net names than the power-net memo's cap.
 CONFIG = GenConfig(max_subckts=4, max_instances=8)
 
 #: Memos bounded by a size cap: (module, memo, cap).
-SIZED = (
-    (netlist, "_POWER_NET_MEMO", "_POWER_NET_MEMO_MAX"),
-    (hier_annotate, "_PRED_PROFILE_MEMO", "_PRED_PROFILE_MEMO_MAX"),
-)
+SIZED = ((netlist, "_POWER_NET_MEMO", "_POWER_NET_MEMO_MAX"),)
 
 #: Identity-keyed memos: one entry per live annotator or template.
 KEYED = (
@@ -64,14 +61,6 @@ def _own_names(text: str, tag: int) -> str:
     return write_netlist(deck)
 
 
-def _hier_counts(result) -> dict:
-    """The run's hier report without its wall-clock seconds."""
-    report = result.hier.as_dict()
-    for stats in report["per_definition"].values():
-        del stats["seconds"]
-    return report
-
-
 def _clear_all_memos() -> None:
     for module, name, _cap in SIZED:
         getattr(module, name).clear()
@@ -83,7 +72,7 @@ def _clear_all_memos() -> None:
 def test_memos_stay_bounded_and_never_change_a_result(
     quick_ota_annotator, monkeypatch
 ):
-    for module, name, _cap in SIZED[1:]:
+    for module, name, _cap in SIZED:
         monkeypatch.setattr(module, name, _Recording())
     pipeline = GanaPipeline(annotator=quick_ota_annotator)
     keyed_bound = None
@@ -100,13 +89,12 @@ def test_memos_stay_bounded_and_never_change_a_result(
                 assert pipeline_result_fingerprint(
                     result
                 ) == pipeline_result_fingerprint(fresh), (seed, hier)
-                if result.hier is not None:
-                    assert _hier_counts(result) == _hier_counts(fresh), seed
+                assert result.hier == fresh.hier, seed
         sizes = {name: len(getattr(module, name)) for module, name in KEYED}
         if keyed_bound is None:
             keyed_bound = sizes
         for name, size in sizes.items():
             assert size <= keyed_bound[name], name
-    # Without its cap, the predicate memo would have outgrown it.
-    for module, name, cap in SIZED[1:]:
+    # Without its cap, the power-net memo would have outgrown it.
+    for module, name, cap in SIZED:
         assert len(getattr(module, name).seen) > getattr(module, cap), name

@@ -2,18 +2,14 @@
 
 The staged runner builds ``PipelineResult.profile`` from what the run
 already records (:func:`repro.core.stages.run_profile`): its stage
-seconds, Postprocessing I's per-template :class:`MatchStats`, and on
-hier runs its ``HierReport.per_definition``.  These tests pin the
-collector's accumulation semantics, the seconds-descending report
-ordering and rounding, and the profile of real runs.
+seconds and Postprocessing I's per-template :class:`MatchStats`, flat
+or hier.  These tests pin the collector's accumulation semantics, the
+seconds-descending report ordering and rounding, and the profile of
+real runs.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
-from repro.core.hier_annotate import HierReport
-from repro.core.stages import RunContext, StageName, run_profile
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.ccc import channel_connected_components
 from repro.primitives.library import default_library
@@ -65,8 +61,25 @@ class TestTemplateStats:
         stats = MatchStats()
         first = _match_into(stats, DIFF_OTA_DECK)
         second = _match_into(stats, "r1 a b 1k\n.end\n")
-        # Memo-less calls hit no memo: the counter is absent, not 0.
+        # Memo-less calls hit no memo, and no two of these CCCs share a
+        # shape: those counters are absent, not 0.
         assert stats.counters == {"ccc_matched": first + second}
+
+    def test_ccc_shared_counts_later_ccc_of_a_searched_shape(self):
+        # Two differential pairs on their own tails: two CCCs, one shape.
+        stats = MatchStats()
+        _match_into(
+            stats,
+            "m1 o1 i1 t1 gnd! nmos\nm2 o2 i2 t1 gnd! nmos\n"
+            "m3 o3 i3 t2 gnd! nmos\nm4 o4 i4 t2 gnd! nmos\n.end\n",
+        )
+        assert stats.counters == {"ccc_matched": 2, "ccc_shared": 1}
+        searched = {
+            name: (entry.launches, entry.shared)
+            for name, entry in stats.templates.items()
+            if entry.launches or entry.shared
+        }
+        assert searched == {"DP-N": (1, 1)}
 
 
 class TestReporting:
@@ -83,30 +96,18 @@ class TestReporting:
         # Seconds are rounded to 1 µs at report time.
         assert per_template["mid"]["seconds"] == 0.123457
 
-    def test_definitions_key_absent_when_flat_run(self, quick_ota_annotator):
+    def test_profile_sections_are_the_same_in_both_modes(
+        self, quick_ota_annotator
+    ):
         from repro.core.pipeline import GanaPipeline
+        from tests.conftest import EXAMPLE_DECK_PATHS
 
+        (deck,) = [p for p in EXAMPLE_DECK_PATHS if p.stem == "ota_array"]
         pipeline = GanaPipeline(annotator=quick_ota_annotator)
-        profile = pipeline.run(DIFF_OTA_DECK).profile
-        assert list(profile) == ["stages", "per_template", "counters"]
-
-    def test_definitions_sorted_by_seconds_descending(self):
-        report = HierReport(
-            per_definition={
-                "cold": {"instances": 1, "cccs": 1, "reused": 0, "seconds": 0.1},
-                "hot": {"instances": 2, "cccs": 4, "reused": 2, "seconds": 1.5000004},
-            }
-        )
-        ctx = RunContext(stage_seconds={StageName.POST1: 0.25})
-        ctx.artifacts[StageName.POST1] = SimpleNamespace(hier=report)
-        definitions = run_profile(ctx)["definitions"]
-        assert list(definitions) == ["hot", "cold"]
-        assert definitions["hot"] == {
-            "instances": 2,
-            "cccs": 4,
-            "reused": 2,
-            "seconds": 1.5,
-        }
+        for hier in (False, True):
+            result = pipeline.run(deck.read_text(), hier=hier)
+            assert (result.hier is not None) == hier
+            assert list(result.profile) == ["stages", "per_template", "counters"]
 
 
 class TestPipelineIntegration:
@@ -143,6 +144,7 @@ class TestPipelineIntegration:
         per_template = profile["per_template"]
         assert set(per_template) == set(pipeline.library.names())
         assert any(stats["shared"] for stats in per_template.values())
+        assert 0 < profile["counters"]["ccc_shared"] < cccs
         for name, stats in per_template.items():
             assert (
                 stats["launches"] + stats["shared"] + stats["skips"] == cccs
@@ -159,23 +161,3 @@ class TestPipelineIntegration:
         assert result.profile["stages"] == {
             k: round(v, 6) for k, v in result.timings.items()
         }
-
-    def test_hier_run_profile_definitions_are_its_hier_report(
-        self, quick_ota_annotator
-    ):
-        from repro.core.pipeline import GanaPipeline
-        from tests.conftest import EXAMPLE_DECK_PATHS
-
-        (deck,) = [p for p in EXAMPLE_DECK_PATHS if p.stem == "ota_array"]
-        pipeline = GanaPipeline(annotator=quick_ota_annotator)
-        result = pipeline.run(deck.read_text(), hier=True)
-        per_definition = result.hier.per_definition
-        assert per_definition
-        assert result.profile["definitions"] == {
-            name: {**stats, "seconds": round(stats["seconds"], 6)}
-            for name, stats in per_definition.items()
-        }
-        # Most expensive definition first.
-        seconds = [s["seconds"] for s in result.profile["definitions"].values()]
-        assert seconds == sorted(seconds, reverse=True)
-
