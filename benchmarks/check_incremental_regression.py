@@ -5,12 +5,14 @@ with *only the primitive library changed*.  The warm run must
 
 * reuse the cached parse/preprocess/graph/GCN artifacts (the library
   fingerprint only enters the key chain at Postprocessing I),
-* answer every (CCC, template) pair of the recomputed post1 stage from
-  the primitive-match cache: no VF2 search, and exactly
-  ``ccc_matched x len(default_library())`` match-cache hits, and
+* recompute post1 exactly as a run without a cache does: the same
+  per-template VF2 launches, shared answers and skips, and the same
+  ``pipeline_result_fingerprint``, as a cache-less run of the deck with
+  ``default_library()``, and
 * finish at least ``--factor`` times faster than the cold run (default
-  3x).  The cold run searches each CCC shape once per run, so this
-  ratio reads lower than before that change with no slower warm run.
+  3x).  Every run searches each CCC shape once and the cache stores
+  whole stages only, so the warm run recomputes post1 in full, and on
+  a 2-vCPU host the ratio reads about 1.5x.
 
 The measured cold/warm wall-clock lands in ``BENCH_runtime.json``
 under ``staged_incremental``.
@@ -70,7 +72,7 @@ def measure(reps: int) -> dict:
 
         warm_seconds = float("inf")
         reused: tuple[str, ...] = ()
-        warm_searches = match_cache_hits = ccc_matched = 0
+        warm_runs = []
         for _ in range(reps):
             for entry in cache.entries():
                 if entry not in baseline_entries:
@@ -84,23 +86,41 @@ def measure(reps: int) -> dict:
             )
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
             reused = tuple(s.value for s in warm.cache_hits)
-            counters = warm.profile["counters"]
-            warm_searches = sum(
-                entry["launches"] for entry in warm.profile["per_template"].values()
-            )
-            match_cache_hits = counters.get("match_cache_hits", 0)
-            ccc_matched = counters.get("ccc_matched", 0)
+            warm_runs.append(matching(warm_pipe.result_from_staged(warm)))
 
+    # The one-path reference: the same deck and library, no cache.
+    reference = matching(
+        warm_pipe.run(
+            system.circuit, port_labels=system.port_labels, name=system.name
+        )
+    )
     return {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "speedup": cold_seconds / max(warm_seconds, 1e-9),
         "reused_stages": sorted(reused),
-        "warm_searches": warm_searches,
-        "match_cache_hits": match_cache_hits,
-        "expected_hits": ccc_matched * len(default_library()),
+        "warm_searches": searches(warm_runs[-1][0]),
+        "cacheless_searches": searches(reference[0]),
+        "same_as_cacheless": all(run == reference for run in warm_runs),
         "change": "primitive library extended->default, deck unchanged",
     }
+
+
+def matching(result) -> tuple[dict, str]:
+    """Post1's per-template (VF2 launches, shared answers, skips) and
+    the result fingerprint: what a cached run must share with a
+    cache-less one."""
+    from repro.core.stages import pipeline_result_fingerprint
+
+    counts = {
+        name: (entry["launches"], entry["shared"], entry["skips"])
+        for name, entry in result.profile["per_template"].items()
+    }
+    return counts, pipeline_result_fingerprint(result)
+
+
+def searches(counts: dict) -> int:
+    return sum(launches for launches, _, _ in counts.values())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,10 +148,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         "staged incremental: cold {cold_seconds:.4f}s vs warm "
         "{warm_seconds:.4f}s ({speedup:.2f}x, limit {factor:.1f}x); "
-        "reused: {reused}; warm post1: {warm_searches} VF2 searches, "
-        "{match_cache_hits}/{expected_hits} match-cache hits".format(
+        "reused: {reused}; warm post1: {warm_searches} VF2 searches vs "
+        "{cacheless_searches} cache-less, same counts and result: {same}".format(
             factor=args.factor,
             reused=", ".join(stats["reused_stages"]) or "none",
+            same="yes" if stats["same_as_cacheless"] else "NO",
             **{
                 k: stats[k]
                 for k in (
@@ -139,8 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                     "warm_seconds",
                     "speedup",
                     "warm_searches",
-                    "match_cache_hits",
-                    "expected_hits",
+                    "cacheless_searches",
                 )
             },
         )
@@ -157,18 +177,12 @@ def main(argv: list[str] | None = None) -> int:
             f"— a changed library must invalidate them"
         )
         return 1
-    if stats["warm_searches"]:
+    if not stats["same_as_cacheless"]:
         print(
-            f"FAIL: warm post1 ran {stats['warm_searches']} VF2 searches "
-            f"— every (CCC, template) pair should come from the match cache"
-        )
-        return 1
-    if not stats["expected_hits"] or (
-        stats["match_cache_hits"] != stats["expected_hits"]
-    ):
-        print(
-            f"FAIL: warm post1 hit the match cache {stats['match_cache_hits']} "
-            f"times, not once per CCC and template ({stats['expected_hits']})"
+            "FAIL: warm post1 differs from a cache-less run with the same "
+            "library (per-template launches/shared/skips or result "
+            "fingerprint) — a cached run must match exactly like an "
+            "uncached one"
         )
         return 1
     if stats["speedup"] < args.factor:

@@ -66,7 +66,6 @@ from repro.core.postprocess import (
 from repro.core.stages import (
     Artifact,
     HierReport,
-    PrimitiveMatchCache,
     RunContext,
     StagedRun,
     StagedRunner,
@@ -945,7 +944,7 @@ class GcnStage:
 
 
 class Post1Stage:
-    """``post1``: CCC vote + primitive matching (match-cache aware)."""
+    """``post1``: CCC vote + primitive matching."""
 
     name = StageName.POST1
 
@@ -965,9 +964,6 @@ class Post1Stage:
         from repro.graph.ccc import CCCPartition
 
         pipeline = ctx.pipeline
-        match_cache = (
-            PrimitiveMatchCache(ctx.cache) if ctx.cache is not None else None
-        )
         # The CCC partition depends only on the graph/annotation, not on
         # the library — key it off the upstream (gcn) derivation key so
         # a library-only change reuses it across runs.
@@ -986,7 +982,6 @@ class Post1Stage:
             partition=partition,
             detect_bpf=pipeline.detect_bpf,
             stats=ctx.match_stats,
-            match_cache=match_cache,
         )
         if partition is None and partition_key is not None:
             ctx.cache.store(partition_key, post1.partition)

@@ -370,7 +370,6 @@ def postprocess_ccc(
     absorb_orphans: bool = True,
     stats: MatchStats | None = None,
     indexed: bool = True,
-    match_cache=None,
 ) -> PostprocessResult:
     """Postprocessing I: CCC vote, primitive annotation, stand-alone
     separation, BPF detection.  Returns a new annotation.
@@ -383,10 +382,9 @@ def postprocess_ccc(
     receives the per-template matching statistics; ``indexed=False``
     selects the naive reference matcher (see
     :mod:`repro.primitives.matcher`) — the annotation is identical
-    either way.  ``match_cache`` (a
-    :class:`repro.core.stages.PrimitiveMatchCache`) reuses per-CCC,
-    per-template VF2 results across runs — the annotation is, again,
-    identical with or without it.
+    either way.  Matching keeps nothing across calls, so a run with an
+    artifact cache recomputes this stage with the same searches as a
+    run without one.
     """
     annotation = annotation.copy()
     graph = annotation.graph
@@ -410,7 +408,6 @@ def postprocess_ccc(
         library,
         stats=stats,
         indexed=indexed,
-        match_cache=match_cache,
     )
     ds_drivers = (
         _ds_drivers(graph, partition) if detect_bpf and rf_vocab else None

@@ -34,9 +34,8 @@ and the stage's config fingerprint, never of artifact *contents*.  A
 fully-warm run therefore probes keys as pure string hashing and
 deserializes exactly one artifact (the furthest hit); a run where only
 the primitive library changed reuses parse/preprocess/graph/gcn
-artifacts and recomputes from Postprocessing I — with
-:class:`PrimitiveMatchCache` additionally reusing per-template VF2
-results for every template that survived the library change.
+artifacts and recomputes from Postprocessing I, which matches exactly
+as a run without a cache does: no per-CCC match result outlives a run.
 
 Concrete stage implementations live in :mod:`repro.core.pipeline`
 (which owns the pipeline configuration they close over); this module
@@ -63,12 +62,7 @@ from repro.primitives.matcher import MatchStats
 from repro.runtime.cache import ArtifactCache, Memo, atomic_write
 from repro.runtime.resilience import Diagnostic
 from repro.runtime.resilience import stage as stage_guard
-from repro.spice.netlist import (
-    Circuit,
-    Netlist,
-    rail_conventions,
-    reset_power_net_memo,
-)
+from repro.spice.netlist import Circuit, Netlist, reset_power_net_memo
 from repro.spice.preprocess import PreprocessReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hierarchy import HierarchyNode
     from repro.core.postprocess import PostprocessResult
     from repro.graph.features import NetRole
-    from repro.primitives.matcher import PrimitiveMatch
     from repro.spice.flatten import DesignTree
 
 
@@ -734,57 +727,6 @@ def run_profile(ctx: RunContext) -> dict[str, Any]:
         },
         **ctx.match_stats.as_dict(),
     }
-
-
-# ---------------------------------------------------------------------------
-# Sub-stage incremental recompute: the primitive-match cache
-# ---------------------------------------------------------------------------
-
-#: Bumped when matching semantics change (predicates, canonical order…).
-MATCH_CACHE_VERSION = 1
-
-
-class PrimitiveMatchCache:
-    """Per-CCC-subgraph, per-template VF2 match memo.
-
-    Postprocessing I matches every library template against every
-    channel-connected component's induced subgraph.  The raw match list
-    of one (subgraph, template) pair is independent of the rest of the
-    library (overlap claiming happens later, largest-first), so it is
-    keyed by subgraph content + template fingerprint and reused across
-    runs: after a library change, only templates actually *new* to the
-    library pay for VF2 — the incremental-recompute half of the staged
-    architecture below stage granularity.
-
-    Entries live in the same :class:`~repro.runtime.cache.ArtifactCache`
-    as stage artifacts, one pickle per subgraph holding a
-    ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict.
-    """
-
-    def __init__(self, cache: ArtifactCache):
-        self._cache = cache
-
-    @staticmethod
-    def subgraph_key(component) -> str:
-        """Content key of a CCC: its member devices (``.elements``, in
-        element order) under the current rail conventions, which decide
-        the port predicates its matches passed.
-
-        ``repr`` of the element dataclasses is deterministic (strings,
-        enums, floats, tuples) and an order of magnitude faster than
-        the generic walker — this runs once per CCC per run.
-        """
-        raw = repr((tuple(component.elements), rail_conventions()))
-        digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()[:32]
-        return f"ccc-matches-v{MATCH_CACHE_VERSION}-{digest}"
-
-    def load(self, key: str) -> "dict[str, list[PrimitiveMatch]]":
-        """The stored template→matches dict for ``key`` (empty on miss)."""
-        value = self._cache.load(key)
-        return value if isinstance(value, dict) else {}
-
-    def store(self, key: str, memo: "dict[str, list[PrimitiveMatch]]") -> None:
-        self._cache.store(key, dict(memo))
 
 
 # ---------------------------------------------------------------------------

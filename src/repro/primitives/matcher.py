@@ -48,11 +48,7 @@ from repro.primitives.index import (
     template_profile,
 )
 from repro.primitives.isomorphism import Isomorphism, VF2Matcher
-from repro.primitives.library import (
-    PrimitiveLibrary,
-    PrimitiveTemplate,
-    template_fingerprint,
-)
+from repro.primitives.library import PrimitiveLibrary, PrimitiveTemplate
 from repro.runtime.resilience import Budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -274,11 +270,10 @@ class MatchStats:
     :func:`annotate_components` adds to it on every call: per template,
     the VF2 launches, matches found, seconds, skips (rejected without a
     launch) and shared answers (the search of an earlier CCC of the
-    same shape in the same call); the ``ccc_matched`` counter,
+    same shape in the same call); the ``ccc_matched`` counter, and
     ``ccc_shared`` once a CCC's shape had been searched by an earlier
-    CCC of the call, and ``match_cache_hits`` once a memo answered a
-    template.  Without a memo, every CCC launches, shares or skips each
-    template once.
+    CCC of the call.  Every CCC a call finishes launches, shares or
+    skips each template once.
     """
 
     templates: dict[str, TemplateStats] = field(default_factory=dict)
@@ -308,8 +303,7 @@ class _Tally:
     """
 
     __slots__ = (
-        "launches", "matches", "seconds", "skips", "shared", "memo_hits",
-        "ccc_shared",
+        "launches", "matches", "seconds", "skips", "shared", "ccc_shared",
     )
 
     def __init__(self, n: int):
@@ -318,16 +312,15 @@ class _Tally:
         self.seconds = [0.0] * n
         self.skips = [0] * n
         self.shared = [0] * n
-        self.memo_hits = 0
         self.ccc_shared = 0
 
     def merge_into(self, stats: MatchStats, plan: list[tuple], cccs: int) -> None:
-        for position, (template, _, _) in enumerate(plan):
+        for position, (template, _) in enumerate(plan):
             launches = self.launches[position]
             skips = self.skips[position]
             shared = self.shared[position]
             if not (launches or skips or shared):
-                continue  # memo hits only: no per-template entry
+                continue  # no CCC reached it: no per-template entry
             entry = stats.templates.get(template.name)
             if entry is None:
                 entry = stats.templates[template.name] = TemplateStats()
@@ -337,11 +330,7 @@ class _Tally:
             entry.skips += skips
             entry.shared += shared
         counters = stats.counters
-        for key, n in (
-            ("ccc_matched", cccs),
-            ("ccc_shared", self.ccc_shared),
-            ("match_cache_hits", self.memo_hits),
-        ):
+        for key, n in (("ccc_matched", cccs), ("ccc_shared", self.ccc_shared)):
             if n:
                 counters[key] = counters.get(key, 0) + n
 
@@ -371,7 +360,7 @@ def annotate_primitives(
     rejects most of the library in O(1) each — and so is a template the
     still-unclaimed devices cannot host.
     """
-    plan = _library_plan(library, keyed=False)
+    plan = _library_plan(library)
     return _annotate(
         target,
         plan,
@@ -379,23 +368,17 @@ def annotate_primitives(
         indexed=indexed,
         budget=budget,
         tally=_Tally(len(plan)),
-        match_memo=None,
     )
 
 
-def _library_plan(library: PrimitiveLibrary, keyed: bool) -> list[tuple]:
-    """``(template, profile, fingerprint)`` per template, largest-first.
+def _library_plan(library: PrimitiveLibrary) -> list[tuple]:
+    """``(template, profile)`` per template, largest-first.
 
     Computed once per annotation call and shared by every target it
-    matches; the fingerprint (``None`` unless ``keyed``) is only needed
-    to key a match memo.
+    matches.
     """
     return [
-        (
-            template,
-            template_profile(template),
-            template_fingerprint(template) if keyed else None,
-        )
+        (template, template_profile(template))
         for template in library.by_size_desc()
     ]
 
@@ -408,7 +391,6 @@ def _annotate(
     indexed: bool,
     budget: Budget | None,
     tally: _Tally,
-    match_memo: dict[str, list[PrimitiveMatch]] | None,
 ) -> AnnotationResult:
     """Largest-first matching and claiming over one target.
 
@@ -416,33 +398,28 @@ def _annotate(
     ``context_of()`` has returned, the net names (``.nets``) that name
     its matches.  ``context_of()`` returns its :class:`TargetContext`,
     called at the first template that needs a search, so a target
-    answered by the memo or by the kind histogram builds nothing.  A
-    template the context has already searched (for an earlier target
-    of the same shape) is named from that search's images instead of
-    searching again.  The naive path uses the context's signature index
-    only, and its contexts record no searches.  ``tally`` counts every
-    launch, shared answer, skip and memo hit by plan position.
+    answered by the kind histogram builds nothing.  A template the
+    context has already searched (for an earlier target of the same
+    shape) is named from that search's images instead of searching
+    again.  The naive path uses the context's signature index only,
+    and its contexts record no searches.  ``tally`` counts every
+    launch, shared answer and skip by plan position.
 
-    On the indexed memo-less claiming path a template is also skipped
-    when the devices still unclaimed cannot host its kind histogram —
-    ``accept`` would reject every match it found — and matching stops
-    once every device is claimed; ``tally`` counts both as skips.
-    With a memo, raw lists must stay complete (library-change reuse
-    depends on them), so every template the memo lacks is searched.
+    On the indexed path a template is skipped when the devices still
+    unclaimed cannot host its kind histogram — ``accept`` would reject
+    every match it found — and matching stops once every device is
+    claimed; ``tally`` counts both as skips.
     """
     result = AnnotationResult()
     claimed: set[str] = set()
     elements = target.elements
-    # Kind histogram of the unclaimed devices, built at the first kind
-    # test.  An accepted match claims exactly its template's histogram;
-    # only the claim-aware path subtracts it, elsewhere this stays the
-    # target's histogram.
-    free = None
-    claim_aware = indexed and match_memo is None
+    # Kind histogram of the unclaimed devices (indexed path only).  An
+    # accepted match claims exactly its template's histogram, so
+    # accepting subtracts it.
+    free = Counter(dev.kind.value for dev in elements) if indexed else None
     launches, found, seconds, skips, shared = (
         tally.launches, tally.matches, tally.seconds, tally.skips, tally.shared
     )
-    hits = 0
     clock = time.perf_counter
 
     def accept(matches: list[PrimitiveMatch], kinds=None) -> None:
@@ -452,11 +429,10 @@ def _annotate(
                 continue
             result.matches.append(match)
             claimed.update(names)
-            if claim_aware and kinds is not None:
+            if indexed and kinds is not None:
                 free.subtract(kinds)
 
     def finish() -> AnnotationResult:
-        tally.memo_hits += hits
         result.unclaimed = [
             dev.name for dev in elements if dev.name not in claimed
         ]
@@ -464,29 +440,13 @@ def _annotate(
 
     context = None
     try:
-        for position, (template, profile, fingerprint) in enumerate(plan):
-            # Memo first: a fully warm memo answers every template
-            # without ever paying for the target context below.
-            if match_memo is not None:
-                cached = match_memo.get(fingerprint)
-                if cached is not None:
-                    hits += 1
-                    if cached:
-                        accept(cached)
-                    continue
-            if claim_aware and len(claimed) == len(elements):
+        for position, (template, profile) in enumerate(plan):
+            if indexed and len(claimed) == len(elements):
                 for rest in range(position, len(plan)):
                     skips[rest] += 1
                 break
-            if indexed and free is None:
-                free = Counter(dev.kind.value for dev in elements)
             if indexed and not _kinds_coverable(profile.kind_counts, free):
                 skips[position] += 1
-                if match_memo is not None:
-                    # A kind-rejected template's raw match list is
-                    # the empty list — memoize it so warm runs skip
-                    # the histogram test (and the context) too.
-                    match_memo[fingerprint] = []
                 continue
             if context is None:
                 context = context_of()
@@ -508,8 +468,6 @@ def _annotate(
                 shared[position] += 1
             seconds[position] += clock() - started
             found[position] += len(matches)
-            if match_memo is not None:
-                match_memo[fingerprint] = list(matches)
             accept(matches, profile.kind_counts)
     except BudgetExceeded as exc:
         accept(exc.partial or [])
@@ -534,9 +492,8 @@ def _kinds_coverable(needed: Counter, available: Counter) -> bool:
 
 @dataclass
 class _Members:
-    """The member devices of one CCC, in element order (all a
-    ``match_cache`` reads of it), and its net names in local order,
-    filled in with its shape's context."""
+    """The member devices of one CCC, in element order, and its net
+    names in local order, filled in with its shape's context."""
 
     elements: list
     nets: list = field(default_factory=list)
@@ -568,7 +525,6 @@ def annotate_components(
     budget: Budget | None = None,
     stats: MatchStats | None = None,
     indexed: bool = True,
-    match_cache=None,
 ) -> dict[int, AnnotationResult]:
     """Per-CCC primitive annotation: component id → its matches.
 
@@ -576,11 +532,10 @@ def annotate_components(
     subgraph (the unit Postprocessing I reasons about), which both
     bounds every VF2 launch to a handful of vertices and lets the
     kind-histogram test reject most templates per component outright.
-    The library's order, profiles and (with a cache) fingerprints are
-    resolved once per call.  On the indexed path each component that
-    needs a search is keyed by its
-    :func:`~repro.primitives.index.member_shape` once some template
-    needs one; components of one shape share one
+    The library's order and profiles are resolved once per call.  On
+    the indexed path each component that needs a search is keyed by
+    its :func:`~repro.primitives.index.member_shape` once some
+    template needs one; components of one shape share one
     :class:`TargetContext`, built in one pass over the first one's
     members' edges in ``graph``, and each template's canonical images
     on it, so a repeated channel is searched once per call.  Each
@@ -595,23 +550,10 @@ def annotate_components(
     ``stats`` (a :class:`MatchStats`) receives the call's per-template
     launches, shared answers, matches, seconds and skips and its
     counters, also when a budget cuts the call short; without one they
-    are dropped.
-
-    ``match_cache`` (a
-    :class:`repro.core.stages.PrimitiveMatchCache`-shaped object) makes
-    matching incremental across runs: each component's
-    ``{template_fingerprint: [PrimitiveMatch, ...]}`` dict of *raw*
-    per-template match lists is loaded by a content key of its member
-    devices (``subgraph_key``, ``load`` and ``store`` only read
-    ``.elements``), templates already present skip VF2 (their matches
-    feed straight into overlap resolution, which stays order- and
-    claim-identical), and any newly computed lists are stored back —
-    but only when the component finished cleanly (a budget blow-up must
-    not persist a partial memo).  Raw match lists are independent of
-    library composition — claiming happens afterwards — which is what
-    makes them safely reusable across library changes.
+    are dropped.  Nothing outlives the call: a run with an artifact
+    cache matches exactly like one without.
     """
-    plan = _library_plan(library, keyed=match_cache is not None)
+    plan = _library_plan(library)
     tally = _Tally(len(plan))
     results: dict[int, AnnotationResult] = {}
     shapes: dict[tuple, TargetContext] = {}
@@ -627,13 +569,6 @@ def annotate_components(
             else:
                 target = graph.subgraph_of_elements(members)
                 context_of = partial(TargetContext.build, target)
-            memo = None
-            cache_key = None
-            known = 0
-            if match_cache is not None:
-                cache_key = match_cache.subgraph_key(target)
-                memo = match_cache.load(cache_key)
-                known = len(memo)
             results[cid] = _annotate(
                 target,
                 plan,
@@ -641,10 +576,7 @@ def annotate_components(
                 indexed=indexed,
                 budget=budget,
                 tally=tally,
-                match_memo=memo,
             )
-            if match_cache is not None and len(memo) > known:
-                match_cache.store(cache_key, memo)
     finally:
         if stats is not None:
             # Every component entered counts, the one a budget cut

@@ -32,9 +32,8 @@ def rail_conventions() -> tuple:
     Which nets count as supply or ground changes flattening,
     preprocessing, features and port predicates, and callers may
     replace :data:`SUPPLY_NET_RE` / :data:`GROUND_NET_RE` between runs.
-    Every key that outlives a run (artifact-cache keys, per-CCC match
-    keys, the warm-pool key) includes this value, and so does the
-    staleness check of the hier predicate memo.
+    Every key that outlives a run (the artifact-cache key root and the
+    warm-pool key) includes this value.
     """
     return (
         (SUPPLY_NET_RE.pattern, SUPPLY_NET_RE.flags),

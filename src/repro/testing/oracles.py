@@ -14,9 +14,8 @@ elaboration           ``flatten`` vs ``flatten_hierarchical`` flat circuit
 include_roundtrip     ``.include``-split files vs self-contained text
 indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
                       naive ``indexed=False`` reference, per template;
-                      per CCC, ``annotate_components`` (memo-less, and
-                      with a cold then warm in-memory match cache) vs
-                      naive ``annotate_primitives`` on the CCC subgraph
+                      per CCC, ``annotate_components`` vs naive
+                      ``annotate_primitives`` on the CCC subgraph
 packed_gcn            block isolation: ``GcnAnnotator.annotate_batch``
                       on a two-graph pack vs ``annotate`` (a pack of one)
 hier_vs_flat          ``run(hier=True)`` vs the flat run
@@ -43,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.stages import PrimitiveMatchCache, pipeline_result_fingerprint
+from repro.core.stages import pipeline_result_fingerprint
 from repro.exceptions import GanaError
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.ccc import channel_connected_components
@@ -252,17 +251,6 @@ def check_include_roundtrip(deck: GeneratedDeck, ctx: OracleContext) -> None:
         )
 
 
-class _MemoryStore(dict):
-    """An in-memory stand-in for the artifact store behind a
-    :class:`~repro.core.stages.PrimitiveMatchCache`."""
-
-    def load(self, key: str):
-        return self.get(key)
-
-    def store(self, key: str, value) -> None:
-        self[key] = value
-
-
 @_oracle("indexed VF2 matching equals the naive indexed=False reference")
 def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
     from repro.primitives.library import extended_library
@@ -291,26 +279,18 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
         )
         for members in partition.components
     ]
-    cache = PrimitiveMatchCache(_MemoryStore())
-    for label, match_cache in (
-        ("memo-less", None),
-        ("cold match cache", cache),
-        ("warm match cache", cache),
-    ):
-        scoped = annotate_components(
-            graph, partition, library, match_cache=match_cache
-        )
-        for cid, want in enumerate(naive):
-            got = scoped[cid]
-            if got.matches != want.matches or got.unclaimed != want.unclaimed:
-                _diverge(
-                    "indexed_matching",
-                    f"CCC {cid} ({label}): annotate_components claimed "
-                    f"{len(got.matches)} matches, {len(got.unclaimed)} "
-                    f"unclaimed vs naive {len(want.matches)}, "
-                    f"{len(want.unclaimed)} (or same counts, different "
-                    "content/order)",
-                )
+    scoped = annotate_components(graph, partition, library)
+    for cid, want in enumerate(naive):
+        got = scoped[cid]
+        if got.matches != want.matches or got.unclaimed != want.unclaimed:
+            _diverge(
+                "indexed_matching",
+                f"CCC {cid}: annotate_components claimed "
+                f"{len(got.matches)} matches, {len(got.unclaimed)} "
+                f"unclaimed vs naive {len(want.matches)}, "
+                f"{len(want.unclaimed)} (or same counts, different "
+                "content/order)",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Golden byte-identity: the ``--hier`` path must produce exactly the
 annotation the flat path computes on every example netlist.  Plus: hier
-and flat runs do the same matching (same per-template counts, same
-match-cache entries), the hier report, one GCN forward, one elaboration
-and one graph build per run, and the instance-table hierarchy mode.
+and flat runs do the same matching (same per-template counts), and a
+run with an artifact cache, cold or after a library change, does the
+matching of a run without one; the hier report, one GCN forward, one
+elaboration and one graph build per run, and the instance-table
+hierarchy mode.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from repro.core.pipeline import GanaPipeline
 from repro.core.stages import StageName, pipeline_result_fingerprint
 from repro.datasets.systems import phased_array, phased_array_hier
 from repro.graph.bipartite import CircuitGraph
-from repro.primitives import matcher
+from repro.primitives.library import default_library, extended_library
 from repro.runtime.cache import ArtifactCache
-from repro.spice.flatten import SEP
 from repro.spice.parser import parse_netlist
 from tests.conftest import HIERARCHICAL_DECK
 from tests.core.test_stages import (
@@ -173,79 +174,46 @@ class TestSameMatching:
         assert hier.hier.reused == hier.profile["counters"]["ccc_shared"] > 0
 
 
-#: Two cell definitions: the OTA array's three ``otacell`` instances
-#: plus two of a ``mirror`` cell.  No channel crosses a cell, so every
-#: CCC belongs to one instance (or to the top level).
-TWO_CELL_DECK = OTA_ARRAY_DECK.replace(
-    ".end\n",
-    """.subckt mirror ref out
-m0 ref ref gnd! gnd! nmos w=5u l=100n
-m1 out ref gnd! gnd! nmos w=5u l=100n
-m2 out out vdd! vdd! pmos w=5u l=100n
-.ends
-xm0 r0 o0 mirror
-xm1 r1 o1 mirror
-.end
-""",
+#: Stages a library-only change leaves valid in the artifact cache.
+LIBRARY_INDEPENDENT = (
+    StageName.PARSE,
+    StageName.PREPROCESS,
+    StageName.GRAPH,
+    StageName.GCN,
 )
 
 
-class TestMatchCachePersistence:
-    """Hier runs keep the flat run's per-CCC match entries."""
+class TestOnePathWithCache:
+    """A run with an artifact cache matches exactly like a run without one."""
 
-    def test_warm_run_hits_persisted_entries(self, ota_pipeline, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cold = ota_pipeline.run_staged(
-            OTA_ARRAY_DECK, hier=True, artifact_cache=cache
-        )
-        # Force post1 to recompute while keeping the persisted match
-        # entries: drop everything except the per-CCC match entries
-        # (stage-artifact keys are bare content hashes).
-        removed = 0
-        for path in cache.directory.glob("*.pkl"):
-            if not path.name.startswith("ccc-matches"):
-                path.unlink()
-                removed += 1
-        assert removed > 0
-        warm = ota_pipeline.run_staged(
-            OTA_ARRAY_DECK, hier=True, artifact_cache=cache
-        )
-        assert StageName.POST1 not in warm.cache_hits
-        counters = warm.profile["counters"]
-        per_template = warm.profile["per_template"]
-        assert sum(stats["launches"] for stats in per_template.values()) == 0
-        assert counters["match_cache_hits"] == counters["ccc_matched"] * len(
-            ota_pipeline.library.names()
-        )
-        assert pipeline_result_fingerprint(
-            ota_pipeline.result_from_staged(warm)
-        ) == pipeline_result_fingerprint(ota_pipeline.result_from_staged(cold))
-
-    def test_cell_edit_searches_only_its_shapes(
-        self, ota_pipeline, tmp_path, monkeypatch
+    @pytest.mark.parametrize("hier", [False, True], ids=["flat", "hier"])
+    @pytest.mark.parametrize("n_channels", [2, 16])
+    def test_cached_runs_search_like_uncached_runs(
+        self, quick_rf_annotator, tmp_path, n_channels, hier
     ):
+        """A cold cached run with the extended library, then a warm
+        re-run with the default one (parse → gcn from the cache), each
+        make the per-template searches, shares and skips of a cache-less
+        run with the same library, and give its result and hier report."""
+        netlist, port_labels = phased_array_hier(n_channels=n_channels)
         cache = ArtifactCache(tmp_path / "cache")
-        ota_pipeline.run(TWO_CELL_DECK, hier=True, artifact_cache=cache)
-        edited = TWO_CELL_DECK.replace("w=5u", "w=6u")
-        assert edited != TWO_CELL_DECK
-
-        searched = set()
-        original = matcher.find_primitive_matches
-
-        def recording(template, target, *args, **kwargs):
-            searched.update(dev.name.split(SEP)[0] for dev in target.elements)
-            return original(template, target, *args, **kwargs)
-
-        monkeypatch.setattr(matcher, "find_primitive_matches", recording)
-        warm = ota_pipeline.run(edited, hier=True, artifact_cache=cache)
-        # Only the edited cell's shapes are searched, once for both
-        # instances; the unedited cell and the glue come from the cache.
-        assert searched == {"xm0"}
-        monkeypatch.undo()
-        fresh = ota_pipeline.run(edited, hier=True)
-        assert pipeline_result_fingerprint(warm) == pipeline_result_fingerprint(
-            fresh
-        )
+        for library, reused, searches in (
+            (extended_library(), (), 64),
+            (default_library(), LIBRARY_INDEPENDENT, 67),
+        ):
+            pipeline = GanaPipeline(annotator=quick_rf_annotator, library=library)
+            staged = pipeline.run_staged(
+                netlist, port_labels=port_labels, hier=hier, artifact_cache=cache
+            )
+            assert staged.cache_hits == reused
+            cached = pipeline.result_from_staged(staged)
+            plain = pipeline.run(netlist, port_labels=port_labels, hier=hier)
+            counts = _match_counts(cached)
+            assert counts == _match_counts(plain)
+            assert sum(launches for launches, _, _ in counts.values()) == searches
+            assert cached.profile["counters"] == plain.profile["counters"]
+            assert cached.hier == plain.hier
+            assert pipeline_result_fingerprint(cached) == pipeline_result_fingerprint(plain)
 
 
 def _nested_chain_deck(depth: int) -> str:

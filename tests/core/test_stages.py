@@ -19,7 +19,6 @@ from repro.core.stages import (
     STAGE_ORDER,
     TIMING_STAGES,
     Artifact,
-    PrimitiveMatchCache,
     StageName,
     coerce_stage,
     content_fingerprint,
@@ -415,16 +414,3 @@ class TestRailConventions:
         assert got != pipeline_result_fingerprint(
             ota_pipeline.result_from_staged(stock)
         )
-
-    def test_subgraph_key_differs_under_other_rails(self, wide_rails):
-        from types import SimpleNamespace
-
-        from repro.spice.netlist import DeviceKind, make_mos
-
-        ccc = SimpleNamespace(
-            elements=[make_mos("m4", DeviceKind.PMOS, "voutn", "vbp", "vdd!")]
-        )
-        stock = PrimitiveMatchCache.subgraph_key(ccc)
-        assert PrimitiveMatchCache.subgraph_key(ccc) == stock
-        wide_rails()
-        assert PrimitiveMatchCache.subgraph_key(ccc) != stock

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.stages import PrimitiveMatchCache
 from repro.datasets.systems import phased_array_hier
 from repro.exceptions import BudgetExceeded
 from repro.graph.bipartite import CircuitGraph
@@ -33,7 +32,6 @@ from repro.primitives.matcher import (
     annotate_primitives,
     find_primitive_matches,
 )
-from repro.runtime.cache import ArtifactCache
 from repro.runtime.resilience import Budget
 from repro.spice.flatten import flatten
 from repro.spice.parser import parse_netlist
@@ -126,13 +124,10 @@ class TestComponentContext:
                 reference_index.by_exact.items()
             )
 
-    def test_components_equal_naive_subgraph_annotation(
-        self, graph_name, tmp_path
-    ):
-        """Claim-aware launches and lazy contexts change no result:
-        memo-less, with a cold match cache (complete raw lists) and
-        with the warm one, every CCC's annotation equals the naive
-        reference on its subgraph."""
+    def test_components_equal_naive_subgraph_annotation(self, graph_name):
+        """Claim-aware launches, lazy contexts and shape sharing change
+        no result: every CCC's annotation equals the naive reference on
+        its subgraph."""
         graph = GRAPHS[graph_name]
         partition = channel_connected_components(graph)
         naive = [
@@ -141,14 +136,10 @@ class TestComponentContext:
             )
             for members in partition.components
         ]
-        cache = PrimitiveMatchCache(ArtifactCache(tmp_path))
-        for match_cache in (None, cache, cache):
-            scoped = annotate_components(
-                graph, partition, LIBRARY, match_cache=match_cache
-            )
-            for cid, direct in enumerate(naive):
-                assert scoped[cid].matches == direct.matches
-                assert scoped[cid].unclaimed == direct.unclaimed
+        scoped = annotate_components(graph, partition, LIBRARY)
+        for cid, direct in enumerate(naive):
+            assert scoped[cid].matches == direct.matches
+            assert scoped[cid].unclaimed == direct.unclaimed
 
 
 #: Two same-shape CCCs: three NMOS on one tail net plus the tail NMOS,
@@ -192,7 +183,7 @@ def _deck_graph(netlist) -> CircuitGraph:
 
 
 def _searches(graph: CircuitGraph) -> int:
-    """VF2 searches one memo-less ``annotate_components`` call runs."""
+    """VF2 searches one ``annotate_components`` call runs."""
     stats = MatchStats()
     annotate_components(
         graph, channel_connected_components(graph), LIBRARY, stats=stats

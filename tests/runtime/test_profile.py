@@ -61,8 +61,8 @@ class TestTemplateStats:
         stats = MatchStats()
         first = _match_into(stats, DIFF_OTA_DECK)
         second = _match_into(stats, "r1 a b 1k\n.end\n")
-        # Memo-less calls hit no memo, and no two of these CCCs share a
-        # shape: those counters are absent, not 0.
+        # No two of these CCCs share a shape: ``ccc_shared`` is absent,
+        # not 0.
         assert stats.counters == {"ccc_matched": first + second}
 
     def test_ccc_shared_counts_later_ccc_of_a_searched_shape(self):
@@ -123,33 +123,49 @@ class TestPipelineIntegration:
         assert result.profile["counters"]["ccc_matched"] > 0
 
     def test_every_template_launched_or_skipped_once_per_ccc(
-        self, quick_rf_annotator
+        self, quick_rf_annotator, tmp_path
     ):
-        """Without a match memo, each CCC launches, shares or skips every
-        template exactly once: a template rejected because its matches
-        could only reuse claimed devices still shows up, as a skip, and
-        one answered by an earlier CCC of the same shape, as shared.
-        The two channels repeat their CCCs, so some answers are shared,
-        and a shared template was launched by its shape's first CCC."""
+        """Each CCC launches, shares or skips every template exactly
+        once: a template rejected because its matches could only reuse
+        claimed devices still shows up, as a skip, and one answered by
+        an earlier CCC of the same shape, as shared.  The two channels
+        repeat their CCCs, so some answers are shared, and a shared
+        template was launched by its shape's first CCC.  This holds
+        with an artifact cache too, cold and on the re-run after a
+        library-only change (parse → gcn from the cache)."""
         from repro.core.pipeline import GanaPipeline
         from repro.datasets.systems import phased_array
 
         system = phased_array(n_channels=2)
-        pipeline = GanaPipeline(annotator=quick_rf_annotator)
-        profile = pipeline.run(
-            system.circuit, port_labels=system.port_labels
-        ).profile
-        cccs = profile["counters"]["ccc_matched"]
-        assert cccs > 1
-        per_template = profile["per_template"]
-        assert set(per_template) == set(pipeline.library.names())
-        assert any(stats["shared"] for stats in per_template.values())
-        assert 0 < profile["counters"]["ccc_shared"] < cccs
-        for name, stats in per_template.items():
-            assert (
-                stats["launches"] + stats["shared"] + stats["skips"] == cccs
-            ), name
-            assert stats["launches"] or not stats["shared"], name
+        extended = GanaPipeline(annotator=quick_rf_annotator)
+        default = GanaPipeline(annotator=quick_rf_annotator, library=LIBRARY)
+        cache = tmp_path / "cache"
+        runs = (
+            (extended, None, ()),
+            (extended, cache, ()),
+            (default, cache, ("parse", "preprocess", "graph", "gcn")),
+        )
+        for pipeline, artifact_cache, reused in runs:
+            staged = pipeline.run_staged(
+                system.circuit,
+                port_labels=system.port_labels,
+                artifact_cache=artifact_cache,
+            )
+            assert tuple(s.value for s in staged.cache_hits) == reused
+            profile = staged.profile
+            cccs = profile["counters"]["ccc_matched"]
+            assert cccs > 1
+            assert "match_cache_hits" not in profile["counters"]
+            per_template = profile["per_template"]
+            assert set(per_template) == set(pipeline.library.names())
+            assert any(stats["shared"] for stats in per_template.values())
+            assert 0 < profile["counters"]["ccc_shared"] < cccs
+            for name, stats in per_template.items():
+                assert (
+                    stats["launches"] + stats["shared"] + stats["skips"]
+                    == cccs
+                ), name
+                assert stats["launches"] or not stats["shared"], name
 
     def test_every_run_profile_stages_are_its_rounded_timings(
         self, quick_ota_annotator
