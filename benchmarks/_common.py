@@ -21,6 +21,8 @@ from pathlib import Path
 from repro.core.annotator import GcnAnnotator
 from repro.core.pipeline import GanaPipeline
 from repro.datasets.synth import pretrain_annotator
+from repro.primitives.index import template_profile
+from repro.primitives.library import PrimitiveLibrary, extended_library
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
@@ -60,6 +62,21 @@ def load_annotator(task: str) -> GcnAnnotator:
 
 def load_pipeline(task: str) -> GanaPipeline:
     return GanaPipeline(annotator=load_annotator(task))
+
+
+def fresh_library(make=extended_library) -> PrimitiveLibrary:
+    """A new library, with its template profiles already built.
+
+    A library keeps the CCC shapes it has searched for its lifetime, so
+    a run on a warm one searches only shapes it has not seen.  A run on
+    this one searches every shape of its deck, as in a new process, and
+    a timed run pays for those searches, not for profiling the
+    templates.
+    """
+    library = make()
+    for template in library.templates:
+        template_profile(template)
+    return library
 
 
 def write_result(name: str, text: str) -> None:

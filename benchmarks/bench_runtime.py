@@ -22,6 +22,7 @@ import pytest
 
 from benchmarks._common import (
     BENCH_JSON,
+    fresh_library,
     load_pipeline,
     update_bench_json,
     write_result,
@@ -193,7 +194,8 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     per-CCC scoping + symmetry breaking) must produce *identical*
     results to the naive reference path and beat the pre-index
     baseline by ≥5x; the per-template profile shows where the
-    remaining time goes.
+    remaining time goes.  Every measured call gets a new library, whose
+    shape table is empty, so each one searches the deck's CCC shapes.
     """
     from repro.core.postprocess import postprocess_ccc
     from repro.graph.ccc import channel_connected_components
@@ -208,12 +210,12 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     partition = channel_connected_components(annotation.graph)
 
     naive = postprocess_ccc(
-        annotation, rf_pipe.library, partition=partition, indexed=False
+        annotation, fresh_library(), partition=partition, indexed=False
     )
     stats = MatchStats()
     indexed = postprocess_ccc(
         annotation,
-        rf_pipe.library,
+        fresh_library(),
         partition=partition,
         stats=stats,
         indexed=True,
@@ -228,10 +230,11 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     def best_of(indexed_flag, reps=5):
         best = float("inf")
         for _ in range(reps):
+            library = fresh_library()
             start = time.perf_counter()
             postprocess_ccc(
                 annotation,
-                rf_pipe.library,
+                library,
                 partition=partition,
                 indexed=indexed_flag,
             )
@@ -242,9 +245,10 @@ def bench_runtime_post1_matching(benchmark, pipelines):
     indexed_seconds = best_of(True)
 
     benchmark.pedantic(
-        lambda: postprocess_ccc(
-            annotation, rf_pipe.library, partition=partition, indexed=True
+        lambda library: postprocess_ccc(
+            annotation, library, partition=partition, indexed=True
         ),
+        setup=lambda: ((fresh_library(),), {}),
         rounds=3,
         iterations=1,
     )

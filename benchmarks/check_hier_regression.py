@@ -16,14 +16,18 @@ elaboration modes, on 2 and on 16 channels, and fails unless
 * in both modes, going from 2 to 16 channels (8x the channels) grows
   the run's VF2 searches at most ``8 / --factor`` times (default
   factor 2).  A 16-channel run that searched each channel anew would
-  grow them about 8x.
+  grow them about 8x, and
+* repeating the 16-channel hier run on the same, now-warm pipeline
+  runs no VF2 search and gives the same result fingerprint.
 
 Postprocessing I shares one search among the same-shape
-channel-connected components of a run, so a repeated channel is paid
-for once.  The ``post1`` (primitive annotation) stage wall-clock of
-both modes is printed for the record, without a floor: both modes run
-the same matching, so hier/flat reads about 1x.  Both modes run
-without an artifact cache.
+channel-connected components, and the library keeps it in its shape
+table, so a repeated channel is paid for once per library.  Every
+measured run therefore gets a new library, whose table is empty: its
+counts and times are those of a run in a new process.  The ``post1``
+(primitive annotation) stage wall-clock of both modes is printed for
+the record, without a floor: both modes run the same matching, so
+hier/flat reads about 1x.  Both modes run without an artifact cache.
 
 With ``--commit`` the measurement also lands in ``BENCH_runtime.json``
 under ``hier_annotation``.
@@ -40,7 +44,7 @@ import gc
 import sys
 import time
 
-from _common import load_pipeline, update_bench_json
+from _common import fresh_library, load_annotator, update_bench_json
 
 #: Repeated channel instances — well above 8, so a search per channel
 #: would show as growth.
@@ -60,20 +64,25 @@ def match_counts(result) -> tuple[int, int]:
 
 
 def measure(reps: int) -> dict:
+    from repro.core.pipeline import GanaPipeline
     from repro.core.stages import pipeline_result_fingerprint
     from repro.datasets.systems import phased_array_hier
 
-    pipeline = load_pipeline("rf")
+    annotator = load_annotator("rf")
     decks = {n: phased_array_hier(n_channels=n) for n in (BASE_CHANNELS, N_CHANNELS)}
+
+    def fresh_pipeline() -> GanaPipeline:
+        return GanaPipeline(annotator=annotator, library=fresh_library())
+
+    def run(pipeline: GanaPipeline, n: int, hier_mode: bool):
+        netlist, port_labels = decks[n]
+        return pipeline.run(netlist, port_labels=port_labels, name="pa_hier", hier=hier_mode)
+
     stats = {"n_channels": N_CHANNELS, "base_channels": BASE_CHANNELS}
     for prefix, n in (("base_", BASE_CHANNELS), ("", N_CHANNELS)):
-        netlist, port_labels = decks[n]
-        flat, hier = (
-            pipeline.run(
-                netlist, port_labels=port_labels, name="pa_hier", hier=mode
-            )
-            for mode in (False, True)
-        )
+        flat = run(fresh_pipeline(), n, False)
+        warm_pipeline = fresh_pipeline()
+        hier = run(warm_pipeline, n, True)
         if pipeline_result_fingerprint(flat) != pipeline_result_fingerprint(
             hier
         ):
@@ -90,16 +99,14 @@ def measure(reps: int) -> dict:
             "ccc_shared", 0
         )
 
-    netlist, port_labels = decks[N_CHANNELS]
+    # The 16-channel hier run's library now holds every shape of the
+    # deck: a repeat names every CCC from its shape table.
+    again = run(warm_pipeline, N_CHANNELS, True)
+    stats["warm_searches"] = match_counts(again)[0]
+    stats["warm_same"] = pipeline_result_fingerprint(again) == pipeline_result_fingerprint(hier)
 
     def timed_post1(hier_mode: bool) -> float:
-        result = pipeline.run(
-            netlist,
-            port_labels=port_labels,
-            name="pa_hier",
-            hier=hier_mode,
-        )
-        return result.timings["post1"]
+        return run(fresh_pipeline(), N_CHANNELS, hier_mode).timings["post1"]
 
     # Interleave the modes so CPU-frequency / scheduler drift hits both
     # equally, and keep the collector out of the timed region — the
@@ -156,6 +163,13 @@ def failures(stats: dict, factor: float) -> list[str]:
                 f"{mode} searched {shapes} CCC shapes on {n} channels "
                 f"against {base_shapes} on {base}"
             )
+    if stats["warm_searches"]:
+        out.append(
+            f"a repeated hier run on {n} channels ran {stats['warm_searches']} "
+            f"VF2 searches on its warm library"
+        )
+    if not stats["warm_same"]:
+        out.append(f"a repeated hier run on {n} channels changed the result")
     return out
 
 
@@ -205,6 +219,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{stats['hier_shapes']}; hier reused {stats['base_reused']} -> "
         f"{stats['reused']} CCCs, ccc_shared {stats['base_ccc_shared']} -> "
         f"{stats['ccc_shared']}"
+    )
+    print(
+        f"repeated hier run on the warm library ({n} channels): "
+        f"{stats['warm_searches']} VF2 searches, same result: "
+        f"{'yes' if stats['warm_same'] else 'NO'}"
     )
     if args.commit:
         update_bench_json("hier_annotation", stats)

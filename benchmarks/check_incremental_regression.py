@@ -14,6 +14,12 @@ with *only the primitive library changed*.  The warm run must
   whole stages only, so the warm run recomputes post1 in full, and on
   a 2-vCPU host the ratio reads about 1.5x.
 
+A library keeps the CCC shapes it has searched, so every measured run,
+cold or warm, gets a new library: each one searches the deck's shapes
+as a run in a new process does.  Last, repeating the cache-less run on
+its now-warm pipeline must run no VF2 search and give the same result
+fingerprint.
+
 The measured cold/warm wall-clock lands in ``BENCH_runtime.json``
 under ``staged_incremental``.
 
@@ -38,7 +44,7 @@ LIBRARY_INDEPENDENT = ("parse", "preprocess", "graph", "gcn")
 
 
 def measure(reps: int) -> dict:
-    from benchmarks._common import load_annotator
+    from benchmarks._common import fresh_library, load_annotator
     from repro.core.pipeline import GanaPipeline
     from repro.datasets.systems import phased_array
     from repro.primitives.library import default_library, extended_library
@@ -46,8 +52,9 @@ def measure(reps: int) -> dict:
 
     annotator = load_annotator("rf")
     system = phased_array()
-    cold_pipe = GanaPipeline(annotator=annotator, library=extended_library())
-    warm_pipe = GanaPipeline(annotator=annotator, library=default_library())
+
+    def pipeline(make_library) -> GanaPipeline:
+        return GanaPipeline(annotator=annotator, library=fresh_library(make_library))
 
     with tempfile.TemporaryDirectory(prefix="gana-incremental-") as tmp:
         # Cold best-of-reps, each against a virgin cache dir — a single
@@ -55,6 +62,7 @@ def measure(reps: int) -> dict:
         cold_seconds = float("inf")
         for rep in range(reps):
             cache = ArtifactCache(Path(tmp) / f"artifacts-{rep}")
+            cold_pipe = pipeline(extended_library)
             start = time.perf_counter()
             cold = cold_pipe.run_staged(
                 system.circuit,
@@ -77,6 +85,7 @@ def measure(reps: int) -> dict:
             for entry in cache.entries():
                 if entry not in baseline_entries:
                     entry.unlink()
+            warm_pipe = pipeline(default_library)
             start = time.perf_counter()
             warm = warm_pipe.run_staged(
                 system.circuit,
@@ -89,8 +98,15 @@ def measure(reps: int) -> dict:
             warm_runs.append(matching(warm_pipe.result_from_staged(warm)))
 
     # The one-path reference: the same deck and library, no cache.
+    reference_pipe = pipeline(default_library)
     reference = matching(
-        warm_pipe.run(
+        reference_pipe.run(
+            system.circuit, port_labels=system.port_labels, name=system.name
+        )
+    )
+    # Its library now holds every shape of the deck.
+    repeat = matching(
+        reference_pipe.run(
             system.circuit, port_labels=system.port_labels, name=system.name
         )
     )
@@ -102,6 +118,8 @@ def measure(reps: int) -> dict:
         "warm_searches": searches(warm_runs[-1][0]),
         "cacheless_searches": searches(reference[0]),
         "same_as_cacheless": all(run == reference for run in warm_runs),
+        "repeat_searches": searches(repeat[0]),
+        "repeat_same": repeat[1] == reference[1],
         "change": "primitive library extended->default, deck unchanged",
     }
 
@@ -149,10 +167,13 @@ def main(argv: list[str] | None = None) -> int:
         "staged incremental: cold {cold_seconds:.4f}s vs warm "
         "{warm_seconds:.4f}s ({speedup:.2f}x, limit {factor:.1f}x); "
         "reused: {reused}; warm post1: {warm_searches} VF2 searches vs "
-        "{cacheless_searches} cache-less, same counts and result: {same}".format(
+        "{cacheless_searches} cache-less, same counts and result: {same}; "
+        "repeat on the warm library: {repeat_searches} VF2 searches, same "
+        "result: {repeat_same}".format(
             factor=args.factor,
             reused=", ".join(stats["reused_stages"]) or "none",
             same="yes" if stats["same_as_cacheless"] else "NO",
+            repeat_same="yes" if stats["repeat_same"] else "NO",
             **{
                 k: stats[k]
                 for k in (
@@ -161,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
                     "speedup",
                     "warm_searches",
                     "cacheless_searches",
+                    "repeat_searches",
                 )
             },
         )
@@ -183,6 +205,13 @@ def main(argv: list[str] | None = None) -> int:
             "library (per-template launches/shared/skips or result "
             "fingerprint) — a cached run must match exactly like an "
             "uncached one"
+        )
+        return 1
+    if stats["repeat_searches"] or not stats["repeat_same"]:
+        print(
+            f"FAIL: repeating the cache-less run on its warm library ran "
+            f"{stats['repeat_searches']} VF2 searches (want 0) or changed the "
+            f"result fingerprint"
         )
         return 1
     if stats["speedup"] < args.factor:

@@ -2,7 +2,10 @@
 
 Runs the quick-trained RF pipeline on the phased array and compares
 the ``post1`` stage wall-clock against the committed baseline in
-``BENCH_runtime.json`` (``pipeline_stages.phased_array.post1``).  Exits
+``BENCH_runtime.json`` (``pipeline_stages.phased_array.post1``).  Every
+run gets a new primitive library, so it searches each CCC shape of the
+deck instead of naming all of them from the shape table an earlier
+run left in its library.  Exits
 non-zero when the live time exceeds ``--factor`` (default 2x) times
 the baseline — loose enough to absorb runner noise, tight enough that
 an accidental return to per-launch matcher setup (an order of
@@ -31,13 +34,15 @@ def committed_baseline() -> float:
 
 
 def measure_post1(reps: int) -> float:
+    from _common import fresh_library
     from repro.core.pipeline import GanaPipeline
     from repro.datasets.systems import phased_array
 
-    pipeline = GanaPipeline.pretrained("rf", quick=True)
+    annotator = GanaPipeline.pretrained("rf", quick=True).annotator
     system = phased_array()
     best = float("inf")
     for _ in range(reps):
+        pipeline = GanaPipeline(annotator=annotator, library=fresh_library())
         result = pipeline.run(
             system.circuit, port_labels=system.port_labels, name=system.name
         )

@@ -382,8 +382,11 @@ def postprocess_ccc(
     receives the per-template matching statistics; ``indexed=False``
     selects the naive reference matcher (see
     :mod:`repro.primitives.matcher`) — the annotation is identical
-    either way.  Matching keeps nothing across calls, so a run with an
-    artifact cache recomputes this stage with the same searches as a
+    either way.  A CCC whose shape ``library`` has searched before, in
+    this deck or an earlier one, is answered from the library's shape
+    table; each CCC still checks port predicates on its own nets and
+    claims its own matches, so the annotation does not depend on what
+    the table holds, and a run with an artifact cache matches like a
     run without one.
     """
     annotation = annotation.copy()

@@ -35,7 +35,9 @@ fully-warm run therefore probes keys as pure string hashing and
 deserializes exactly one artifact (the furthest hit); a run where only
 the primitive library changed reuses parse/preprocess/graph/gcn
 artifacts and recomputes from Postprocessing I, which matches exactly
-as a run without a cache does: no per-CCC match result outlives a run.
+as a run without a cache does: no per-CCC match result outlives a run
+(the library's shape table keeps only name-free searches, which every
+run reads alike).
 
 Concrete stage implementations live in :mod:`repro.core.pipeline`
 (which owns the pipeline configuration they close over); this module
@@ -241,7 +243,9 @@ def annotator_fingerprint(annotator: "GcnAnnotator") -> str:
 #: (``tree``/``hier``) — version-1 pickles predate them.
 #: Version 3: the seven per-stage classes became one :class:`Artifact`.
 #: Version 4: ``hier`` became the four-count :class:`HierReport`.
-ARTIFACT_FORMAT_VERSION = 4
+#: Version 5: graph edges pickle as named tuples
+#: (:class:`~repro.graph.bipartite.Edge`).
+ARTIFACT_FORMAT_VERSION = 5
 
 #: File suffix used by :meth:`Artifact.save` / :func:`load_artifacts`.
 ARTIFACT_SUFFIX = ".artifact.pkl"
@@ -254,10 +258,12 @@ class HierReport:
     Postprocessing I is the flat run's either way; the report holds the
     :class:`~repro.spice.flatten.DesignTree`'s ``n_definitions``,
     ``n_instances`` and ``n_unique_groups`` (distinct (definition,
-    multiplier) pairs), and ``reused``: the CCCs whose shape an earlier
-    CCC of the run had already searched (the run's ``ccc_shared``
-    counter), which is how a repeated instance's interior is matched
-    from one search.
+    multiplier) pairs), and ``reused``: the CCCs answered from the
+    library's shape table (the run's ``ccc_shared`` counter), whose
+    shape an earlier CCC of this run, or of an earlier run with the
+    same library, had already searched.  That is how a repeated
+    instance's interior is matched from one search; on a warm library
+    every CCC of an already-seen shape counts.
     """
 
     n_definitions: int = 0

@@ -17,6 +17,7 @@ power rails and would only blur the spectral filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,17 +34,27 @@ DRAIN_BIT = 0b001
 _TERMINAL_BITS = {"g": GATE_BIT, "s": SOURCE_BIT, "d": DRAIN_BIT}
 
 
-@dataclass(frozen=True)
-class Edge:
-    """An undirected element–net edge with its 3-bit label."""
-
+class _EdgeFields(NamedTuple):
     element: int  # element vertex index (0-based within elements)
     net: int  # net vertex index (0-based within nets)
     label: int  # 0..7; 0 for passives
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.label <= 7:
-            raise GraphConstructionError(f"edge label out of range: {self.label}")
+
+class Edge(_EdgeFields):
+    """An undirected element–net edge with its 3-bit label.
+
+    A named tuple: a flat deck has thousands of edges, and graph
+    construction makes them with ``tuple.__new__``, whose labels are
+    ORs of ``_TERMINAL_BITS`` and so in range.  An edge built by
+    calling ``Edge`` (or unpickled) has its label checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, element: int, net: int, label: int) -> "Edge":
+        if not 0 <= label <= 7:
+            raise GraphConstructionError(f"edge label out of range: {label}")
+        return super().__new__(cls, element, net, label)
 
 
 @dataclass
@@ -89,6 +100,7 @@ class CircuitGraph:
         nets: list[str] = []
         net_index: dict[str, int] = {}
         edges: list[Edge] = []
+        new_edge = tuple.__new__
         for idx, dev in enumerate(elements):
             # A transistor's pins are (d, g, s, b) and its body is not an
             # edge; other elements' terminals (p, n) carry no label bit.
@@ -101,7 +113,7 @@ class CircuitGraph:
                     nets.append(net)
                 labels[nid] = labels.get(nid, 0) | _TERMINAL_BITS.get(term, 0)
             for nid, label in labels.items():
-                edges.append(Edge(element=idx, net=nid, label=label))
+                edges.append(new_edge(Edge, (idx, nid, label)))
         # Ports with no device connection still deserve vertices so that
         # annotation covers every declared net.
         for port in circuit.ports:

@@ -17,7 +17,9 @@ pure function of one side of the match:
   members' edges) and shared across all templates, together with each
   template's raw search result.  The tables depend only on the
   target's :func:`member_shape`, never on a name, so channel-connected
-  components of one shape share one context.
+  components of one shape share one context — within a deck and, once
+  the library's shape table keeps it, across decks
+  (:mod:`repro.primitives.matcher`).
 
 VF2 then only launches from (template-root, target-vertex) pairs whose
 signatures are compatible (the root row of the compatibility filter),
@@ -108,10 +110,11 @@ class TargetContext:
 
     ``searches`` maps a :class:`TemplateProfile` to the canonical,
     pre-predicate images (``image[pattern_vertex] -> target vertex``)
-    of its completed search here.  Nothing in a context is a name —
+    of its completed search here.  Nothing a search reads is a name —
     the adjacency's ``elements`` and ``nets`` are those of the target
-    it was built from, and no matcher reads them — so a context and its
-    searches serve every target of the same :func:`member_shape`.
+    it was built from, and :meth:`forget_names` drops them — so a
+    context and its searches serve every target of the same
+    :func:`member_shape`.
     """
 
     adjacency: _Adjacency
@@ -126,6 +129,22 @@ class TargetContext:
         built in one pass over the members' edges, with no subgraph."""
         adjacency = _Adjacency(graph, members)
         return cls(adjacency=adjacency, index=TargetIndex.build(adjacency))
+
+    def forget_names(self) -> "TargetContext":
+        """Drop the devices and net names of the target this context
+        was built from, so keeping it holds nothing of that deck."""
+        self.adjacency.elements = self.adjacency.nets = None
+        return self
+
+    @property
+    def weight(self) -> int:
+        """What keeping this context holds: its vertices plus one entry
+        per vertex of every stored image."""
+        return self.adjacency.n + sum(
+            len(images) * len(images[0])
+            for images in self.searches.values()
+            if images
+        )
 
 
 def member_shape(graph: CircuitGraph, members) -> tuple[tuple, list[str]]:

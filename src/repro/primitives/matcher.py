@@ -21,10 +21,13 @@ Two execution paths produce identical results (the property tests in
 :func:`annotate_components` scopes matching per channel-connected
 component: one context per CCC *shape*, read in one pass out of the
 deck's graph and only once some template needs a search, so repeated
-sub-blocks (the channels of a phased array) are searched once per
-call and only named per copy, with the library's order and template
-profiles resolved once for all of them.  Every call
-records what its matching cost, per template, into a
+sub-blocks (the channels of a phased array) are searched once and only
+named per copy, with the library's order and template profiles
+resolved once for all of them.  The library keeps its shapes' contexts
+and searches in a bounded :class:`ShapeTable`, so a shape searched for
+one deck is not searched again for a later deck matched with the same
+library in the same process (a warm pipeline, or a warm pool worker).
+Every call records what its matching cost, per template, into a
 :class:`MatchStats`; the pipeline turns a run's stats into the
 ``per_template`` and ``counters`` sections of its profile.
 """
@@ -32,7 +35,7 @@ records what its matching cost, per template, into a
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any
@@ -49,6 +52,7 @@ from repro.primitives.index import (
 )
 from repro.primitives.isomorphism import Isomorphism, VF2Matcher
 from repro.primitives.library import PrimitiveLibrary, PrimitiveTemplate
+from repro.runtime.cache import Memo
 from repro.runtime.resilience import Budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -250,7 +254,8 @@ class TemplateStats:
     seconds: float = 0.0
     # Kind-histogram and claimed-device rejections (no VF2 launch).
     skips: int = 0
-    # Answered by the search of an earlier same-shape CCC (no launch).
+    # Answered from the library's shape table: the search of an earlier
+    # same-shape CCC, of this deck or of an earlier one (no launch).
     shared: int = 0
 
     def as_dict(self) -> dict[str, Any]:
@@ -269,11 +274,14 @@ class MatchStats:
 
     :func:`annotate_components` adds to it on every call: per template,
     the VF2 launches, matches found, seconds, skips (rejected without a
-    launch) and shared answers (the search of an earlier CCC of the
-    same shape in the same call); the ``ccc_matched`` counter, and
-    ``ccc_shared`` once a CCC's shape had been searched by an earlier
-    CCC of the call.  Every CCC a call finishes launches, shares or
-    skips each template once.
+    launch) and shared answers (answered from the library's shape
+    table: the search of an earlier CCC of the same shape, in this call
+    or in an earlier call with the same library); the ``ccc_matched``
+    counter, and ``ccc_shared``: the CCCs whose shape's context came
+    from the table rather than being built for them.  Every CCC a call
+    finishes launches, shares or skips each template once.  A warm
+    table turns launches into shared answers, so the counts describe
+    what a run searched, not what its deck contains.
     """
 
     templates: dict[str, TemplateStats] = field(default_factory=dict)
@@ -499,22 +507,89 @@ class _Members:
     nets: list = field(default_factory=list)
 
 
+#: Bound on one library's :class:`ShapeTable`: the summed
+#: :attr:`TargetContext.weight` (vertices plus stored image entries) of
+#: the shapes it keeps.  A kept vertex costs about 1.2 KB and an image
+#: entry about 16 bytes, so a full table holds at most about 25 MB;
+#: perfbench's fleet decks, 54 shapes over 1,280 decks, weigh about
+#: 2,400, and a 40-pair shared-tail bank (3,160 DP-N images) alone
+#: outweighs the bound.
+SHAPE_TABLE_BOUND = 20_000
+
+
+class ShapeTable:
+    """The CCC shapes a library has matched: :func:`member_shape` key →
+    :class:`TargetContext` with its completed searches, least recently
+    used first.
+
+    A context holds no name (:meth:`TargetContext.forget_names`) and
+    its searches are canonical, pre-predicate images, so it serves any
+    later CCC of its shape, in any deck.  :meth:`keep` holds the summed
+    weight within :data:`SHAPE_TABLE_BOUND`, evicting the least
+    recently used shapes; a shape heavier than the whole bound is not
+    kept.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[tuple, tuple[TargetContext, int]] = (
+            OrderedDict()
+        )
+        self.weight = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key: tuple) -> TargetContext | None:
+        entry = self.entries.get(key)
+        return entry[0] if entry is not None else None
+
+    def keep(self, key: tuple, context: TargetContext) -> None:
+        """Keep ``context`` as the most recently used shape, weighed
+        with every search it holds now."""
+        _, old = self.entries.pop(key, (None, 0))
+        self.weight -= old
+        weight = context.weight
+        if weight > SHAPE_TABLE_BOUND:
+            return
+        # Weight first: a timeout raised between the two statements
+        # (SIGALRM, :func:`repro.runtime.resilience.time_limit`) leaves
+        # the table over-counted, never over its bound.
+        self.weight += weight
+        self.entries[key] = (context, weight)
+        while self.weight > SHAPE_TABLE_BOUND:
+            _, (_, dropped) = self.entries.popitem(last=False)
+            self.weight -= dropped
+
+
+#: Each library's shape table, owned through the library's identity: a
+#: new library starts empty, and pickling a library pickles no table.
+_SHAPE_TABLES = Memo()
+
+
+def shape_table(library: PrimitiveLibrary) -> ShapeTable:
+    """The :class:`ShapeTable` ``library`` matches with."""
+    return _SHAPE_TABLES.get_or_build(library, lambda _: ShapeTable())
+
+
 def _shape_context(
-    shapes: dict[tuple, TargetContext],
+    table: ShapeTable,
+    used: dict[tuple, TargetContext],
     tally: _Tally,
     graph: CircuitGraph,
     members: list[int],
     target: _Members,
 ) -> TargetContext:
-    """The context ``target``'s shape has in this call, built by the
-    first CCC of that shape (``tally`` counts every later one as
-    ``ccc_shared``); fills in ``target.nets``."""
+    """The context of ``target``'s shape: this call's, the library's
+    table's, or, for the first CCC of a shape the table does not hold,
+    a new one (``tally`` counts every other CCC as ``ccc_shared``).
+    Records the shape in ``used`` and fills in ``target.nets``."""
     key, target.nets = member_shape(graph, members)
-    context = shapes.get(key)
+    context = used.get(key) or table.get(key)
     if context is None:
-        context = shapes[key] = TargetContext.build(graph, members)
+        context = TargetContext.build(graph, members).forget_names()
     else:
         tally.ccc_shared += 1
+    used[key] = context
     return context
 
 
@@ -538,25 +613,28 @@ def annotate_components(
     template needs one; components of one shape share one
     :class:`TargetContext`, built in one pass over the first one's
     members' edges in ``graph``, and each template's canonical images
-    on it, so a repeated channel is searched once per call.  Each
-    component still checks port predicates on its own net names, and
-    dedups, names, sorts and claims its own matches, so results are
-    those of matching it alone.  The table lives only as long as the
-    call; a search cut short by ``budget`` records nothing.  No
-    subgraph is built.  ``indexed=False`` matches the naive reference
-    path against ``graph.subgraph_of_elements(members)``, sharing
-    nothing.
+    on it.  The library's :class:`ShapeTable` keeps them past the
+    call, so a shape is searched once per library and process, not
+    once per deck: a warm pipeline or pool worker names a repeated
+    shape from the table.  Each component still checks port predicates
+    on its own net names, and dedups, names, sorts and claims its own
+    matches, so results are those of matching it alone, whatever the
+    table holds.  A search cut short by ``budget`` records nothing.
+    No subgraph is built.  ``indexed=False`` matches the naive
+    reference path against ``graph.subgraph_of_elements(members)``,
+    sharing nothing.
 
     ``stats`` (a :class:`MatchStats`) receives the call's per-template
     launches, shared answers, matches, seconds and skips and its
     counters, also when a budget cuts the call short; without one they
-    are dropped.  Nothing outlives the call: a run with an artifact
-    cache matches exactly like one without.
+    are dropped.  A run with an artifact cache matches exactly like
+    one without.
     """
     plan = _library_plan(library)
     tally = _Tally(len(plan))
     results: dict[int, AnnotationResult] = {}
-    shapes: dict[tuple, TargetContext] = {}
+    table = shape_table(library)
+    used: dict[tuple, TargetContext] = {}
     cid = -1
     try:
         for cid, members in enumerate(partition.components):
@@ -564,7 +642,7 @@ def annotate_components(
             if indexed:
                 target = _Members([graph.elements[i] for i in members])
                 context_of = partial(
-                    _shape_context, shapes, tally, graph, members, target
+                    _shape_context, table, used, tally, graph, members, target
                 )
             else:
                 target = graph.subgraph_of_elements(members)
@@ -578,6 +656,10 @@ def annotate_components(
                 tally=tally,
             )
     finally:
+        # What the call searched is kept, also when a budget cut it
+        # short: only completed searches were recorded.
+        for key, context in used.items():
+            table.keep(key, context)
         if stats is not None:
             # Every component entered counts, the one a budget cut
             # short included.

@@ -21,6 +21,9 @@ packed_gcn            block isolation: ``GcnAnnotator.annotate_batch``
 hier_vs_flat          ``run(hier=True)`` vs the flat run
 warm_cache            warm :class:`ArtifactCache` re-run (all stages
                       cache-hit) vs the cold run
+warm_shapes           ``run()`` on the campaign's pipeline, whose
+                      library's shape table the earlier decks warmed,
+                      vs the same templates in a new library
 metamorphic           a random transform from
                       :mod:`repro.testing.metamorphic` + its invariant
 ====================  =====================================================
@@ -34,6 +37,7 @@ watch the fuzzer catch and shrink it.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -376,6 +380,28 @@ def check_warm_cache(deck: GeneratedDeck, ctx: OracleContext) -> None:
         _diverge(
             "warm_cache",
             f"warm result fingerprint {got[:12]} != cold {want[:12]}",
+        )
+
+
+@_oracle(
+    "a library warmed by the campaign's earlier decks annotates like a fresh one",
+    needs_pipeline=True,
+)
+def check_warm_shapes(deck: GeneratedDeck, ctx: OracleContext) -> None:
+    from repro.primitives.library import PrimitiveLibrary
+
+    pipeline = ctx.pipeline
+    warm = pipeline.run(deck.text, mode=deck.mode)
+    # The same templates in a new library: its shape table is empty.
+    fresh = dataclasses.replace(
+        pipeline, library=PrimitiveLibrary(list(pipeline.library.templates))
+    ).run(deck.text, mode=deck.mode)
+    got = pipeline_result_fingerprint(warm)
+    want = pipeline_result_fingerprint(fresh)
+    if got != want:
+        _diverge(
+            "warm_shapes",
+            f"warm-library fingerprint {got[:12]} != fresh library {want[:12]}",
         )
 
 

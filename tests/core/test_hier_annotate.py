@@ -155,20 +155,26 @@ class TestHierReport:
         _assert_results_equivalent(hier, flat)
 
 
+def _fresh(pipeline: GanaPipeline) -> GanaPipeline:
+    """``pipeline``'s annotator on a new library, whose shape table
+    starts empty: its run's counts are the deck's own searches."""
+    return GanaPipeline(annotator=pipeline.annotator)
+
+
 class TestSameMatching:
     """A hier run's Postprocessing I is the flat run's, count for count."""
 
     def test_ota_array(self, ota_pipeline):
-        hier = ota_pipeline.run(OTA_ARRAY_DECK, hier=True)
-        flat = ota_pipeline.run(OTA_ARRAY_DECK)
+        hier = _fresh(ota_pipeline).run(OTA_ARRAY_DECK, hier=True)
+        flat = _fresh(ota_pipeline).run(OTA_ARRAY_DECK)
         assert _match_counts(hier) == _match_counts(flat)
         assert hier.profile["counters"] == flat.profile["counters"]
 
     @pytest.mark.parametrize("n_channels", [2, 16])
     def test_phased_array_hier(self, rf_pipeline, n_channels):
         netlist, port_labels = phased_array_hier(n_channels=n_channels)
-        hier = rf_pipeline.run(netlist, port_labels=port_labels, hier=True)
-        flat = rf_pipeline.run(netlist, port_labels=port_labels)
+        hier = _fresh(rf_pipeline).run(netlist, port_labels=port_labels, hier=True)
+        flat = _fresh(rf_pipeline).run(netlist, port_labels=port_labels)
         assert _match_counts(hier) == _match_counts(flat)
         assert hier.profile["counters"] == flat.profile["counters"]
         assert hier.hier.reused == hier.profile["counters"]["ccc_shared"] > 0
@@ -194,20 +200,23 @@ class TestOnePathWithCache:
         """A cold cached run with the extended library, then a warm
         re-run with the default one (parse → gcn from the cache), each
         make the per-template searches, shares and skips of a cache-less
-        run with the same library, and give its result and hier report."""
+        run with the same library, and give its result and hier report.
+        Every run gets a new library, so each one's shape table starts
+        empty and its counts are its own searches."""
         netlist, port_labels = phased_array_hier(n_channels=n_channels)
         cache = ArtifactCache(tmp_path / "cache")
-        for library, reused, searches in (
-            (extended_library(), (), 64),
-            (default_library(), LIBRARY_INDEPENDENT, 67),
+        for make_library, reused, searches in (
+            (extended_library, (), 64),
+            (default_library, LIBRARY_INDEPENDENT, 67),
         ):
-            pipeline = GanaPipeline(annotator=quick_rf_annotator, library=library)
+            pipeline = GanaPipeline(annotator=quick_rf_annotator, library=make_library())
             staged = pipeline.run_staged(
                 netlist, port_labels=port_labels, hier=hier, artifact_cache=cache
             )
             assert staged.cache_hits == reused
             cached = pipeline.result_from_staged(staged)
-            plain = pipeline.run(netlist, port_labels=port_labels, hier=hier)
+            fresh = GanaPipeline(annotator=quick_rf_annotator, library=make_library())
+            plain = fresh.run(netlist, port_labels=port_labels, hier=hier)
             counts = _match_counts(cached)
             assert counts == _match_counts(plain)
             assert sum(launches for launches, _, _ in counts.values()) == searches

@@ -108,3 +108,34 @@ def test_campaign_files_the_shrunken_repro(monkeypatch, tmp_path):
     assert sidecar["oracle"] == "indexed_matching"
     assert sidecar["recipe"]["seed"] == divergence.seed
     assert "DIVERGENCES: 1" in report.summary()
+
+
+def test_warm_shapes_catches_a_table_that_loses_images(
+    monkeypatch, quick_ota_annotator
+):
+    """A shape table that drops the last image of every search it
+    keeps answers a warm library's next run wrongly, and
+    ``warm_shapes`` reports it: the first pass over the deck warms the
+    table, the second reads it."""
+    from repro.core.pipeline import GanaPipeline
+    from repro.primitives.matcher import ShapeTable
+    from tests.conftest import DIFF_OTA_DECK
+
+    real_keep = ShapeTable.keep
+
+    def lossy_keep(self, key, context):
+        for profile, images in list(context.searches.items()):
+            context.searches[profile] = images[:-1]
+        real_keep(self, key, context)
+
+    deck = GeneratedDeck(text=DIFF_OTA_DECK, recipe={"seed": 0}, mode="strict")
+    healthy = OracleContext(_pipeline=GanaPipeline(annotator=quick_ota_annotator))
+    for _ in range(2):
+        run_oracle("warm_shapes", deck, healthy)
+
+    monkeypatch.setattr(ShapeTable, "keep", lossy_keep)
+    ctx = OracleContext(_pipeline=GanaPipeline(annotator=quick_ota_annotator))
+    run_oracle("warm_shapes", deck, ctx)
+    with pytest.raises(DivergenceError) as excinfo:
+        run_oracle("warm_shapes", deck, ctx)
+    assert excinfo.value.oracle == "warm_shapes"

@@ -34,6 +34,7 @@ class TestRegistry:
             "packed_gcn",
             "hier_vs_flat",
             "warm_cache",
+            "warm_shapes",
             "metamorphic",
         }
 
@@ -43,6 +44,7 @@ class TestRegistry:
                 "packed_gcn",
                 "hier_vs_flat",
                 "warm_cache",
+                "warm_shapes",
                 "metamorphic",
             ]
         )

@@ -183,10 +183,11 @@ def _deck_graph(netlist) -> CircuitGraph:
 
 
 def _searches(graph: CircuitGraph) -> int:
-    """VF2 searches one ``annotate_components`` call runs."""
+    """VF2 searches one ``annotate_components`` call runs on a new
+    library, whose shape table starts empty."""
     stats = MatchStats()
     annotate_components(
-        graph, channel_connected_components(graph), LIBRARY, stats=stats
+        graph, channel_connected_components(graph), default_library(), stats=stats
     )
     return sum(entry.launches for entry in stats.templates.values())
 

@@ -2,21 +2,26 @@
 
 Two hundred varied generated decks, flat and hierarchy-scoped, go
 through one process.  Every memo must stay within its bound, and a
-result must not depend on what earlier decks left in the memos.
+result must not depend on what earlier decks left in the memos: each
+one equals the run of a fresh library, whose shape table is empty.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.core import stages
 from repro.core.pipeline import GanaPipeline
 from repro.core.stages import pipeline_result_fingerprint
-from repro.primitives import index, library
+from repro.primitives import index, library, matcher
+from repro.primitives.library import PrimitiveLibrary
 from repro.spice import netlist
 from repro.spice.parser import parse_netlist
 from repro.spice.writer import write_netlist
 from repro.testing.generator import GenConfig, generate_deck
+from tests.core.test_golden import golden_payload
 
 #: Larger hierarchies than the generator default, so the 200 decks
 #: carry more distinct net names than the power-net memo's cap.
@@ -25,11 +30,13 @@ CONFIG = GenConfig(max_subckts=4, max_instances=8)
 #: Memos bounded by a size cap: (module, memo, cap).
 SIZED = ((netlist, "_POWER_NET_MEMO", "_POWER_NET_MEMO_MAX"),)
 
-#: Identity-keyed memos: one entry per live annotator or template.
+#: Identity-keyed memos: one entry per live annotator, template or
+#: library.
 KEYED = (
     (stages, "_ANNOTATOR_FP_MEMO"),
     (library, "_TEMPLATE_FP_MEMO"),
     (index, "_PROFILE_MEMO"),
+    (matcher, "_SHAPE_TABLES"),
 )
 
 
@@ -68,6 +75,22 @@ def _clear_all_memos() -> None:
         getattr(module, name).clear()
 
 
+def _assert_same_result(result, fresh, where) -> None:
+    """``result`` equals ``fresh``, a run on an empty shape table: the
+    goldens' float-free content (matching cannot move the GCN
+    probabilities) and the hier report."""
+    assert golden_payload(result) == golden_payload(fresh), where
+    if fresh.hier is not None:
+        # ``reused`` counts the CCCs the table answered: a warm table
+        # answers every one a fresh table does, and maybe more.
+        assert dataclasses.replace(result.hier, reused=fresh.hier.reused) == (
+            fresh.hier
+        ), where
+        assert result.hier.reused >= fresh.hier.reused, where
+    else:
+        assert result.hier is None, where
+
+
 @pytest.mark.slow
 def test_memos_stay_bounded_and_never_change_a_result(
     quick_ota_annotator, monkeypatch
@@ -83,13 +106,21 @@ def test_memos_stay_bounded_and_never_change_a_result(
             result = pipeline.run(text, mode=deck.mode, hier=hier)
             for module, name, cap in SIZED:
                 assert len(getattr(module, name)) <= getattr(module, cap), name
+            table = matcher.shape_table(pipeline.library)
+            assert table.weight <= matcher.SHAPE_TABLE_BOUND
+            # The same templates in a new library: an empty shape table.
+            fresh = GanaPipeline(
+                annotator=quick_ota_annotator,
+                library=PrimitiveLibrary(list(pipeline.library.templates)),
+            ).run(text, mode=deck.mode, hier=hier)
+            _assert_same_result(result, fresh, (seed, hier))
             if seed % 20 == 0:
                 _clear_all_memos()
                 fresh = pipeline.run(text, mode=deck.mode, hier=hier)
                 assert pipeline_result_fingerprint(
                     result
                 ) == pipeline_result_fingerprint(fresh), (seed, hier)
-                assert result.hier == fresh.hier, seed
+                _assert_same_result(result, fresh, (seed, hier))
         sizes = {name: len(getattr(module, name)) for module, name in KEYED}
         if keyed_bound is None:
             keyed_bound = sizes

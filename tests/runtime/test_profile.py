@@ -18,18 +18,17 @@ from repro.spice.flatten import flatten
 from repro.spice.parser import parse_netlist
 from tests.conftest import DIFF_OTA_DECK
 
-LIBRARY = default_library()
-
-
 def _graph(deck: str) -> CircuitGraph:
     return CircuitGraph.from_circuit(flatten(parse_netlist(deck)))
 
 
 def _match_into(stats: MatchStats, deck: str) -> int:
-    """Annotate ``deck`` per CCC into ``stats``; its CCC count."""
+    """Annotate ``deck`` per CCC into ``stats`` on a new library, whose
+    shape table starts empty, so the counts are the deck's own
+    searches; its CCC count."""
     graph = _graph(deck)
     partition = channel_connected_components(graph)
-    annotate_components(graph, partition, LIBRARY, stats=stats)
+    annotate_components(graph, partition, default_library(), stats=stats)
     return partition.n_components
 
 
@@ -53,7 +52,7 @@ class TestTemplateStats:
         # each is skipped without a VF2 launch.
         stats = MatchStats()
         _match_into(stats, "r1 a b 1k\n.end\n")
-        assert set(stats.templates) == set(LIBRARY.names())
+        assert set(stats.templates) == set(default_library().names())
         for entry in stats.templates.values():
             assert entry == TemplateStats(launches=0, matches=0, skips=1)
 
@@ -132,20 +131,23 @@ class TestPipelineIntegration:
         repeat their CCCs, so some answers are shared, and a shared
         template was launched by its shape's first CCC.  This holds
         with an artifact cache too, cold and on the re-run after a
-        library-only change (parse → gcn from the cache)."""
+        library-only change (parse → gcn from the cache).  Each run
+        gets a new library, whose shape table starts empty."""
         from repro.core.pipeline import GanaPipeline
         from repro.datasets.systems import phased_array
+        from repro.primitives.library import extended_library
 
         system = phased_array(n_channels=2)
-        extended = GanaPipeline(annotator=quick_rf_annotator)
-        default = GanaPipeline(annotator=quick_rf_annotator, library=LIBRARY)
         cache = tmp_path / "cache"
         runs = (
-            (extended, None, ()),
-            (extended, cache, ()),
-            (default, cache, ("parse", "preprocess", "graph", "gcn")),
+            (extended_library, None, ()),
+            (extended_library, cache, ()),
+            (default_library, cache, ("parse", "preprocess", "graph", "gcn")),
         )
-        for pipeline, artifact_cache, reused in runs:
+        for make_library, artifact_cache, reused in runs:
+            pipeline = GanaPipeline(
+                annotator=quick_rf_annotator, library=make_library()
+            )
             staged = pipeline.run_staged(
                 system.circuit,
                 port_labels=system.port_labels,
