@@ -132,23 +132,24 @@ class GcnAnnotator:
         graphs: list[CircuitGraph],
         net_roles_list: list[dict[str, NetRole] | None] | None = None,
     ) -> list[Annotation]:
-        """Classify every vertex of several graphs in one packed pass.
+        """Classify every vertex of several graphs in one forward.
 
-        Builds one sample per graph, then runs a single block-diagonal
-        forward (:meth:`GCNModel.predict_proba_batch`) instead of one
-        forward per graph; a single graph runs as a pack of one.
+        Builds one sample for the disjoint union of ``graphs``
+        (:meth:`GraphSample.from_graphs`: one adjacency, one coarsening
+        and one Laplacian per level), runs one inference forward on it
+        as a pack of one (:meth:`GCNModel.predict_proba_batch`) and
+        splits the probabilities back per graph by vertex count.  A
+        single graph is the union of one.  Each graph's probabilities
+        equal those of the graphs' own samples packed together, bit for
+        bit.
         """
-        if net_roles_list is None:
-            net_roles_list = [None] * len(graphs)
-        samples = [
-            GraphSample.from_graph(
-                graph,
-                labels={},
-                levels=self.model.config.levels_needed,
-                net_roles=net_roles,
-            )
-            for graph, net_roles in zip(graphs, net_roles_list)
-        ]
+        if not graphs:
+            return []
+        sample = GraphSample.from_graphs(
+            graphs,
+            levels=self.model.config.levels_needed,
+            net_roles=net_roles_list,
+        )
         return [
             Annotation(
                 graph=graph,
@@ -157,6 +158,6 @@ class GcnAnnotator:
                 probabilities=probabilities,
             )
             for graph, probabilities in zip(
-                graphs, self.model.predict_proba_batch(samples)
+                graphs, self.model.predict_proba_batch([sample])
             )
         ]

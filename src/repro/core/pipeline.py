@@ -626,15 +626,18 @@ class GanaPipeline:
         the batch runs in-process or sets ``timeout`` or
         ``artifact_cache``; otherwise each worker receives one
         contiguous chunk, runs every deck up to the graph stage,
-        classifies all of the chunk's graphs in one block-diagonal
-        packed forward (when the annotator supports
+        classifies all of the chunk's graphs in one forward on one
+        sample built for their disjoint union (when the annotator
+        supports
         :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch`),
         then finishes each deck from the precomputed annotation.
         Results are unchanged (class predictions are identical; softmax
         probabilities agree to fp64 rounding — see
-        ``repro/gcn/batch.py``); the packed GCN seconds are attributed
-        to each item proportional to its vertex count.  Any packed
-        failure falls back to per-item inference for that chunk.
+        ``repro/gcn/batch.py``); the chunk's GCN seconds are attributed
+        to each item proportional to its vertex count.  Any failure of
+        the chunk's forward (say, a deck whose graph coarsens to one
+        vertex before the model's depth) falls back to per-item
+        inference for that chunk.
 
         ``artifact_cache`` (an
         :class:`~repro.runtime.cache.ArtifactCache` or directory path)
@@ -1072,21 +1075,25 @@ def _run_pipeline_job(
 def _run_pipeline_chunk(
     pipeline: GanaPipeline, jobs: list[dict]
 ) -> list[PipelineResult | FailureReport]:
-    """One chunk of a ``run_many`` fleet, classified with one packed
-    GCN forward.
+    """One chunk of a ``run_many`` fleet, classified with one GCN
+    forward.
 
     Phase 1 runs every deck through the graph stage (with the usual
     per-item fault isolation); a single
     :meth:`~repro.core.annotator.GcnAnnotator.annotate_batch` call then
-    classifies all surviving graphs block-diagonally; phase 2 resumes
-    each deck from its graph artifact with the precomputed annotation
-    injected into the gcn stage.  The packed pass's wall-clock is
-    attributed to items proportional to their vertex counts, so
-    per-item ``timings["gcn"]`` stays meaningful.  If the packed pass
-    fails, the chunk's items fall back to ordinary per-item GCN
-    inference — identical semantics, just without the speedup.  A
-    single-deck chunk, or an annotator without ``annotate_batch``,
-    runs each deck through :func:`_run_pipeline_job`.
+    classifies all surviving graphs at once, from one sample built for
+    their disjoint union (one adjacency, one coarsening and one
+    Laplacian per level); phase 2 resumes each deck from its graph
+    artifact with the precomputed annotation injected into the gcn
+    stage.  The batched pass's wall-clock is attributed to items
+    proportional to their vertex counts, so per-item
+    ``timings["gcn"]`` stays meaningful.  If the batched pass fails
+    (for one, when a deck's graph coarsens to one vertex before the
+    model's depth, which stops the whole union short), the chunk's
+    items fall back to ordinary per-item GCN inference — identical
+    semantics, just without the speedup.  A single-deck chunk, or an
+    annotator without ``annotate_batch``, runs each deck through
+    :func:`_run_pipeline_job`.
     """
     if len(jobs) < 2 or not callable(
         getattr(pipeline.annotator, "annotate_batch", None)

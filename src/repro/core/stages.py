@@ -144,13 +144,21 @@ def content_fingerprint(*parts: Any) -> str:
     dedicated encoder.  Unsupported types raise ``TypeError`` rather
     than silently fingerprinting their ``repr``.
     """
+    return _fingerprint(parts, None)
+
+
+def _fingerprint(parts: tuple, graphs: dict | None) -> str:
     digest = hashlib.sha256(_FP_SEED)
     for part in parts:
-        _hash_into(digest, part)
+        _hash_into(digest, part, graphs)
     return digest.hexdigest()[:32]
 
 
-def _hash_into(h, obj: Any) -> None:
+def _hash_into(h, obj: Any, graphs: dict | None = None) -> None:
+    """Feed ``obj``'s encoding to ``h``.  With a ``graphs`` memo, each
+    distinct :class:`CircuitGraph` is walked once and its recorded
+    bytes replayed wherever it recurs: the digest is the same as
+    without the memo."""
     if obj is None:
         h.update(b"N;")
     elif isinstance(obj, bool):
@@ -177,39 +185,64 @@ def _hash_into(h, obj: Any) -> None:
     elif isinstance(obj, (tuple, list)):
         h.update(b"T(" if isinstance(obj, tuple) else b"L(")
         for item in obj:
-            _hash_into(h, item)
+            _hash_into(h, item, graphs)
         h.update(b")")
     elif isinstance(obj, (set, frozenset)):
         h.update(b"Z(")
-        for digest in sorted(_item_digest(item) for item in obj):
+        for digest in sorted(_item_digest((item,), graphs) for item in obj):
             h.update(digest)
         h.update(b")")
     elif isinstance(obj, dict):
         h.update(b"D(")
         for digest in sorted(
-            _item_digest(key, value) for key, value in obj.items()
+            _item_digest((key, value), graphs) for key, value in obj.items()
         ):
             h.update(digest)
         h.update(b")")
     elif isinstance(obj, Path):
         h.update(b"P")
         _hash_into(h, str(obj))
+    elif graphs is not None and isinstance(obj, CircuitGraph):
+        entry = graphs.get(id(obj))
+        if entry is None:
+            recorder = _Recorder()
+            _hash_fields(recorder, obj, graphs)
+            # The entry holds the graph, so its id cannot be recycled.
+            entry = graphs[id(obj)] = (obj, bytes(recorder.buffer))
+        h.update(entry[1])
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        h.update(b"C" + type(obj).__qualname__.encode() + b"(")
-        for f in dataclasses.fields(obj):
-            _hash_into(h, f.name)
-            _hash_into(h, getattr(obj, f.name))
-        h.update(b")")
+        _hash_fields(h, obj, graphs)
     else:
         raise TypeError(
             f"cannot fingerprint object of type {type(obj).__name__}"
         )
 
 
-def _item_digest(*parts: Any) -> bytes:
+def _hash_fields(h, obj: Any, graphs: dict | None) -> None:
+    """A dataclass's encoding: its type, then each field by name."""
+    h.update(b"C" + type(obj).__qualname__.encode() + b"(")
+    for f in dataclasses.fields(obj):
+        _hash_into(h, f.name)
+        _hash_into(h, getattr(obj, f.name), graphs)
+    h.update(b")")
+
+
+class _Recorder:
+    """Stands in for a hash object and keeps the bytes fed to it, in
+    one buffer (a list of the many small chunks would weigh several
+    times their bytes)."""
+
+    def __init__(self) -> None:
+        self.buffer = bytearray()
+
+    def update(self, data: bytes) -> None:
+        self.buffer += data
+
+
+def _item_digest(parts: tuple, graphs: dict | None) -> bytes:
     h = hashlib.sha256()
     for part in parts:
-        _hash_into(h, part)
+        _hash_into(h, part, graphs)
     return h.digest()
 
 
@@ -745,16 +778,23 @@ def pipeline_result_fingerprint(result: Any) -> str:
     wall-clock (timings / profile).  Two runs that recognized the same
     design identically — annotations, constraints, hierarchy,
     diagnostics, degradation — share this fingerprint; the oracles use
-    it to assert that twin paths agree."""
-    return content_fingerprint(
-        "pipeline-result",
-        result.gcn_annotation,
-        result.post1,
-        result.post2,
-        result.hierarchy,
-        result.constraints,
-        result.preprocess_report,
-        tuple(result.diagnostics),
-        result.degraded,
-        result.degraded_reason,
+    it to assert that twin paths agree.
+
+    It equals :func:`content_fingerprint` of the same parts, but walks
+    the deck's graph once, though the GCN, Post-I and Post-II
+    annotations each refer to it."""
+    return _fingerprint(
+        (
+            "pipeline-result",
+            result.gcn_annotation,
+            result.post1,
+            result.post2,
+            result.hierarchy,
+            result.constraints,
+            result.preprocess_report,
+            tuple(result.diagnostics),
+            result.degraded,
+            result.degraded_reason,
+        ),
+        {},
     )

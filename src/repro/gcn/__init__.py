@@ -16,6 +16,7 @@ from repro.gcn.chebyshev import (
 from repro.gcn.coarsening import (
     CoarseningPyramid,
     build_pyramid,
+    build_union_pyramid,
     coarsen_adjacency,
     graclus_matching,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "accuracy",
     "batched_cross_entropy",
     "build_pyramid",
+    "build_union_pyramid",
     "chebyshev_basis",
     "chebyshev_basis_backward",
     "chebyshev_polynomial",

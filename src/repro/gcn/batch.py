@@ -30,8 +30,11 @@ its pack-mates.  Class predictions (argmax) are identical in practice;
 tests pin argmax equality exactly and logits to tight fp64 tolerance,
 and committed golden training curves pin training at a stated one.
 
-``offsets[ℓ]`` is the (B+1,) vertex-boundary array at coarsening level
-ℓ: sample ``i`` owns packed rows ``offsets[ℓ][i]:offsets[ℓ][i+1]``.
+``offsets[ℓ]`` is the (G+1,) vertex-boundary array at coarsening level
+ℓ: graph ``i`` owns packed rows ``offsets[ℓ][i]:offsets[ℓ][i+1]``.
+A sample built for the disjoint union of several graphs
+(:meth:`GraphSample.from_graphs`) brings one segment per member graph,
+so G counts graphs, not samples.
 """
 
 from __future__ import annotations
@@ -94,21 +97,22 @@ class PackedPyramid:
 
 @dataclass
 class PackedBatch:
-    """B graph samples packed into one block-diagonal virtual sample."""
+    """B graph samples (G graphs) packed into one block-diagonal
+    virtual sample."""
 
     samples: list[GraphSample]
     features: np.ndarray  # (Σn_i, F) vstacked
     labels: np.ndarray  # (Σn_i,) concatenated
     mask: np.ndarray  # (Σn_i,) concatenated
     pyramid: PackedPyramid
-    offsets: list[np.ndarray]  # per level: (B+1,) vertex boundaries
+    offsets: list[np.ndarray]  # per level: (G+1,) per-graph boundaries
     #: Packed-lifetime memo (the packed first-layer Chebyshev basis);
     #: mirrors :attr:`GraphSample.runtime_cache`.
     runtime_cache: dict = field(default_factory=dict)
 
     @property
     def n_graphs(self) -> int:
-        return len(self.samples)
+        return len(self.offsets[0]) - 1
 
     @property
     def n_vertices(self) -> int:
@@ -128,7 +132,7 @@ class PackedBatch:
         )
 
     def split(self, array: np.ndarray) -> list[np.ndarray]:
-        """Slice a packed level-0 row array back into per-sample views."""
+        """Slice a packed level-0 row array back into per-graph views."""
         bounds = self.offsets[0]
         return [
             array[bounds[i] : bounds[i + 1]] for i in range(self.n_graphs)
@@ -177,7 +181,7 @@ class PackedBatch:
             flat = basis.transpose(1, 0, 2).reshape(
                 self.n_vertices, order * n_features
             )
-            bounds = self.offsets[0]
+            bounds = np.cumsum([0] + [s.n_vertices for s in self.samples])
             for i, sample in enumerate(self.samples):
                 sample.runtime_cache["cheb-input-flat"] = (
                     sample.features,
@@ -200,7 +204,10 @@ class PackedBatch:
                         order,
                         per_sample[i],
                     )
-            flat = np.vstack(per_sample)
+            flat = (
+                per_sample[0] if len(per_sample) == 1
+                else np.vstack(per_sample)
+            )
         self.runtime_cache["cheb-input-flat"] = (
             self.features, lap0, order, flat,
         )
@@ -212,31 +219,51 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
     Packs the deepest pyramid prefix *every* sample carries; a model
     needing more levels than some sample carries fails in
     :meth:`~repro.gcn.model.GCNModel.forward_packed` with a
-    :class:`ModelConfigError` naming that sample.
+    :class:`ModelConfigError` naming that sample.  A pack of one copies
+    nothing: it shares the sample's arrays (nothing writes into a
+    packed array).  Offsets count graphs, so a union sample contributes
+    one segment per member graph.
     """
     if not samples:
         raise ModelConfigError("cannot pack an empty sample batch")
     levels = min(len(s.pyramid.assignments) for s in samples)
+    if len(samples) == 1:
+        (sample,) = samples
+        pyramid = sample.pyramid
+        return PackedBatch(
+            samples=[sample],
+            features=sample.features,
+            labels=sample.labels,
+            mask=sample.mask,
+            pyramid=PackedPyramid(
+                laplacians=pyramid.laplacians[: levels + 1],
+                assignments=pyramid.assignments[:levels],
+            ),
+            offsets=pyramid.offsets[: levels + 1],
+        )
 
     offsets: list[np.ndarray] = []
     laplacians: list[sp.csr_matrix] = []
+    starts: list[list[int]] = []  # per level: each sample's first row
     for level in range(levels + 1):
-        blocks = [s.pyramid.laplacians[level] for s in samples]
-        sizes = np.array([b.shape[0] for b in blocks], dtype=np.int64)
-        offsets.append(np.concatenate([[0], np.cumsum(sizes)]))
-        laplacians.append(block_diag_csr(blocks))
+        # Plain-int bookkeeping: a handful of small numpy ops per
+        # sample would cost more than the packing itself.
+        bounds, start = [0], []
+        for s in samples:
+            own = s.pyramid.offsets[level].tolist()
+            start.append(bounds[-1])
+            bounds += [start[-1] + b for b in own[1:]]
+        starts.append(start)
+        offsets.append(np.array(bounds, dtype=np.int64))
+        laplacians.append(
+            block_diag_csr([s.pyramid.laplacians[level] for s in samples])
+        )
 
     assignments: list[np.ndarray] = []
     for level in range(levels):
-        coarse_bounds = offsets[level + 1]
-        assignments.append(
-            np.concatenate(
-                [
-                    s.pyramid.assignments[level] + coarse_bounds[i]
-                    for i, s in enumerate(samples)
-                ]
-            )
-        )
+        parts = [s.pyramid.assignments[level] for s in samples]
+        shift = np.repeat(starts[level + 1], [len(part) for part in parts])
+        assignments.append(np.concatenate(parts) + shift)
 
     return PackedBatch(
         samples=list(samples),

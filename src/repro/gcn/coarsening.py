@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.laplacian import normalized_laplacian, rescaled_laplacian
+from repro.graph.laplacian import chebyshev_laplacian
 from repro.utils.sparse import csr_from_coo, float64_csr, row_ids, row_sums
 
 
@@ -27,17 +27,26 @@ def graclus_matching(adjacency: sp.spmatrix, rng) -> np.ndarray:
     Returns ``assign``: fine vertex → coarse cluster id (clusters have
     one or two members).  ``rng`` shuffles the visit order, as Graclus
     prescribes, so coarsenings differ between seeds but are fully
-    reproducible for a fixed one.  The greedy loop is sequential by
-    definition, so it runs over plain Python lists, whose float
-    arithmetic is the same IEEE double arithmetic as numpy's.
+    reproducible for a fixed one.
     """
     adjacency = float64_csr(adjacency)
+    return _greedy_matching(
+        adjacency, rng.permutation(adjacency.shape[0]).tolist()
+    )
+
+
+def _greedy_matching(adjacency: sp.csr_matrix, order: list[int]) -> np.ndarray:
+    """Graclus's greedy matching, visiting vertices in ``order``.
+
+    Cluster ids count up in visit order.  The greedy loop is sequential
+    by definition, so it runs over plain Python lists, whose float
+    arithmetic is the same IEEE double arithmetic as numpy's.
+    """
     n = adjacency.shape[0]
     degrees = row_sums(adjacency)
     with np.errstate(divide="ignore"):
         inv_deg = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1e-12), 0.0)
 
-    order = rng.permutation(n).tolist()
     matched = [-1] * n
     next_cluster = 0
     indptr = adjacency.indptr.tolist()
@@ -85,16 +94,21 @@ def coarsen_adjacency(adjacency: sp.spmatrix, assign: np.ndarray) -> sp.csr_matr
 
 @dataclass
 class CoarseningPyramid:
-    """All levels of a multilevel clustering of one graph.
+    """All levels of a multilevel clustering of one graph, or of the
+    disjoint union of several.
 
     ``adjacencies[0]`` is the input graph; ``assignments[ℓ]`` maps
     level-ℓ vertices to level-(ℓ+1) clusters; ``laplacians[ℓ]`` is the
     rescaled normalized Laplacian at each level, ready for ChebConv.
+    ``offsets[ℓ]`` is the (B+1,) array of block boundaries at level ℓ:
+    graph ``i`` of the union owns vertices
+    ``offsets[ℓ][i]:offsets[ℓ][i+1]`` there.
     """
 
     adjacencies: list[sp.csr_matrix]
     assignments: list[np.ndarray]
     laplacians: list[sp.csr_matrix]
+    offsets: list[np.ndarray]
 
     @property
     def n_levels(self) -> int:
@@ -107,19 +121,51 @@ class CoarseningPyramid:
 def build_pyramid(
     adjacency: sp.spmatrix, levels: int, rng
 ) -> CoarseningPyramid:
-    """Coarsen ``levels`` times and precompute every level's Laplacian."""
+    """Coarsen one graph ``levels`` times and precompute every level's
+    Laplacian (a union of one, see :func:`build_union_pyramid`)."""
+    n = adjacency.shape[0]
+    return build_union_pyramid(
+        adjacency, levels, [rng], np.array([0, n], dtype=np.int64)
+    )
+
+
+def build_union_pyramid(
+    adjacency: sp.spmatrix, levels: int, rngs: list, bounds: np.ndarray
+) -> CoarseningPyramid:
+    """Coarsen the disjoint union of ``len(rngs)`` graphs ``levels``
+    times and precompute every level's Laplacian.
+
+    Graph ``i`` owns rows ``bounds[i]:bounds[i+1]`` of ``adjacency``
+    and no edge leaves its block.  Each level runs one greedy matching
+    over the graphs' own ``rngs[i].permutation`` visit orders, placed
+    one after the other, so cluster ids continue block by block; one
+    coarsening and one Laplacian serve every graph.  Because the blocks
+    are disconnected, every level equals the block-diagonal pack of the
+    graphs' own pyramids bit for bit.  The union stops coarsening as
+    soon as any graph is down to one vertex, where that graph's own
+    pyramid stops.
+    """
     adjacencies = [float64_csr(adjacency)]
+    offsets = [np.asarray(bounds, dtype=np.int64)]
     assignments: list[np.ndarray] = []
     for _ in range(levels):
-        current = adjacencies[-1]
-        if current.shape[0] <= 1:
+        current, fine = adjacencies[-1], offsets[-1]
+        sizes = fine[1:] - fine[:-1]
+        if (sizes <= 1).any():
             break
-        assign = graclus_matching(current, rng)
+        order = np.concatenate(
+            [rng.permutation(size) + lo
+             for rng, size, lo in zip(rngs, sizes.tolist(), fine.tolist())]
+        )
+        assign = _greedy_matching(current, order.tolist())
         assignments.append(assign)
         adjacencies.append(coarsen_adjacency(current, assign))
-    laplacians = [
-        rescaled_laplacian(normalized_laplacian(a)) for a in adjacencies
-    ]
+        coarse = np.zeros_like(fine)
+        coarse[1:] = np.maximum.reduceat(assign, fine[:-1]) + 1
+        offsets.append(coarse)
     return CoarseningPyramid(
-        adjacencies=adjacencies, assignments=assignments, laplacians=laplacians
+        adjacencies=adjacencies,
+        assignments=assignments,
+        laplacians=[chebyshev_laplacian(a) for a in adjacencies],
+        offsets=offsets,
     )

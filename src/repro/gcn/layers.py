@@ -9,10 +9,13 @@ its own reverse-mode gradient.  The contract:
 * ``backward(grad)`` consumes ∂loss/∂output, accumulates parameter
   gradients into ``self.grads`` and returns ∂loss/∂input.
 
-Layers are stateful across a single forward/backward pair (they cache
-what backward needs); the :class:`~repro.gcn.model.GCNModel` drives
-them strictly in that order, one packed batch of graphs at a time
-(``repro.gcn.batch``), before the optimizer steps.
+Layers are stateful across a single forward/backward pair: a training
+forward caches what backward needs, and an inference forward caches
+nothing (it clears the cache, so a model keeps no activations after
+inference and pickles as small as a fresh one).  The
+:class:`~repro.gcn.model.GCNModel` drives them strictly in that order,
+one packed batch of graphs at a time (``repro.gcn.batch``), before the
+optimizer steps.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ class ChebConv(Layer):
         )
         self.params["bias"] = np.zeros(out_features)
         self.zero_grad()
+        self._flat: np.ndarray | None = None
         self._laplacian: sp.csr_matrix | None = None
         #: Set by :class:`~repro.gcn.model.GCNModel` on the first conv
         #: layer: its input is the sample's (constant) feature matrix,
@@ -151,8 +155,10 @@ class ChebConv(Layer):
             flat = basis.transpose(1, 0, 2).reshape(
                 x.shape[0], self.order * self.in_features
             )
-        self._flat = flat
-        self._laplacian = laplacian
+        if training:
+            self._flat, self._laplacian = flat, laplacian
+        else:
+            self._flat = self._laplacian = None
         return flat @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad):
@@ -178,9 +184,10 @@ class Dense(Layer):
         self.params["weight"] = rng.normal(0.0, scale, size=(in_features, out_features))
         self.params["bias"] = np.zeros(out_features)
         self.zero_grad()
+        self._x: np.ndarray | None = None
 
     def forward(self, x, ctx, training):
-        self._x = x
+        self._x = x if training else None
         return x @ self.params["weight"] + self.params["bias"]
 
     def backward(self, grad):
@@ -192,9 +199,14 @@ class Dense(Layer):
 class ReLU(Layer):
     """Rectified linear activation (the paper's empirical winner)."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._mask: np.ndarray | None = None
+
     def forward(self, x, ctx, training):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if training else None
+        return x * mask
 
     def backward(self, grad):
         return grad * self._mask
@@ -203,9 +215,14 @@ class ReLU(Layer):
 class Tanh(Layer):
     """tanh activation — kept for the ReLU-vs-tanh comparison."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._y: np.ndarray | None = None
+
     def forward(self, x, ctx, training):
-        self._y = np.tanh(x)
-        return self._y
+        y = np.tanh(x)
+        self._y = y if training else None
+        return y
 
     def backward(self, grad):
         return grad * (1.0 - self._y**2)
@@ -220,6 +237,7 @@ class Dropout(Layer):
             raise ModelConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng = rng
+        self._mask: np.ndarray | None = None
 
     def forward(self, x, ctx, training):
         if not training or self.rate == 0.0:
@@ -246,7 +264,9 @@ class BatchNorm(Layer):
     In training, each feature is normalized over each graph's own
     vertices (running statistics are kept for inference) — the "batch
     normalization ... all input quantities in the same numerical range"
-    regularizer of Sec. V-A.
+    regularizer of Sec. V-A.  ``backward`` follows a training forward
+    only: inference normalizes by the running statistics and keeps
+    nothing to differentiate.
     """
 
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -258,6 +278,12 @@ class BatchNorm(Layer):
         self.eps = eps
         self.running_mean = np.zeros(features)
         self.running_var = np.ones(features)
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop the backward cache: an inference forward keeps none."""
+        self._xhat = self._std = None
+        self._starts = self._sizes = self._counts = None
 
     def _fold_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         self.running_mean = (
@@ -268,11 +294,11 @@ class BatchNorm(Layer):
         )
 
     def forward(self, x, ctx, training):
-        self._training = training
         if not training:
-            self._std = np.sqrt(self.running_var + self.eps)
-            self._xhat = (x - self.running_mean) / self._std
-            return self.params["gamma"] * self._xhat + self.params["beta"]
+            self._forget()
+            std = np.sqrt(self.running_var + self.eps)
+            xhat = (x - self.running_mean) / std
+            return self.params["gamma"] * xhat + self.params["beta"]
         # Training statistics are per graph: one segment per packed
         # graph (or the whole array for a pack of one).  Segment sums
         # go through ``np.add.reduceat``, whose plain sequential
@@ -308,8 +334,6 @@ class BatchNorm(Layer):
         self.grads["gamma"] += (grad * xhat).sum(axis=0)
         self.grads["beta"] += grad.sum(axis=0)
         gg = grad * self.params["gamma"]
-        if not self._training:
-            return gg / std
         starts, sizes, counts = self._starts, self._sizes, self._counts
         mean_gg = np.add.reduceat(gg, starts, axis=0) / counts
         mean_gx = np.add.reduceat(gg * xhat, starts, axis=0) / counts
@@ -366,6 +390,11 @@ class GraphPool(Layer):
     the cluster tree.  Advances ``ctx.level``.
     """
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._winner: np.ndarray | None = None
+        self._n_fine: int | None = None
+
     def forward(self, x, ctx, training):
         if ctx.level >= len(ctx.assignments):
             raise ModelConfigError(
@@ -374,11 +403,14 @@ class GraphPool(Layer):
         _, lo, hi = _cluster_members(ctx, ctx.level)
         low, high = x[lo], x[hi]
         out = np.maximum(low, high)
-        # Track which fine vertex supplied each max for routing grads:
-        # among a cluster's members that attain the max, the highest
-        # fine index wins.
-        self._winner = np.where(high >= low, hi[:, None], lo[:, None])
-        self._n_fine = x.shape[0]
+        if training:
+            # Track which fine vertex supplied each max for routing
+            # grads: among a cluster's members that attain the max, the
+            # highest fine index wins.
+            self._winner = np.where(high >= low, hi[:, None], lo[:, None])
+            self._n_fine = x.shape[0]
+        else:
+            self._winner = self._n_fine = None
         ctx.level += 1
         return out
 
@@ -402,15 +434,20 @@ class GraphUnpool(Layer):
     multilevel cluster.
     """
 
+    def __init__(self) -> None:
+        super().__init__()
+        self._lo: np.ndarray | None = None
+        self._hi: np.ndarray | None = None
+
     def forward(self, x, ctx, training):
         if ctx.level == 0:
             raise ModelConfigError("GraphUnpool at level 0 has nothing to undo")
         ctx.level -= 1
-        assign = ctx.assignments[ctx.level]
-        self._assign = assign
-        _, self._lo, self._hi = _cluster_members(ctx, ctx.level)
-        self._n_coarse = x.shape[0]
-        return x[assign]
+        if training:
+            _, self._lo, self._hi = _cluster_members(ctx, ctx.level)
+        else:
+            self._lo = self._hi = None
+        return x[ctx.assignments[ctx.level]]
 
     def backward(self, grad):
         # Each coarse vertex sums its members' gradients in ascending

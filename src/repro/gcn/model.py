@@ -189,8 +189,9 @@ class GCNModel:
     def predict_proba_batch(
         self, samples: list[GraphSample]
     ) -> list[np.ndarray]:
-        """Per-vertex class probabilities for each sample, computed in
-        one packed inference forward."""
+        """Per-vertex class probabilities for each graph of
+        ``samples`` (one per sample, or one per member of a union
+        sample), computed in one packed inference forward."""
         if not samples:
             return []
         batch = pack_samples(samples)
@@ -198,7 +199,8 @@ class GCNModel:
         return batch.split(softmax(logits))
 
     def predict_batch(self, samples: list[GraphSample]) -> list[np.ndarray]:
-        """Per-vertex argmax class ids for each sample (one packed pass)."""
+        """Per-vertex argmax class ids for each graph of ``samples``
+        (one packed pass)."""
         if not samples:
             return []
         batch = pack_samples(samples)

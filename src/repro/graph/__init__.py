@@ -17,6 +17,7 @@ from repro.graph.features import (
     infer_net_role,
 )
 from repro.graph.laplacian import (
+    chebyshev_laplacian,
     fourier_basis,
     laplacian_spectrum,
     largest_eigenvalue,
@@ -35,6 +36,7 @@ __all__ = [
     "SOURCE_BIT",
     "ValueBuckets",
     "channel_connected_components",
+    "chebyshev_laplacian",
     "feature_matrix",
     "feature_names",
     "fourier_basis",

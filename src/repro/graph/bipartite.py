@@ -133,6 +133,15 @@ class CircuitGraph:
             element_index=element_index,
         )
 
+    def __getstate__(self) -> dict:
+        """Pickle without the derived edge caches (:meth:`edge_arrays`,
+        :meth:`element_edge_lists`), which rebuild on first use, so a
+        graph pickles the same whatever it has been used for."""
+        state = self.__dict__.copy()
+        state.pop("_edge_arrays", None)
+        state.pop("_element_edges", None)
+        return state
+
     # -- sizes and vertex bookkeeping ---------------------------------
 
     @property

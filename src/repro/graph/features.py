@@ -121,15 +121,15 @@ def infer_net_role(
         # Heuristic: internal bias-distribution nets named like bias nets
         # still count as bias; everything else is internal.
         leaf = instance_path(net)[-1]
-        if any(leaf.startswith(p) for p in _BIAS_NAMES):
+        if leaf.startswith(_BIAS_NAMES):
             return NetRole.BIAS
         return NetRole.INTERNAL
     leaf = instance_path(net)[-1]
-    if any(leaf.startswith(p) for p in _BIAS_NAMES):
+    if leaf.startswith(_BIAS_NAMES):
         return NetRole.BIAS
-    if any(leaf.startswith(p) for p in _INPUT_NAMES):
+    if leaf.startswith(_INPUT_NAMES):
         return NetRole.INPUT
-    if any(leaf.startswith(p) for p in _OUTPUT_NAMES):
+    if leaf.startswith(_OUTPUT_NAMES):
         return NetRole.OUTPUT
     return NetRole.INTERNAL
 

@@ -13,7 +13,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.utils.sparse import csr_from_coo, float64_csr, row_ids, row_sums
+from repro.utils.sparse import (
+    csr_from_arrays,
+    csr_from_coo,
+    float64_csr,
+    row_ids,
+    row_sums,
+)
 
 
 def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
@@ -25,13 +31,19 @@ def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
     order.
     """
     adjacency = float64_csr(adjacency)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(row_sums(adjacency))
-    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    inv_sqrt = _inv_sqrt_degrees(adjacency)
     rows = row_ids(adjacency.indptr)
     cols = adjacency.indices
     scaled = (inv_sqrt[rows] * adjacency.data) * inv_sqrt[cols]
     return _plus_identity(rows, cols, -scaled, adjacency.shape[0], 1.0)
+
+
+def _inv_sqrt_degrees(adjacency: sp.csr_matrix) -> np.ndarray:
+    """``d_i^{-1/2}`` per vertex, 0 where the degree is not positive."""
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(row_sums(adjacency))
+    inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
+    return inv_sqrt
 
 
 def _plus_identity(
@@ -100,6 +112,41 @@ def rescaled_laplacian(
         laplacian.shape[0],
         -1.0,
     )
+
+
+def chebyshev_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
+    """``rescaled_laplacian(normalized_laplacian(adjacency))`` at the
+    default λmax = 2, built in one pass over the adjacency's CSR.
+
+    Both reference steps add ``±I`` by a key sort.  On canonical input
+    neither sort moves an entry, and the identity cancels: the result
+    has the adjacency's own sparsity pattern with data
+    ``−(d_i^{-1/2} · a_ij) · d_j^{-1/2}`` (and, when nothing is
+    dropped, the adjacency's own index arrays).  A self-loop keeps the
+    reference's rounding, ``(−s_ii + 1) − 1``, and entries equal to
+    zero are dropped, as the sorts drop them, so the result equals the
+    reference bit for bit.  An adjacency that is not canonical CSR
+    (unsorted or duplicate indices) takes the reference path.
+    """
+    adjacency = float64_csr(adjacency)
+    if not adjacency.has_canonical_format:
+        return rescaled_laplacian(normalized_laplacian(adjacency))
+    inv_sqrt = _inv_sqrt_degrees(adjacency)
+    n = adjacency.shape[0]
+    indptr = adjacency.indptr.astype(np.int32, copy=False)
+    cols = adjacency.indices.astype(np.int32, copy=False)
+    rows = row_ids(indptr)
+    values = -((inv_sqrt[rows] * adjacency.data) * inv_sqrt[cols])
+    loops = np.flatnonzero(rows == cols)
+    if loops.size:
+        values[loops] = (values[loops] + 1.0) + -1.0
+    keep = values != 0
+    if not keep.all():
+        values, cols = values[keep], cols[keep]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows[keep], minlength=n))]
+        ).astype(np.int32)
+    return csr_from_arrays(values, cols, indptr, (n, n))
 
 
 def laplacian_spectrum(adjacency: sp.spmatrix) -> np.ndarray:

@@ -27,15 +27,15 @@ from dataclasses import dataclass, field
 from repro.core.constraints import Constraint, ConstraintKind
 from repro.exceptions import MatchError
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.features import NetRole, infer_net_role
 from repro.primitives.isomorphism import PatternGraph
 from repro.runtime.cache import Memo
 from repro.spice.netlist import is_ground_net, is_power_net, is_supply_net
 from repro.spice.parser import parse_netlist
 
+
 def _is_bias_net(net: str) -> bool:
     """Name-convention bias nets (vb*, bias*, vref*, iref* …)."""
-    from repro.graph.features import NetRole, infer_net_role
-
     return infer_net_role(net, ports=(net,)) is NetRole.BIAS
 
 

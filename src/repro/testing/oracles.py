@@ -17,7 +17,10 @@ indexed_matching      ``find_primitive_matches(indexed=True)`` vs the
                       per CCC, ``annotate_components`` vs naive
                       ``annotate_primitives`` on the CCC subgraph
 packed_gcn            block isolation: ``GcnAnnotator.annotate_batch``
-                      on a two-graph pack vs ``annotate`` (a pack of one)
+                      on a two-graph pack vs ``annotate`` (a pack of one);
+                      the union sample of three generated graphs of
+                      different sizes vs the graphs' own samples packed,
+                      bit for bit
 hier_vs_flat          ``run(hier=True)`` vs the flat run
 warm_cache            warm :class:`ArtifactCache` re-run (all stages
                       cache-hit) vs the cold run
@@ -47,7 +50,9 @@ from typing import Callable
 import numpy as np
 
 from repro.core.stages import pipeline_result_fingerprint
-from repro.exceptions import GanaError
+from repro.exceptions import GanaError, ModelConfigError
+from repro.gcn.batch import pack_samples
+from repro.gcn.samples import GraphSample
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.ccc import channel_connected_components
 from repro.primitives.index import TargetContext
@@ -58,7 +63,7 @@ from repro.primitives.matcher import (
 )
 from repro.spice.flatten import flatten, flatten_hierarchical
 from repro.spice.parser import parse_netlist
-from repro.testing.generator import GeneratedDeck
+from repro.testing.generator import GenConfig, GeneratedDeck, generate_deck
 from repro.testing.metamorphic import (
     TRANSFORMS,
     InvariantViolation,
@@ -302,10 +307,28 @@ def check_indexed_matching(deck: GeneratedDeck, ctx: OracleContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-@_oracle("a graph's GCN rows in a two-graph pack equal its pack of one", needs_pipeline=True)
+#: Companion decks of the union check: one smaller and one larger than
+#: a typical campaign deck, so the union mixes graph sizes.
+_UNION_COMPANIONS = (
+    GenConfig(min_blocks=1, max_blocks=1, max_glue=1, max_subckts=0),
+    GenConfig(min_blocks=5, max_blocks=8, max_glue=3),
+)
+
+
+@_oracle(
+    "a graph's GCN rows in a two-graph pack equal its pack of one, and a "
+    "union sample equals its graphs' own samples packed",
+    needs_pipeline=True,
+)
 def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
     graph = _flat_graph(deck)
     annotator = ctx.pipeline.annotator
+    rng = ctx.rng(deck, "packed_gcn")
+    small, large = (
+        _flat_graph(generate_deck(rng.randrange(2**31), config))
+        for config in _UNION_COMPANIONS
+    )
+    _check_union(annotator, [large, graph, small])
     solo = annotator.annotate(graph)
     packed = annotator.annotate_batch([graph, graph])
     for i, ann in enumerate(packed):
@@ -323,6 +346,64 @@ def check_packed_gcn(deck: GeneratedDeck, ctx: OracleContext) -> None:
             _diverge(
                 "packed_gcn",
                 f"packed sample {i}: probabilities drifted (max |Δ|={worst:g})",
+            )
+
+
+def _check_union(annotator, graphs: list[CircuitGraph]) -> None:
+    """``annotate_batch``'s union sample against ``pack_samples`` of
+    each graph's own sample: structure and probabilities, bit for bit.
+    A union one of whose graphs coarsens out before the model's depth
+    must fail as the packing fails."""
+    model = annotator.model
+    levels = model.config.levels_needed
+    own = [GraphSample.from_graph(g, {}, levels=levels) for g in graphs]
+    union = pack_samples([GraphSample.from_graphs(graphs, levels=levels)])
+    packed = pack_samples(own)
+    if len(union.offsets) != len(packed.offsets):
+        _diverge(
+            "packed_gcn",
+            f"union has {len(union.offsets)} levels, "
+            f"packing {len(packed.offsets)}",
+        )
+    arrays = [("features", union.features, packed.features)]
+    for level, want in enumerate(packed.pyramid.laplacians):
+        got = union.pyramid.laplacians[level]
+        arrays.append(
+            (f"level {level} offsets", union.offsets[level],
+             packed.offsets[level])
+        )
+        for name in ("indptr", "indices", "data"):
+            arrays.append(
+                (f"level {level} Laplacian {name}", getattr(got, name),
+                 getattr(want, name))
+            )
+    for level, want in enumerate(packed.pyramid.assignments):
+        got = union.pyramid.assignments[level]
+        arrays.append((f"level {level} assignment", got, want))
+    for what, got, want in arrays:
+        if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+            _diverge(
+                "packed_gcn", f"union sample's {what} differs from packing"
+            )
+    try:
+        want = model.predict_proba_batch(own)
+    except ModelConfigError:
+        want = None
+    try:
+        got = [a.probabilities for a in annotator.annotate_batch(graphs)]
+    except ModelConfigError:
+        got = None
+    if (got is None) != (want is None):
+        _diverge(
+            "packed_gcn",
+            "union and packing disagree on whether the model can run",
+        )
+    for i, (a, b) in enumerate(zip(got or [], want or [])):
+        if a.tobytes() != b.tobytes():
+            _diverge(
+                "packed_gcn",
+                f"union graph {i} ({graphs[i].n_vertices} vertices): "
+                "probabilities differ from packing",
             )
 
 

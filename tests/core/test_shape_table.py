@@ -173,16 +173,14 @@ def test_kept_shapes_hold_nothing_of_their_deck(quick_ota_annotator):
 
 def test_pickled_pipeline_carries_no_table(quick_ota_annotator):
     """The pool initializer's pickle of a pipeline does not grow with
-    its table.  The GCN layers keep the last forward's activations, so
-    both pickles are taken after a run of the same deck."""
+    its table, nor with its runs: an inference forward leaves no
+    activations on the GCN layers."""
     decks = [path.read_text() for path in sorted(EXAMPLES_DIR.glob("*.sp"))]
     pipeline = GanaPipeline(annotator=quick_ota_annotator)
-    pipeline.run(decks[0])
     before = len(pickle.dumps(pipeline))
-    weight = shape_table(pipeline.library).weight
-    for deck in decks[1:] + decks[:1]:
+    for deck in decks:
         pipeline.run(deck)
-    assert shape_table(pipeline.library).weight > weight
+    assert shape_table(pipeline.library).weight > 0
     assert len(pickle.dumps(pipeline)) == before
 
 

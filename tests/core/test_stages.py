@@ -396,6 +396,55 @@ class TestOneRecord:
         assert staged.artifacts[StageName.PARSE].graph is None
 
 
+class TestResultFingerprint:
+    """The result fingerprint walks a shared graph once, and digests
+    exactly what ``content_fingerprint`` digests."""
+
+    @staticmethod
+    def _parts(result) -> tuple:
+        return (
+            "pipeline-result",
+            result.gcn_annotation,
+            result.post1,
+            result.post2,
+            result.hierarchy,
+            result.constraints,
+            result.preprocess_report,
+            tuple(result.diagnostics),
+            result.degraded,
+            result.degraded_reason,
+        )
+
+    def test_equals_content_fingerprint_of_its_parts(self, ota_pipeline):
+        result = ota_pipeline.run((EXAMPLES_DIR / "ota_array.sp").read_text())
+        assert result.post2.annotation.graph is result.gcn_annotation.graph
+        assert pipeline_result_fingerprint(result) == content_fingerprint(
+            *self._parts(result)
+        )
+
+    def test_unshared_equal_graphs_fingerprint_equal(self, ota_pipeline):
+        """A copy of the graph in one annotation (as a cached run may
+        hold) changes nothing; a changed graph changes the digest."""
+        import copy
+        import dataclasses
+
+        result = ota_pipeline.run(DIFF_OTA_DECK)
+        want = pipeline_result_fingerprint(result)
+        post2 = result.post2
+        twin = copy.deepcopy(post2.annotation.graph)
+        result.post2 = dataclasses.replace(
+            post2,
+            annotation=dataclasses.replace(post2.annotation, graph=twin),
+        )
+        assert result.post2.annotation.graph is not result.gcn_annotation.graph
+        assert pipeline_result_fingerprint(result) == want
+        twin.nets[0] = twin.nets[0] + "_renamed"
+        assert pipeline_result_fingerprint(result) != want
+        assert pipeline_result_fingerprint(result) == content_fingerprint(
+            *self._parts(result)
+        )
+
+
 class TestRailConventions:
     """Keys that outlive a run include the rail conventions."""
 

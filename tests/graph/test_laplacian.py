@@ -6,13 +6,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gcn.coarsening import build_pyramid
 from repro.graph.laplacian import (
+    chebyshev_laplacian,
     fourier_basis,
     laplacian_spectrum,
     largest_eigenvalue,
     normalized_laplacian,
     rescaled_laplacian,
 )
+from repro.utils.rng import seeded_rng
+from repro.utils.sparse import csr_from_arrays
 
 pytestmark = pytest.mark.property
 
@@ -113,6 +117,83 @@ class TestRescaledLaplacian:
         rescaled = rescaled_laplacian(lap, lmax=2.0).toarray()
         expected = lap.toarray() - np.eye(4)
         np.testing.assert_allclose(rescaled, expected)
+
+
+def _weighted_adjacency(
+    rng: np.random.Generator, n: int, p: float, isolated: int
+) -> sp.csr_matrix:
+    """Symmetric random weights with ``isolated`` edge-free vertices
+    scattered among the ``n`` connected-or-not ones."""
+    upper = np.triu(rng.random((n, n)) < p, k=1)
+    weights = np.where(upper, rng.uniform(0.1, 3.0, size=(n, n)), 0.0)
+    total = n + isolated
+    keep = np.sort(rng.choice(total, size=n, replace=False))
+    dense = np.zeros((total, total))
+    dense[np.ix_(keep, keep)] = weights + weights.T
+    return sp.csr_matrix(dense)
+
+
+def _assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix) -> None:
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestChebyshevLaplacian:
+    """The one-pass ``L̂`` equals the two-step reference bit for bit."""
+
+    @staticmethod
+    def _reference(adjacency: sp.spmatrix) -> sp.csr_matrix:
+        return rescaled_laplacian(normalized_laplacian(adjacency))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        p=st.floats(min_value=0.0, max_value=0.6),
+        isolated=st.integers(min_value=0, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_random_graphs(self, n, p, isolated, seed):
+        adj = _weighted_adjacency(np.random.default_rng(seed), n, p, isolated)
+        _assert_same_csr(chebyshev_laplacian(adj), self._reference(adj))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coarsened_levels(self, seed):
+        rng = np.random.default_rng(seed)
+        adj = _random_adjacency(rng, 30, 0.15)
+        pyramid = build_pyramid(adj, levels=3, rng=seeded_rng(seed))
+        assert pyramid.n_levels > 1
+        for level, adjacency in enumerate(pyramid.adjacencies):
+            want = self._reference(adjacency)
+            _assert_same_csr(chebyshev_laplacian(adjacency), want)
+            _assert_same_csr(pyramid.laplacians[level], want)
+
+    def test_empty_graph(self):
+        adj = sp.csr_matrix((0, 0))
+        _assert_same_csr(chebyshev_laplacian(adj), self._reference(adj))
+
+    def test_isolated_vertices_only(self):
+        adj = sp.csr_matrix((4, 4))
+        lap = chebyshev_laplacian(adj)
+        assert lap.nnz == 0
+        _assert_same_csr(lap, self._reference(adj))
+
+    def test_self_loops_keep_reference_rounding(self):
+        dense = np.array([[0.7, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.3]])
+        adj = sp.csr_matrix(dense)
+        _assert_same_csr(chebyshev_laplacian(adj), self._reference(adj))
+
+    def test_non_canonical_input_takes_reference_path(self):
+        # Row 0 lists its columns out of order; row 1 repeats one.
+        adj = csr_from_arrays(
+            np.array([1.0, 2.0, 1.0, 0.5, 0.5, 2.0]),
+            np.array([2, 1, 0, 2, 2, 0], dtype=np.int32),
+            np.array([0, 2, 5, 6], dtype=np.int32),
+            (3, 3),
+        )
+        _assert_same_csr(chebyshev_laplacian(adj), self._reference(adj))
 
 
 class TestFourierBasis:

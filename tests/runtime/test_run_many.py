@@ -242,6 +242,47 @@ class TestBatchedChunkFlow:
             k: round(v, 6) for k, v in first.timings.items()
         }
 
+    def test_short_deck_falls_back_per_item(
+        self, quick_ota_annotator, pipeline, decks, caplog
+    ):
+        """A deck whose graph coarsens to one vertex before the model's
+        depth stops the chunk's union sample short, so its packed
+        forward raises ``ModelConfigError`` and the chunk falls back to
+        per-deck inference; every result equals a serial ``run()``."""
+        from repro.core.pipeline import _run_pipeline_chunk
+        from repro.core.stages import pipeline_result_fingerprint
+        from repro.exceptions import ModelConfigError
+
+        short = "c1 a a 1p\n.end\n"  # two vertices, one coarsening level
+        chunk = decks[:2] + [short] + decks[2:4]
+        names = [f"sys{i}" for i in range(len(chunk))]
+        graphs = [
+            pipeline.run_staged(deck, stop_after="graph").last_artifact().graph
+            for deck in chunk
+        ]
+        with pytest.raises(ModelConfigError, match="coarsening levels"):
+            quick_ota_annotator.annotate_batch(graphs)
+
+        counting = _CountingAnnotator(quick_ota_annotator)
+        with caplog.at_level("WARNING", logger="repro.core.pipeline"):
+            results = _run_pipeline_chunk(
+                GanaPipeline(annotator=counting), _jobs_for(chunk, names)
+            )
+        assert "packed annotate_batch failed" in caplog.text
+        assert counting.batch_calls == 1
+        assert counting.annotate_calls == len(chunk)
+        serial = [
+            pipeline.run(deck, name=name) for deck, name in zip(chunk, names)
+        ]
+        assert results[2].degraded and serial[2].degraded
+        assert [pipeline_result_fingerprint(r) for r in results] == [
+            pipeline_result_fingerprint(r) for r in serial
+        ]
+        for got, want in zip(results, serial):
+            assert got.gcn_annotation.probabilities.tobytes() == (
+                want.gcn_annotation.probabilities.tobytes()
+            )
+
     def test_run_many_reuses_warm_pool(self, pipeline, decks):
         from repro.runtime import parallel
 
