@@ -45,6 +45,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter, defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,7 +182,7 @@ def build_hierarchy(
             instance_index[rec.path] = rec
             block_classes[rec.path] = rec.definition
 
-    def owner_path(devices: "set[str]") -> tuple[str, ...]:
+    def owner_path(devices: Collection[str]) -> tuple[str, ...]:
         """Deepest recorded instance path prefixing every device."""
         if not instance_index or not devices:
             return ()
@@ -245,25 +246,27 @@ def build_hierarchy(
         block.constraints.extend(subblock_constraints(cls_name, block_name))
 
         block_constraints = ConstraintSet()
-        group_devices: set[str] = set()
+        group_devices: set[str] = set()  # placement under --hier-tree only
         for member_cid in group:
-            member_devices = {
+            member_devices = [
                 graph.elements[i].name for i in partition.components[member_cid]
-            }
-            group_devices |= member_devices
+            ]
+            if instance_index:
+                group_devices.update(member_devices)
             claimed: set[str] = set()
             for match in result.ccc_matches.get(member_cid, []):
+                devices = tuple(sorted(match.elements))
                 primitive = HierarchyNode(
-                    name=f"{block_name}/{match.primitive}@{min(match.elements)}",
+                    name=f"{block_name}/{match.primitive}@{devices[0]}",
                     kind=NodeKind.PRIMITIVE,
                     block_class=match.primitive,
-                    devices=tuple(sorted(match.elements)),
+                    devices=devices,
                     constraints=list(match.constraints),
                 )
                 block.add(primitive)
-                claimed |= match.elements
-                block_constraints.extend(list(match.constraints))
-            for name in sorted(member_devices - claimed):
+                claimed.update(devices)
+                block_constraints.extend(match.constraints)
+            for name in sorted(n for n in member_devices if n not in claimed):
                 block.add(
                     HierarchyNode(
                         name=name, kind=NodeKind.ELEMENT, devices=(name,)
@@ -282,20 +285,22 @@ def build_hierarchy(
         parent.add(block)
         all_constraints.extend(block.constraints)
         for child in block.children:
-            all_constraints.extend(child.constraints)
+            if child.constraints:
+                all_constraints.extend(child.constraints)
 
     # Stand-alone primitives get their own top-level hierarchy (or,
     # in instance-table mode, hang under their owning instance).
     for cid, match in result.standalone:
+        devices = tuple(sorted(match.elements))
         node = HierarchyNode(
-            name=f"standalone/{match.primitive}@{min(match.elements)}",
+            name=f"standalone/{match.primitive}@{devices[0]}",
             kind=NodeKind.PRIMITIVE,
             block_class=match.primitive,
-            devices=tuple(sorted(match.elements)),
+            devices=devices,
             constraints=list(match.constraints),
         )
         parent = (
-            root.ensure_path(owner_path(set(match.elements)), block_classes)
+            root.ensure_path(owner_path(devices), block_classes)
             if instance_index
             else root
         )
@@ -709,8 +714,7 @@ class GanaPipeline:
             if on_error == "report":
                 return [worker_crash_report(exc, index=index, name=name)]
             raise WorkerCrashed(
-                f"deck {index}{f' ({name})' if name else ''} killed its "
-                f"pool worker: {exc}",
+                f"{_deck_label(chunk[0])} killed its pool worker: {exc}",
                 index=index,
                 name=name,
             ) from exc
@@ -1072,6 +1076,12 @@ def _run_pipeline_job(
         return failure_report(exc, index=job["index"], name=kwargs["name"])
 
 
+def _deck_label(job: dict) -> str:
+    """``deck <index>``, plus ``(<name>)`` when the batch named it."""
+    name = job["kwargs"]["name"]
+    return f"deck {job['index']}{f' ({name})' if name else ''}"
+
+
 def _run_pipeline_chunk(
     pipeline: GanaPipeline, jobs: list[dict]
 ) -> list[PipelineResult | FailureReport]:
@@ -1133,10 +1143,17 @@ def _run_pipeline_chunk(
                 [f.graph for f in featured],
                 [f.net_roles for f in featured],
             )
-        except Exception:
+        except Exception as exc:
+            # A too-shallow union names its short graphs by position in
+            # the union, which is their position in ``pending``.
+            short = ", ".join(
+                _deck_label(jobs[pending[i]]) for i in getattr(exc, "graphs", ())
+            )
             _LOG.warning(
-                "packed annotate_batch failed; falling back to per-item "
+                "packed annotate_batch failed%s: %s; falling back to per-item "
                 "GCN inference for this chunk",
+                f" on {short}" if short else "",
+                exc,
                 exc_info=True,
             )
         else:

@@ -71,8 +71,9 @@ class PostprocessResult:
 
 def _ccc_tallies(
     annotation: Annotation, partition: CCCPartition
-) -> dict[int, np.ndarray]:
-    """Per-CCC probability tallies over the GCN classes.
+) -> np.ndarray:
+    """Per-CCC probability tallies over the GCN classes: row ``cid`` of
+    an ``(n_components, n_gcn_classes)`` matrix.
 
     One vectorized scatter-add over all elements (``np.add.at``), not a
     Python loop per component member.
@@ -94,17 +95,20 @@ def _ccc_tallies(
             classes = annotation.vertex_classes[elements].astype(np.int64)
             valid = (classes >= 0) & (classes < n_gcn_classes)
             np.add.at(tallies, (cids[valid], classes[valid]), 1.0)
-    return {cid: tallies[cid] for cid in range(n_components)}
+    return tallies
 
 
-def _ccc_vote(
-    annotation: Annotation, partition: CCCPartition
-) -> dict[int, int]:
-    """Probability-weighted majority class per CCC (GCN classes only)."""
-    tallies = _ccc_tallies(annotation, partition)
-    return {
-        cid: int(t.argmax()) if t.sum() > 0 else -1 for cid, t in tallies.items()
-    }
+def _ccc_vote(tallies: np.ndarray) -> dict[int, int]:
+    """Probability-weighted majority class per CCC (GCN classes only):
+    one argmax over the tally matrix, −1 for a CCC with no tally.
+
+    The tallies are non-negative, so whether a row sums above zero
+    does not depend on the order it is summed in.
+    """
+    if not tallies.shape[1]:
+        return {cid: -1 for cid in range(len(tallies))}
+    voted = np.where(tallies.sum(axis=1) > 0, tallies.argmax(axis=1), -1)
+    return dict(enumerate(voted.tolist()))
 
 
 def _relabel(
@@ -117,26 +121,48 @@ def _relabel(
     Each element takes its CCC's class.  A net takes the class of its
     adjacent CCCs when they agree; when they disagree the net is on a
     block boundary and keeps the class of the CCC it touches most
-    (the paper lets such vertices belong to multiple blocks).
+    (the paper lets such vertices belong to multiple blocks); between
+    classes with equally many edges on the net, the class whose first
+    edge comes first in edge order wins.  A net touched only by
+    unclassified elements keeps its class.
+
+    Two array passes over the graph's cached edge arrays: the elements
+    take their CCCs' classes in one gather, and the nets' (net, class)
+    edge counts come from one ``np.bincount``, first-seen edge
+    positions from one ``np.minimum.at``.
     """
     graph = annotation.graph
-    for cid, members in enumerate(partition.components):
-        cls = ccc_classes.get(cid, -1)
-        if cls < 0:
-            continue
-        for element in members:
-            annotation.vertex_classes[element] = cls
+    classes = annotation.vertex_classes
+    n_elements = graph.n_elements
+    # Class per CCC; an element in no CCC (owner −1) reads the trailing −1.
+    ccc_class = np.array(
+        [ccc_classes.get(cid, -1) for cid in range(partition.n_components)]
+        + [-1],
+        dtype=np.int64,
+    )
+    element_class = ccc_class[_element_owners(graph, partition)]
+    assigned = element_class >= 0
+    classes[:n_elements][assigned] = element_class[assigned]
 
     # Net vertices: tally adjacent element classes, weighted by edges.
-    net_tally: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for edge in graph.edges:
-        cls = int(annotation.vertex_classes[edge.element])
-        if cls >= 0:
-            net_tally[edge.net][cls] += 1
-    offset = graph.n_elements
-    for net_local, tally in net_tally.items():
-        best = max(tally.items(), key=lambda kv: kv[1])[0]
-        annotation.vertex_classes[offset + net_local] = best
+    element, net, _label = graph.edge_arrays()
+    edge_class = classes[element].astype(np.int64)
+    valid = edge_class >= 0
+    if not valid.any():
+        return
+    net, edge_class = net[valid], edge_class[valid]
+    n_edges = len(net)
+    n_classes = int(edge_class.max()) + 1
+    pair = net * n_classes + edge_class
+    size = graph.n_nets * n_classes
+    counts = np.bincount(pair, minlength=size)
+    first = np.full(size, n_edges, dtype=np.int64)
+    np.minimum.at(first, pair, np.arange(n_edges))
+    # Most edges first, then the earliest first edge; an absent pair
+    # scores 0, below every present one.
+    score = (counts * (n_edges + 1) + (n_edges - first)).reshape(-1, n_classes)
+    touched = np.flatnonzero(counts.reshape(-1, n_classes).any(axis=1))
+    classes[n_elements + touched] = score[touched].argmax(axis=1)
 
 
 def _element_owners(
@@ -144,8 +170,12 @@ def _element_owners(
 ) -> np.ndarray:
     """Element index → component id array (−1 when unassigned)."""
     owners = np.full(graph.n_elements, -1, dtype=np.int64)
-    for element, cid in partition.of_element.items():
-        owners[element] = cid
+    of_element = partition.of_element
+    if of_element:
+        n = len(of_element)
+        owners[np.fromiter(of_element.keys(), dtype=np.int64, count=n)] = (
+            np.fromiter(of_element.values(), dtype=np.int64, count=n)
+        )
     return owners
 
 
@@ -163,9 +193,9 @@ def _ds_drivers(
 ) -> dict[int, set[int]]:
     """Net (local index) → CCCs touching it via a drain/source edge.
 
-    Computed once per circuit and shared by every
-    :func:`_ccc_boundary_inputs` call — the old per-call O(E) rebuild
-    was one of the Postprocessing I hot spots.
+    Computed at most once per circuit, at the first CCC holding a
+    cross-coupled pair, and shared by every later
+    :func:`_ccc_boundary_inputs` call.
     """
     element, net, label = graph.edge_arrays()
     owners = _element_owners(graph, partition)
@@ -388,22 +418,28 @@ def postprocess_ccc(
     claims its own matches, so the annotation does not depend on what
     the table holds, and a run with an artifact cache matches like a
     run without one.
+
+    Every CCC is voted by one argmax over the tally matrix (the mirror
+    vote reuses the same tallies), and each rule scan runs only where
+    its rule can fire: a CCC's device-name set is built only when the
+    CCC holds a stand-alone primitive, and the BPF rule's drain/source
+    drivers and boundary inputs are computed only for a CCC holding a
+    CC-N/CC-P match.
     """
     annotation = annotation.copy()
     graph = annotation.graph
     partition = partition or channel_connected_components(graph)
-    ccc_classes = _ccc_vote(annotation, partition)
-    rf_vocab_early = all(c in annotation.class_names for c in RF_CLASSES)
+    tallies = _ccc_tallies(annotation, partition)
+    ccc_classes = _ccc_vote(tallies)
+    rf_vocab = all(c in annotation.class_names for c in RF_CLASSES)
     if standalone_primitives is None:
         standalone_primitives = (
-            STANDALONE_PRIMITIVES if rf_vocab_early else frozenset()
+            STANDALONE_PRIMITIVES if rf_vocab else frozenset()
         )
 
     result = PostprocessResult(
         annotation=annotation, partition=partition, ccc_classes=ccc_classes
     )
-
-    rf_vocab = rf_vocab_early
 
     component_matches = annotate_components(
         graph,
@@ -412,26 +448,19 @@ def postprocess_ccc(
         stats=stats,
         indexed=indexed,
     )
-    ds_drivers = (
-        _ds_drivers(graph, partition) if detect_bpf and rf_vocab else None
-    )
+    detect_bpf = detect_bpf and rf_vocab
+    ds_drivers = None  # built at the first CCC holding a cross-coupled pair
 
     for cid, members in enumerate(partition.components):
-        matches = component_matches[cid]
-        result.ccc_matches[cid] = matches.matches
-
-        member_names = {graph.elements[i].name for i in members}
+        matches = component_matches[cid].matches
+        result.ccc_matches[cid] = matches
 
         standalone_here = [
-            m
-            for m in matches.matches
-            if m.primitive in standalone_primitives
+            m for m in matches if m.primitive in standalone_primitives
         ]
-        fully_standalone = (
-            standalone_here
-            and {n for m in standalone_here for n in m.elements} == member_names
-        )
-        if fully_standalone:
+        if standalone_here and {
+            n for m in standalone_here for n in m.elements
+        } == {graph.elements[i].name for i in members}:
             # The whole CCC is auxiliary circuitry: re-label it by its
             # dominant primitive and list it separately in the tree.
             dominant = max(standalone_here, key=lambda m: len(m.elements))
@@ -441,20 +470,16 @@ def postprocess_ccc(
                 result.standalone.append((cid, match))
             continue
 
-        if detect_bpf and rf_vocab:
+        if detect_bpf and any(m.primitive in ("CC-N", "CC-P") for m in matches):
             # Purely structural, independent of the GCN vote: "the BPF
             # is identified as a combination of an oscillator with two
             # input transistors".  A cross-coupled pair plus input
             # transistors injecting from a rail is a Q-enhanced filter;
             # injection-locked oscillators (whose injection device sits
             # *across* the tank) are excluded by the rail condition.
-            has_cc_pair = any(
-                m.primitive in ("CC-N", "CC-P") for m in matches.matches
-            )
-            inputs = _ccc_boundary_inputs(
-                graph, partition, cid, drivers=ds_drivers
-            )
-            if has_cc_pair and inputs:
+            if ds_drivers is None:
+                ds_drivers = _ds_drivers(graph, partition)
+            if _ccc_boundary_inputs(graph, partition, cid, drivers=ds_drivers):
                 ccc_classes[cid] = annotation.class_id("bpf", create=True)
 
     protected = {cid for cid, _match in result.standalone}
@@ -463,7 +488,6 @@ def postprocess_ccc(
         for cid, cls in ccc_classes.items()
         if cls >= len(annotation.class_names)  # extra classes (bpf, …)
     }
-    tallies = _ccc_tallies(annotation, partition)
     if mirror_vote:
         _joint_mirror_vote(graph, partition, ccc_classes, tallies, protected)
     if absorb_orphans:
@@ -471,6 +495,21 @@ def postprocess_ccc(
     result.ccc_classes = ccc_classes
     _relabel(annotation, partition, ccc_classes)
     return result
+
+
+def _net_runs(
+    graph: CircuitGraph, partition: CCCPartition
+) -> tuple[list[int], list[int], list[int]]:
+    """The graph's edges sorted by net, in edge order within each net,
+    read from the cached edge arrays: ``bounds`` (net ``j``'s edges are
+    positions ``bounds[j]:bounds[j + 1]``), and each edge's owning CCC
+    (−1 for none) and label."""
+    element, net, label = graph.edge_arrays()
+    by_net = np.argsort(net, kind="stable")
+    bounds = np.zeros(graph.n_nets + 1, dtype=np.int64)
+    np.cumsum(np.bincount(net, minlength=graph.n_nets), out=bounds[1:])
+    owners = _element_owners(graph, partition)[element[by_net]]
+    return bounds.tolist(), owners.tolist(), label[by_net].tolist()
 
 
 def apply_port_rules(
@@ -481,7 +520,11 @@ def apply_port_rules(
 
     Only CCCs currently holding a GCN-vocabulary RF class are
     re-labeled; stand-alone primitives and BPFs found in Post-I keep
-    their classes.
+    their classes.  A rule reads the CCCs on its net from the graph's
+    cached edge arrays, sorted by net once per call, and only when some
+    port label names a net of the graph.  When no rule changes a CCC's
+    class the relabel is skipped: Post-I's annotation already carries
+    these classes, and relabeling with them changes nothing.
     """
     annotation = result.annotation.copy()
     partition = result.partition
@@ -502,30 +545,28 @@ def apply_port_rules(
             ccc_matches=dict(result.ccc_matches),
         )
     mutable = set(rf_ids.values())
-
-    edges_by_net: dict[int, list] = defaultdict(list)
-    for edge in graph.edges:
-        edges_by_net[edge.net].append(edge)
+    rules = [
+        (graph.net_index[net], label)
+        for net, label in port_labels.items()
+        if net in graph.net_index and label in ("antenna", "oscillating")
+    ]
+    if rules:
+        bounds, owners, labels = _net_runs(graph, partition)
 
     def touching(net_local: int, bits: int) -> set[int]:
-        out: set[int] = set()
-        for edge in edges_by_net.get(net_local, ()):
-            if bits and not (edge.label & bits):
-                continue
-            owner = partition.of_element.get(edge.element)
-            if owner is not None:
-                out.add(owner)
-        return out
+        lo, hi = bounds[net_local], bounds[net_local + 1]
+        return {
+            owner
+            for owner, label in zip(owners[lo:hi], labels[lo:hi])
+            if owner >= 0 and (not bits or label & bits)
+        }
 
-    for net, label in port_labels.items():
-        if net not in graph.net_index:
-            continue
-        net_local = graph.net_index[net]
-        if label == "antenna":
+    for net_local, rule in rules:
+        if rule == "antenna":
             for cid in touching(net_local, bits=0):
                 if ccc_classes.get(cid) in mutable:
                     ccc_classes[cid] = rf_ids.get("lna", ccc_classes[cid])
-        elif label == "oscillating":
+        else:
             drive = touching(net_local, bits=DRAIN_BIT | SOURCE_BIT)
             receive = touching(net_local, bits=GATE_BIT) - drive
             for cid in drive:
@@ -535,7 +576,9 @@ def apply_port_rules(
                 if ccc_classes.get(cid) in mutable:
                     ccc_classes[cid] = rf_ids.get("mixer", ccc_classes[cid])
 
-    _relabel(annotation, partition, ccc_classes)
+    if ccc_classes != result.ccc_classes:
+        # Post-I's relabel of unchanged classes would change nothing.
+        _relabel(annotation, partition, ccc_classes)
     return PostprocessResult(
         annotation=annotation,
         partition=partition,

@@ -41,7 +41,15 @@ class GraphConstructionError(GanaError):
 
 
 class ModelConfigError(GanaError):
-    """Raised for invalid GCN model or training configuration."""
+    """Raised for invalid GCN model or training configuration.
+
+    ``graphs`` holds the positions, within a union sample, of the
+    member graphs the error is about (empty when it is about none).
+    """
+
+    def __init__(self, message: str, graphs: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.graphs = graphs
 
 
 class MatchError(GanaError):

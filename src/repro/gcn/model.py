@@ -154,12 +154,33 @@ class GCNModel:
     # -- forward/backward ------------------------------------------------
 
     def _check_levels(self, sample) -> None:
-        if self.config.pooling and len(sample.pyramid.assignments) < self.config.n_layers:
-            raise ModelConfigError(
-                f"sample {sample.name!r} has "
-                f"{len(sample.pyramid.assignments)} coarsening levels; "
-                f"model needs {self.config.n_layers}"
+        """Refuse a sample coarsened fewer times than the model pools.
+
+        A union stops coarsening as soon as one of its graphs is down
+        to one vertex, so for a union of several graphs the error names
+        those graphs, by position in the union and by name, rather than
+        the whole union; either way it carries their positions as
+        ``graphs``.
+        """
+        levels = len(sample.pyramid.assignments)
+        needed = self.config.n_layers
+        if not self.config.pooling or levels >= needed:
+            return
+        sizes = np.diff(sample.pyramid.offsets[levels])
+        short = tuple(np.flatnonzero(sizes <= 1).tolist())
+        if short and len(sizes) > 1:
+            names = sample.graph_names
+            who = ", ".join(
+                f"{i}" + (f" ({names[i]!r})" if i < len(names) else "")
+                for i in short
             )
+            message = (
+                f"graph{'s' if len(short) > 1 else ''} {who} of {len(sizes)} "
+                f"ran out of vertices after {levels} coarsening levels"
+            )
+        else:
+            message = f"sample {sample.name!r} has {levels} coarsening levels"
+        raise ModelConfigError(f"{message}; model needs {needed}", graphs=short)
 
     def forward_packed(self, batch: PackedBatch, training: bool) -> np.ndarray:
         """Packed-batch logits of shape (Σn_i, n_classes).

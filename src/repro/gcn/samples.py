@@ -41,6 +41,9 @@ class GraphSample:
     mask: np.ndarray  # (n,) bool — True where the label counts
     pyramid: CoarseningPyramid
     graph: CircuitGraph | None = None  # a one-graph sample's, if kept
+    #: Each member graph's circuit name, in union order (empty for a
+    #: sample built by hand).
+    graph_names: tuple[str, ...] = ()
     #: Sample-lifetime memo shared by every packing of this sample: its
     #: rows of the first-layer Chebyshev basis, which depend only on the
     #: fixed Laplacian + features, never on weights.
@@ -137,12 +140,14 @@ class GraphSample:
         adjacency = csr_from_coo(rows, cols, np.ones(len(rows)), n)
         rngs = [seeded_rng(("coarsen", seed, g.circuit.name)) for g in graphs]
         pyramid = build_union_pyramid(adjacency, levels, rngs, bounds)
+        graph_names = tuple(graph.circuit.name for graph in graphs)
         return cls(
-            name="+".join(graph.circuit.name for graph in graphs),
+            name="+".join(graph_names),
             features=features,
             labels=label_array,
             mask=mask,
             pyramid=pyramid,
+            graph_names=graph_names,
         )
 
 

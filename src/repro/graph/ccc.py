@@ -13,7 +13,6 @@ operates on.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.graph.bipartite import DRAIN_BIT, SOURCE_BIT, CircuitGraph
@@ -70,34 +69,45 @@ def channel_connected_components(graph: CircuitGraph) -> CCCPartition:
     the lowest component id); a passive touching no transistor CCC
     becomes its own singleton component — that is how stand-alone
     passive structures (e.g. input-buffer RC) separate out.
+
+    One walk over the edges, in plain Python, unites channel-connected
+    transistors and lists each net's elements and each passive's
+    non-power nets in edge order; components, passive placement and
+    the net → component map are then read off those lists.
     """
-    uf = _UnionFind(graph.n_elements)
-    power = {
-        net_local
-        for net_local, net in enumerate(graph.nets)
-        if is_power_net(net)
-    }
+    elements = graph.elements
+    power = [is_power_net(net) for net in graph.nets]
+    transistor = [dev.kind.is_transistor for dev in elements]
+    uf = _UnionFind(len(elements))
 
-    # nets (local index) -> transistors whose source/drain touch them
-    ds_on_net: dict[int, list[int]] = defaultdict(list)
-    for edge in graph.edges:
-        dev = graph.elements[edge.element]
-        if not dev.kind.is_transistor or edge.net in power:
+    # net (local index) -> elements touching it, in edge order; nets in
+    # order of their first edge.
+    on_net: dict[int, list[int]] = {}
+    # non-power net -> first transistor whose source/drain touches it
+    ds_first: dict[int, int] = {}
+    # passive -> its non-power nets
+    passive_nets: dict[int, list[int]] = {}
+    for element, net, label in graph.edges:
+        touching = on_net.get(net)
+        if touching is None:
+            on_net[net] = [element]
+        else:
+            touching.append(element)
+        if power[net]:
             continue
-        if edge.label & (SOURCE_BIT | DRAIN_BIT):
-            ds_on_net[edge.net].append(edge.element)
+        if not transistor[element]:
+            passive_nets.setdefault(element, []).append(net)
+        elif label & (SOURCE_BIT | DRAIN_BIT):
+            first = ds_first.setdefault(net, element)
+            if first != element:
+                uf.union(first, element)
 
-    for members in ds_on_net.values():
-        first = members[0]
-        for other in members[1:]:
-            uf.union(first, other)
-
-    # Collect transistor components.
+    # Transistor components, numbered in element order.
     root_to_id: dict[int, int] = {}
     components: list[set[int]] = []
     of_element: dict[int, int] = {}
-    for idx, dev in enumerate(graph.elements):
-        if not dev.kind.is_transistor:
+    for idx, is_transistor in enumerate(transistor):
+        if not is_transistor:
             continue
         root = uf.find(idx)
         if root not in root_to_id:
@@ -107,43 +117,34 @@ def channel_connected_components(graph: CircuitGraph) -> CCCPartition:
         components[cid].add(idx)
         of_element[idx] = cid
 
-    # Net -> component adjacency (all terminals count here, including
-    # gates: a gate net inside one CCC driven by another is exactly the
-    # boundary case the paper allows to belong to multiple sub-blocks).
-    of_net: dict[int, set[int]] = defaultdict(set)
-    for edge in graph.edges:
-        cid = of_element.get(edge.element)
-        if cid is not None:
-            of_net[edge.net].add(cid)
-
-    # Passives: join a touching component, else become singletons.
-    # Power nets never bind a passive to a component — a load cap to
-    # ground must not join whichever component also touches ground.
-    edges_of: dict[int, list] = defaultdict(list)
-    for edge in graph.edges:
-        edges_of[edge.element].append(edge)
-    for idx, dev in enumerate(graph.elements):
-        if dev.kind.is_transistor:
+    # Passives: join the lowest transistor component on one of their
+    # nets (all transistor terminals count here, gates included: a gate
+    # net inside one CCC driven by another is exactly the boundary case
+    # the paper allows to belong to multiple sub-blocks), else become
+    # singletons.  Power nets never bind a passive to a component — a
+    # load cap to ground must not join whichever component also touches
+    # ground.
+    for idx, is_transistor in enumerate(transistor):
+        if is_transistor:
             continue
-        touching: set[int] = set()
-        for edge in edges_of.get(idx, ()):
-            if edge.net not in power:
-                touching |= of_net.get(edge.net, set())
-        if touching:
-            cid = min(touching)
+        cids = [
+            of_element[other]
+            for net in passive_nets.get(idx, ())
+            for other in on_net[net]
+            if transistor[other]
+        ]
+        if cids:
+            cid = min(cids)
         else:
             cid = len(components)
             components.append(set())
         components[cid].add(idx)
         of_element[idx] = cid
 
-    # Refresh net adjacency now that passives are placed.
-    of_net = defaultdict(set)
-    for edge in graph.edges:
-        cid = of_element.get(edge.element)
-        if cid is not None:
-            of_net[edge.net].add(cid)
-
+    of_net = {
+        net: {of_element[element] for element in touching}
+        for net, touching in on_net.items()
+    }
     return CCCPartition(
-        components=components, of_element=of_element, of_net=dict(of_net)
+        components=components, of_element=of_element, of_net=of_net
     )

@@ -144,39 +144,50 @@ def feature_matrix(
     ``net_roles`` optionally overrides the inferred role of specific
     nets.  Hierarchy level is derived from the flattened instance path
     depth, normalized by the deepest path in the circuit.
+
+    One Python pass over the devices and one over the nets list the
+    flat positions of every one-hot slot (kind, hierarchical block,
+    value bucket, net role), which one array assignment sets; the level
+    slot is one column assignment, and the edge-pattern slot is each
+    transistor's largest incident label, from one ``np.maximum.at``
+    over the graph's cached edge arrays.
     """
     buckets = buckets or ValueBuckets()
-    n = graph.n_vertices
-    features = np.zeros((n, N_FEATURES), dtype=np.float64)
+    n_elements = graph.n_elements
+    features = np.zeros((graph.n_vertices, N_FEATURES), dtype=np.float64)
 
-    max_depth = 1
-    for dev in graph.elements:
-        max_depth = max(max_depth, len(instance_path(dev.name)))
-
-    # Pre-index incident labels once (avoids O(V*E) rescans).
-    incident: list[list[int]] = [[] for _ in range(graph.n_elements)]
-    for edge in graph.edges:
-        incident[edge.element].append(edge.label)
-
+    ones: list[int] = []  # flat positions of the one-hot slots
+    depths: list[int] = []
+    transistors: list[int] = []
     for i, dev in enumerate(graph.elements):
+        row = i * N_FEATURES
         slot = _KIND_SLOT.get(dev.kind)
         if slot is not None:
-            features[i, slot] = 1.0
+            ones.append(row + slot)
         depth = len(instance_path(dev.name))
         if depth > 1:
-            features[i, _HIER_SLOT] = 1.0
-        features[i, _LEVEL_SLOT] = depth / max_depth
-        features[i, _VALUE_SLOTS[buckets.bucket(dev)]] = 1.0
-        if dev.kind.is_transistor and incident[i]:
-            features[i, _EDGE_SLOT] = max(incident[i]) / 7.0
-
+            ones.append(row + _HIER_SLOT)
+        depths.append(depth)
+        ones.append(row + _VALUE_SLOTS[buckets.bucket(dev)])
+        if dev.kind.is_transistor:
+            transistors.append(i)
     ports = graph.circuit.ports
     for j, net in enumerate(graph.nets):
-        vertex = graph.n_elements + j
-        role = infer_net_role(net, ports, net_roles)
-        if role.slot is not None:
-            features[vertex, role.slot] = 1.0
+        slot = infer_net_role(net, ports, net_roles).slot
+        if slot is not None:
+            ones.append((n_elements + j) * N_FEATURES + slot)
+    features.reshape(-1)[ones] = 1.0
 
+    depth = np.array(depths, dtype=np.int64)
+    features[:n_elements, _LEVEL_SLOT] = depth / depth.max(initial=1)
+
+    element, _net, label = graph.edge_arrays()
+    top_label = np.full(n_elements, -1, dtype=np.int64)
+    np.maximum.at(top_label, element, label)
+    transistor = np.array(transistors, dtype=np.int64)
+    top_label = top_label[transistor]
+    incident = top_label >= 0
+    features[transistor[incident], _EDGE_SLOT] = top_label[incident] / 7.0
     return features
 
 

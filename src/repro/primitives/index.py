@@ -83,10 +83,12 @@ class TemplateProfile:
     #: neighbors, their required (neighbor, label) edges, the
     #: look-ahead need, and whether the vertex is a boundary net.
     depth_plan: list
-    #: Template device names by element-vertex index.
-    element_names: tuple[str, ...]
-    #: Template net names by local net index.
-    net_names: tuple[str, ...]
+    #: ``(device name, element vertex)`` in name order: the order of a
+    #: match's ``element_map`` pairs.
+    named_elements: tuple[tuple[str, int], ...]
+    #: ``(net name, net vertex)`` in name order, likewise for
+    #: ``net_map``.
+    named_nets: tuple[tuple[str, int], ...]
     #: Pattern net *vertex* → resolved port-predicate callables, only
     #: for ports that carry predicates (all other nets pass trivially).
     port_checks: dict[int, tuple]
@@ -209,8 +211,14 @@ def _build_profile(template) -> TemplateProfile:
         kind_counts=Counter(base.p.kind[: graph.n_elements]),
         n_elements=graph.n_elements,
         depth_plan=base.depth_plan,
-        element_names=tuple(el.name for el in graph.elements),
-        net_names=tuple(graph.nets),
+        named_elements=tuple(
+            sorted((el.name, pv) for pv, el in enumerate(graph.elements))
+        ),
+        named_nets=tuple(
+            sorted(
+                (net, graph.n_elements + j) for j, net in enumerate(graph.nets)
+            )
+        ),
         port_checks={pv: tuple(fns) for pv, fns in checks.items()},
         automorphisms=_semantic_automorphisms(template, base),
         exact_keys=frozenset(

@@ -112,8 +112,8 @@ def find_primitive_matches(
     ``context.searches``, where a later target of the same shape finds
     them (see :func:`annotate_components`).  ``indexed=False`` is the
     naive reference path — per-call setup, enumerate-all-then-
-    deduplicate, nothing recorded — guaranteed to return the same
-    matches.
+    deduplicate, recording its images only in a ``context`` the caller
+    passes — guaranteed to return the same matches.
     """
     # The profile also carries the automorphism group used to
     # canonicalize matches, so both paths resolve it (memoized).
@@ -140,7 +140,7 @@ def find_primitive_matches(
             profile, target, _images(profile, exc.partial or [])
         )
         raise
-    if indexed:
+    if context is not None:
         context.searches[profile] = images
     return _translate(profile, target, images)
 
@@ -164,20 +164,32 @@ def _images(
 def _translate(
     profile: TemplateProfile, target, images: list[tuple[int, ...]]
 ) -> list[PrimitiveMatch]:
-    """Named, deduplicated matches of canonical images.
+    """Named, deduplicated matches of canonical images, in canonical
+    order (:func:`_claims` without the claimed elements)."""
+    return [match for match, _elements in _claims(profile, target, images)]
+
+
+def _claims(
+    profile: TemplateProfile, target, images: list[tuple[int, ...]]
+) -> list[tuple[PrimitiveMatch, tuple[int, ...]]]:
+    """Named, deduplicated matches of canonical images, each with the
+    target element indices it claims.
 
     Port predicates are orbit invariants (semantic automorphisms
     preserve port predicate profiles), so they are checked on the
     canonical image, against ``target``'s net names; then duplicates on
     the same target elements (e.g. a DP arm swap) are dropped, and only
-    the survivors are named and given their constraints.
+    the survivors are named — their element and net pairs listed in
+    the template's name order, read off the profile — and given their
+    constraints.
     """
     n_el = profile.n_elements
     t_elements, t_nets = target.elements, target.nets
     t_n_el = len(t_elements)
     port_checks = profile.port_checks.items()
+    named_elements, named_nets = profile.named_elements, profile.named_nets
     seen: set[frozenset[int]] = set()
-    matches: list[PrimitiveMatch] = []
+    claims: list[tuple[PrimitiveMatch, tuple[int, ...]]] = []
     for image in images:
         if not all(
             predicate(t_nets[image[pv] - t_n_el])
@@ -185,37 +197,34 @@ def _translate(
             for predicate in predicates
         ):
             continue
-        key = frozenset(image[:n_el])
+        elements = image[:n_el]
+        key = frozenset(elements)
         if key in seen:
             continue  # the devices of an earlier survivor
         seen.add(key)
-        element_map = sorted(
-            zip(
-                profile.element_names,
-                [t_elements[tv].name for tv in image[:n_el]],
-            )
+        element_map = tuple(
+            (name, t_elements[image[pv]].name) for name, pv in named_elements
         )
-        net_map = sorted(
-            zip(profile.net_names, [t_nets[tv - t_n_el] for tv in image[n_el:]])
+        net_map = tuple(
+            (name, t_nets[image[pv] - t_n_el]) for name, pv in named_nets
         )
         constraints = ()
         if profile.constraints:
             rename = dict(element_map)
             constraints = tuple(c.renamed(rename) for c in profile.constraints)
-        matches.append(
-            PrimitiveMatch(
-                primitive=profile.name,
-                element_map=tuple(element_map),
-                net_map=tuple(net_map),
-                constraints=constraints,
-            )
+        match = PrimitiveMatch(
+            primitive=profile.name,
+            element_map=element_map,
+            net_map=net_map,
+            constraints=constraints,
         )
+        claims.append((match, elements))
     # Canonical order: the search enumerates candidate pools (hash
     # sets) in an order that depends on which path built them, and
     # downstream overlap resolution claims devices in match order —
     # sort so both paths hand identical lists to the claimer.
-    matches.sort(key=lambda m: (m.element_map, m.net_map))
-    return matches
+    claims.sort(key=lambda claim: (claim[0].element_map, claim[0].net_map))
+    return claims
 
 
 @dataclass
@@ -409,18 +418,23 @@ def _annotate(
     answered by the kind histogram builds nothing.  A template the
     context has already searched (for an earlier target of the same
     shape) is named from that search's images instead of searching
-    again.  The naive path uses the context's signature index only,
-    and its contexts record no searches.  ``tally`` counts every
-    launch, shared answer and skip by plan position.
+    again, and one whose images are empty is not named at all.  A
+    launch records its images in the context too (the naive path in
+    its own target's context, which nothing shares), and the target's
+    matches are named from them.  ``tally`` counts every launch, shared
+    answer and skip by plan position.
 
-    On the indexed path a template is skipped when the devices still
-    unclaimed cannot host its kind histogram — ``accept`` would reject
-    every match it found — and matching stops once every device is
-    claimed; ``tally`` counts both as skips.
+    Matches claim the target's devices by their indices in
+    ``target.elements``, read off each match's image.  On the indexed
+    path a template is skipped when the devices still unclaimed cannot
+    host its kind histogram — ``accept`` would reject every match it
+    found — and matching stops once every device is claimed; ``tally``
+    counts both as skips.
     """
     result = AnnotationResult()
-    claimed: set[str] = set()
     elements = target.elements
+    claimed = [False] * len(elements)
+    n_unclaimed = len(elements)
     # Kind histogram of the unclaimed devices (indexed path only).  An
     # accepted match claims exactly its template's histogram, so
     # accepting subtracts it.
@@ -430,26 +444,28 @@ def _annotate(
     )
     clock = time.perf_counter
 
-    def accept(matches: list[PrimitiveMatch], kinds=None) -> None:
-        for match in matches:
-            names = match.elements
-            if names & claimed:
+    def accept(claims, kinds=None) -> None:
+        nonlocal n_unclaimed
+        for match, local in claims:
+            if any(claimed[i] for i in local):
                 continue
             result.matches.append(match)
-            claimed.update(names)
+            for i in local:
+                claimed[i] = True
+            n_unclaimed -= len(local)
             if indexed and kinds is not None:
                 free.subtract(kinds)
 
     def finish() -> AnnotationResult:
         result.unclaimed = [
-            dev.name for dev in elements if dev.name not in claimed
+            dev.name for dev, taken in zip(elements, claimed) if not taken
         ]
         return result
 
     context = None
     try:
         for position, (template, profile) in enumerate(plan):
-            if indexed and len(claimed) == len(elements):
+            if indexed and not n_unclaimed:
                 for rest in range(position, len(plan)):
                     skips[rest] += 1
                 break
@@ -461,24 +477,30 @@ def _annotate(
             started = clock()
             images = context.searches.get(profile)
             if images is None:
-                matches = find_primitive_matches(
+                find_primitive_matches(
                     template,
                     target,
                     None if indexed else context.index,
                     budget=budget,
                     profile=profile,
-                    context=context if indexed else None,
+                    context=context,
                     indexed=indexed,
                 )
+                images = context.searches[profile]
                 launches[position] += 1
             else:
-                matches = _translate(profile, target, images)
                 shared[position] += 1
+            claims = _claims(profile, target, images) if images else []
             seconds[position] += clock() - started
-            found[position] += len(matches)
-            accept(matches, profile.kind_counts)
+            found[position] += len(claims)
+            accept(claims, profile.kind_counts)
     except BudgetExceeded as exc:
-        accept(exc.partial or [])
+        # The cut search's partial matches, claimed by their names.
+        local = {dev.name: i for i, dev in enumerate(elements)}
+        accept(
+            (match, [local[name] for _, name in match.element_map])
+            for match in exc.partial or []
+        )
         exc.partial = finish()
         raise
     return finish()

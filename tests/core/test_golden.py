@@ -39,12 +39,15 @@ PYRAMID_GOLDEN = GOLDEN_DIR / "pyramids.json"
 FRONTEND_GOLDEN = GOLDEN_DIR / "frontend.json"
 #: Pinned by ``tests/gcn/test_training_golden.py``, not by a case here.
 TRAINING_GOLDEN = GOLDEN_DIR / "training.json"
+#: Pinned by ``tests/primitives/test_match_stats_golden.py``, not by a
+#: case here.
+MATCH_STATS_GOLDEN = GOLDEN_DIR / "match_stats.json"
 
 
 def case_goldens() -> set[Path]:
     """Every committed per-case golden file."""
     return set(GOLDEN_DIR.glob("*.json")) - {
-        PYRAMID_GOLDEN, FRONTEND_GOLDEN, TRAINING_GOLDEN,
+        PYRAMID_GOLDEN, FRONTEND_GOLDEN, TRAINING_GOLDEN, MATCH_STATS_GOLDEN,
     }
 
 

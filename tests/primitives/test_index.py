@@ -283,9 +283,12 @@ class TestTemplateProfiles:
             assert len(profile.order) == graph.n_vertices
             assert sorted(profile.order) == list(range(graph.n_vertices))
             assert len(profile.depth_plan) == graph.n_vertices
-            assert profile.element_names == tuple(
-                el.name for el in graph.elements
+            assert profile.named_elements == tuple(
+                sorted((el.name, pv) for pv, el in enumerate(graph.elements))
             )
+            assert [graph.vertex_name(pv) for _, pv in profile.named_nets] == [
+                net for net, _ in profile.named_nets
+            ] == sorted(graph.nets)
             # Automorphisms are bijections fixing element/net split.
             for sigma in profile.automorphisms:
                 assert sorted(sigma) == list(range(graph.n_vertices))

@@ -247,8 +247,10 @@ class TestBatchedChunkFlow:
     ):
         """A deck whose graph coarsens to one vertex before the model's
         depth stops the chunk's union sample short, so its packed
-        forward raises ``ModelConfigError`` and the chunk falls back to
-        per-deck inference; every result equals a serial ``run()``."""
+        forward raises ``ModelConfigError`` naming that graph's
+        position, and the chunk falls back to per-deck inference with a
+        warning that names the deck; every result equals a serial
+        ``run()``."""
         from repro.core.pipeline import _run_pipeline_chunk
         from repro.core.stages import pipeline_result_fingerprint
         from repro.exceptions import ModelConfigError
@@ -260,15 +262,24 @@ class TestBatchedChunkFlow:
             pipeline.run_staged(deck, stop_after="graph").last_artifact().graph
             for deck in chunk
         ]
-        with pytest.raises(ModelConfigError, match="coarsening levels"):
+        with pytest.raises(ModelConfigError) as info:
             quick_ota_annotator.annotate_batch(graphs)
+        assert str(info.value) == (
+            "graph 2 ('top') of 5 ran out of vertices after 1 coarsening "
+            "levels; model needs 2"
+        )
+        assert info.value.graphs == (2,)
 
         counting = _CountingAnnotator(quick_ota_annotator)
         with caplog.at_level("WARNING", logger="repro.core.pipeline"):
             results = _run_pipeline_chunk(
                 GanaPipeline(annotator=counting), _jobs_for(chunk, names)
             )
-        assert "packed annotate_batch failed" in caplog.text
+        (warning,) = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert warning.getMessage().startswith(
+            "packed annotate_batch failed on deck 2 (sys2): graph 2 ('top') "
+            "of 5 ran out of vertices"
+        )
         assert counting.batch_calls == 1
         assert counting.annotate_calls == len(chunk)
         serial = [
