@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick examples clean
+.PHONY: install test bench bench-quick examples goldens-check clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -29,6 +29,20 @@ examples:
 	$(PYTHON) examples/phased_array.py
 	$(PYTHON) examples/custom_primitives_and_training.py
 	$(PYTHON) examples/testbench_and_export.py
+
+# Regenerate every committed golden from the code in this tree (models
+# trained afresh, no model cache) and fail if any golden byte moved.
+# A byte-identical training.json proves bitwise-identical training
+# curves, which its rtol test alone cannot.
+GOLDENS = tests.core.test_golden tests.spice.test_frontend_golden \
+	tests.primitives.test_match_stats_golden tests.gcn.test_pyramid_golden \
+	tests.gcn.test_training_golden
+
+goldens-check:
+	for module in $(GOLDENS); do \
+		PYTHONPATH=src GANA_NO_CACHE=1 $(PYTHON) -m $$module || exit 1; \
+	done
+	git diff --exit-code -- tests/golden
 
 clean:
 	rm -rf .cache benchmarks/results .pytest_cache

@@ -136,8 +136,16 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         self._seen = set(self.constraints)
 
+    def __getstate__(self) -> dict:
+        """Pickle the list alone: the membership set iterates in string
+        hash order, so pickling it would give one result different
+        bytes under different ``PYTHONHASHSEED``s."""
+        state = self.__dict__.copy()
+        state.pop("_seen", None)
+        return state
+
     def _members(self) -> set[Constraint]:
-        # Old pickles restore __dict__ without _seen; rebuild lazily.
+        # Unpickled sets restore __dict__ without _seen; rebuild lazily.
         seen = self.__dict__.get("_seen")
         if seen is None:
             seen = self.__dict__["_seen"] = set(self.constraints)

@@ -11,6 +11,8 @@ from repro.gcn.chebyshev import (
     chebyshev_basis,
     chebyshev_basis_backward,
     chebyshev_polynomial,
+    chebyshev_slabs,
+    chebyshev_slabs_backward,
     filter_signal,
 )
 from repro.gcn.coarsening import (
@@ -101,6 +103,8 @@ __all__ = [
     "chebyshev_basis",
     "chebyshev_basis_backward",
     "chebyshev_polynomial",
+    "chebyshev_slabs",
+    "chebyshev_slabs_backward",
     "class_report",
     "classification_report",
     "class_weights",

@@ -13,7 +13,11 @@ every sample's sparse product in one call, the three-term Chebyshev
 recurrence runs once for the whole batch, and every dense layer sees a
 single tall GEMM instead of B short ones.  Cluster assignments are
 concatenated with per-sample *coarse* offsets so pooling/unpooling stay
-within their own block.
+within their own block, and each sample's pooling tables (its clusters'
+lowest and highest fine members, computed once per sample) with its
+*fine* offsets.  Packing is concatenation: every packed array is one
+``np.concatenate`` of the samples' arrays plus one ``np.repeat`` of
+their block offsets.
 
 Every GCN forward is packed; a single graph runs as a pack of one.
 Block isolation — a graph's rows do not depend on its pack-mates:
@@ -40,13 +44,14 @@ so G counts graphs, not samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.chebyshev import chebyshev_basis
-from repro.gcn.layers import SampleContext
+from repro.gcn.chebyshev import chebyshev_slabs
+from repro.gcn.layers import SampleContext, cluster_members
 from repro.gcn.samples import GraphSample
 from repro.utils.sparse import csr_from_arrays
 
@@ -67,32 +72,53 @@ def block_diag_csr(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     # round-trip, which dominated pack time (~6x slower) at minibatch
     # scale.
     sizes = [b.shape[0] for b in blocks]
+    nnzs = [len(b.indices) for b in blocks]
+    idx_dtype = np.result_type(*{b.indices.dtype for b in blocks})
     n = sum(sizes)
-    idx_dtype = np.result_type(*(b.indices.dtype for b in blocks))
-    col_offsets = np.cumsum([0] + sizes[:-1], dtype=idx_dtype)
-    nnz_offsets = np.cumsum(
-        [0] + [b.nnz for b in blocks[:-1]], dtype=idx_dtype
-    )
     data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate(
-        [b.indices.astype(idx_dtype, copy=False) + off
-         for b, off in zip(blocks, col_offsets)]
-    )
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=idx_dtype)]
-        + [b.indptr[1:].astype(idx_dtype, copy=False) + off
-           for b, off in zip(blocks, nnz_offsets)]
+    indices = np.concatenate([b.indices for b in blocks], dtype=idx_dtype)
+    indices += np.repeat(_starts(sizes, idx_dtype), nnzs)
+    indptr = np.zeros(n + 1, dtype=idx_dtype)
+    np.add(
+        np.concatenate([b.indptr[1:] for b in blocks], dtype=idx_dtype),
+        np.repeat(_starts(nnzs, idx_dtype), sizes),
+        out=indptr[1:],
     )
     return csr_from_arrays(data, indices, indptr, (n, n))
+
+
+def _starts(sizes: list[int], dtype=np.int64) -> np.ndarray:
+    """Where each of consecutive blocks of ``sizes`` starts."""
+    return np.fromiter(accumulate(sizes[:-1], initial=0), dtype, len(sizes))
+
+
+def sample_members(sample: GraphSample) -> list[np.ndarray]:
+    """Every level's (2, n_coarse) cluster-member table of ``sample``:
+    each cluster's lowest and highest fine member
+    (:func:`~repro.gcn.layers.cluster_members`).
+
+    The tables depend only on the sample's fixed pyramid, so they are
+    computed once and kept in its :attr:`GraphSample.runtime_cache`,
+    next to its first-layer Chebyshev basis; every later packing
+    concatenates them.
+    """
+    assignments = sample.pyramid.assignments
+    entry = sample.runtime_cache.get("pool-members")
+    if entry is None or entry[0] is not assignments:
+        entry = (assignments, [cluster_members(a) for a in assignments])
+        sample.runtime_cache["pool-members"] = entry
+    return entry[1]
 
 
 @dataclass
 class PackedPyramid:
     """Coarsening pyramid of a packed batch: block-diagonal Laplacians
-    plus offset-shifted cluster assignments at every shared level."""
+    plus offset-shifted cluster assignments and (2, n_coarse)
+    lowest/highest cluster-member tables at every shared level."""
 
     laplacians: list[sp.csr_matrix]
     assignments: list[np.ndarray]
+    members: list[np.ndarray]
 
 
 @dataclass
@@ -129,6 +155,7 @@ class PackedBatch:
             assignments=self.pyramid.assignments,
             cache=self.runtime_cache,
             offsets=self.offsets,
+            members=self.pyramid.members,
         )
 
     def split(self, array: np.ndarray) -> list[np.ndarray]:
@@ -174,13 +201,9 @@ class PackedBatch:
                 return entry[3]
             return None
 
-        n_features = self.features.shape[1]
         per_sample = [_cached_flat(sample) for sample in self.samples]
         if all(flat is None for flat in per_sample):
-            basis = chebyshev_basis(lap0, self.features, order)
-            flat = basis.transpose(1, 0, 2).reshape(
-                self.n_vertices, order * n_features
-            )
+            flat = chebyshev_slabs(lap0, self.features, order)
             bounds = np.cumsum([0] + [s.n_vertices for s in self.samples])
             for i, sample in enumerate(self.samples):
                 sample.runtime_cache["cheb-input-flat"] = (
@@ -192,11 +215,8 @@ class PackedBatch:
         else:
             for i, sample in enumerate(self.samples):
                 if per_sample[i] is None:
-                    basis = chebyshev_basis(
+                    per_sample[i] = chebyshev_slabs(
                         sample.pyramid.laplacians[0], sample.features, order
-                    )
-                    per_sample[i] = basis.transpose(1, 0, 2).reshape(
-                        sample.n_vertices, order * n_features
                     )
                     sample.runtime_cache["cheb-input-flat"] = (
                         sample.features,
@@ -222,11 +242,14 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
     :class:`ModelConfigError` naming that sample.  A pack of one copies
     nothing: it shares the sample's arrays (nothing writes into a
     packed array).  Offsets count graphs, so a union sample contributes
-    one segment per member graph.
+    one segment per member graph.  Packed cluster ids and member
+    tables are each sample's own, shifted block by block, so they equal
+    what the packed assignment itself would give, integer for integer.
     """
     if not samples:
         raise ModelConfigError("cannot pack an empty sample batch")
     levels = min(len(s.pyramid.assignments) for s in samples)
+    tables = [sample_members(s)[:levels] for s in samples]
     if len(samples) == 1:
         (sample,) = samples
         pyramid = sample.pyramid
@@ -238,38 +261,51 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
             pyramid=PackedPyramid(
                 laplacians=pyramid.laplacians[: levels + 1],
                 assignments=pyramid.assignments[:levels],
+                members=tables[0],
             ),
             offsets=pyramid.offsets[: levels + 1],
         )
 
+    pyramids = [s.pyramid for s in samples]
+    n_graphs = [len(p.offsets[0]) - 1 for p in pyramids]
+    # Per level: each sample's vertex count and first packed row.
+    sizes = [[p.laplacians[level].shape[0] for p in pyramids]
+             for level in range(levels + 1)]
+    starts = [_starts(level_sizes) for level_sizes in sizes]
+
     offsets: list[np.ndarray] = []
     laplacians: list[sp.csr_matrix] = []
-    starts: list[list[int]] = []  # per level: each sample's first row
     for level in range(levels + 1):
-        # Plain-int bookkeeping: a handful of small numpy ops per
-        # sample would cost more than the packing itself.
-        bounds, start = [0], []
-        for s in samples:
-            own = s.pyramid.offsets[level].tolist()
-            start.append(bounds[-1])
-            bounds += [start[-1] + b for b in own[1:]]
-        starts.append(start)
-        offsets.append(np.array(bounds, dtype=np.int64))
-        laplacians.append(
-            block_diag_csr([s.pyramid.laplacians[level] for s in samples])
+        bounds = np.zeros(sum(n_graphs) + 1, dtype=np.int64)
+        np.add(
+            np.concatenate([p.offsets[level][1:] for p in pyramids]),
+            np.repeat(starts[level], n_graphs),
+            out=bounds[1:],
         )
+        offsets.append(bounds)
+        laplacians.append(block_diag_csr([p.laplacians[level] for p in pyramids]))
 
     assignments: list[np.ndarray] = []
+    members: list[np.ndarray] = []
     for level in range(levels):
-        parts = [s.pyramid.assignments[level] for s in samples]
-        shift = np.repeat(starts[level + 1], [len(part) for part in parts])
-        assignments.append(np.concatenate(parts) + shift)
+        # Cluster ids shift by each sample's first coarse row, member
+        # indices by its first fine row.
+        assignments.append(
+            np.concatenate([p.assignments[level] for p in pyramids])
+            + np.repeat(starts[level + 1], sizes[level])
+        )
+        members.append(
+            np.concatenate([table[level] for table in tables], axis=1)
+            + np.repeat(starts[level], sizes[level + 1])
+        )
 
     return PackedBatch(
         samples=list(samples),
         features=np.vstack([s.features for s in samples]),
         labels=np.concatenate([s.labels for s in samples]),
         mask=np.concatenate([s.mask for s in samples]),
-        pyramid=PackedPyramid(laplacians=laplacians, assignments=assignments),
+        pyramid=PackedPyramid(
+            laplacians=laplacians, assignments=assignments, members=members
+        ),
         offsets=offsets,
     )

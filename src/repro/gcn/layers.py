@@ -9,6 +9,11 @@ its own reverse-mode gradient.  The contract:
 * ``backward(grad)`` consumes ∂loss/∂output, accumulates parameter
   gradients into ``self.grads`` and returns ∂loss/∂input.
 
+Once an optimizer is built over a layer, its ``params`` and ``grads``
+entries are views into the optimizer's flat arena
+(:class:`~repro.gcn.optim.ParameterArena`): layers update them in
+place and never rebind them.
+
 Layers are stateful across a single forward/backward pair: a training
 forward caches what backward needs, and an inference forward caches
 nothing (it clears the cache, so a model keeps no activations after
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.chebyshev import chebyshev_basis, chebyshev_basis_backward
+from repro.gcn.chebyshev import chebyshev_slabs, chebyshev_slabs_backward
 
 
 @dataclass
@@ -37,8 +42,12 @@ class SampleContext:
     batch of B ≥ 1 graphs.  ``laplacians[ℓ]`` is the block-diagonal
     rescaled Laplacian at coarsening level ℓ (level 0 = original
     graphs).  ``assignments[ℓ]`` maps fine vertex → coarse vertex
-    between level ℓ and ℓ+1.  ``level`` is mutated by pool/unpool layers
-    as the batch flows through the network.
+    between level ℓ and ℓ+1, and ``members[ℓ]`` is its (2, n_coarse)
+    lowest/highest fine-member table (:func:`cluster_members`), which
+    :meth:`~repro.gcn.batch.PackedBatch.context` brings from the
+    samples and a hand-built context derives from ``assignments``.
+    ``level`` is mutated by pool/unpool layers as the batch flows
+    through the network.
 
     ``cache`` is the batch's memo dict.  The first ChebConv layer reads
     its Chebyshev basis there: the basis depends only on the fixed
@@ -58,10 +67,18 @@ class SampleContext:
     level: int = 0
     cache: dict | None = None
     offsets: list[np.ndarray] | None = None
+    members: list[np.ndarray] | None = None
 
     @property
     def laplacian(self) -> sp.csr_matrix:
         return self.laplacians[self.level]
+
+    def cluster_members(self, level: int) -> np.ndarray:
+        """The lowest (row 0) and highest (row 1) fine member of every
+        cluster at ``level``."""
+        if self.members is None:
+            self.members = [cluster_members(a) for a in self.assignments]
+        return self.members[level]
 
     def segment_offsets(self) -> np.ndarray | None:
         """Per-graph row boundaries at the current level, or ``None``
@@ -97,8 +114,8 @@ class Layer:
             if grad is None:
                 self.grads[key] = np.zeros_like(value)
             else:
-                # Reuse the buffer: optimizers hold a reference to the
-                # grads dict, and a fill avoids per-batch allocations.
+                # Fill in place: the gradient may be a view into an
+                # optimizer's arena (repro.gcn.optim.ParameterArena).
                 grad.fill(0.0)
 
     def n_parameters(self) -> int:
@@ -109,7 +126,10 @@ class ChebConv(Layer):
     """Graph convolution with order-K Chebyshev filters (Sec. III-A).
 
     Output ``Y = [T_0(L̂)X | … | T_{K-1}(L̂)X] W + b`` with
-    ``W ∈ R^{K·Fin × Fout}``.  Glorot-initialized.
+    ``W ∈ R^{K·Fin × Fout}``.  Glorot-initialized.  The basis is built
+    in that slab layout (:func:`~repro.gcn.chebyshev.chebyshev_slabs`),
+    and the backward runs the adjoint recurrence on the slabs of
+    ``∂Y Wᵀ``, so neither direction re-lays out an array.
     """
 
     def __init__(self, in_features: int, out_features: int, order: int, rng):
@@ -151,10 +171,7 @@ class ChebConv(Layer):
             ):
                 flat = entry[3]
         if flat is None:
-            basis = chebyshev_basis(laplacian, x, self.order)  # (K, n, Fin)
-            flat = basis.transpose(1, 0, 2).reshape(
-                x.shape[0], self.order * self.in_features
-            )
+            flat = chebyshev_slabs(laplacian, x, self.order)  # (n, K·Fin)
         if training:
             self._flat, self._laplacian = flat, laplacian
         else:
@@ -168,11 +185,8 @@ class ChebConv(Layer):
         if self.input_layer:
             # ∂loss/∂features is never used; skip K sparse matmuls.
             return np.zeros((n, self.in_features))
-        grad_flat = grad @ self.params["weight"].T  # (n, K*Fin)
-        grad_basis = grad_flat.reshape(n, self.order, self.in_features).transpose(
-            1, 0, 2
-        )
-        return chebyshev_basis_backward(self._laplacian, grad_basis)
+        grad_flat = grad @ self.params["weight"].T  # (n, K·Fin): K slabs
+        return chebyshev_slabs_backward(self._laplacian, grad_flat, self.order)
 
 
 class Dense(Layer):
@@ -267,6 +281,10 @@ class BatchNorm(Layer):
     regularizer of Sec. V-A.  ``backward`` follows a training forward
     only: inference normalizes by the running statistics and keeps
     nothing to differentiate.
+
+    The running mean and variance are the two rows of one (2, F)
+    buffer, ``running``, which training folds in place; a checkpoint
+    restore writes into it as well.
     """
 
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
@@ -276,22 +294,21 @@ class BatchNorm(Layer):
         self.zero_grad()
         self.momentum = momentum
         self.eps = eps
-        self.running_mean = np.zeros(features)
-        self.running_var = np.ones(features)
+        self.running = np.stack([np.zeros(features), np.ones(features)])
         self._forget()
+
+    @property
+    def running_mean(self) -> np.ndarray:
+        return self.running[0]
+
+    @property
+    def running_var(self) -> np.ndarray:
+        return self.running[1]
 
     def _forget(self) -> None:
         """Drop the backward cache: an inference forward keeps none."""
         self._xhat = self._std = None
         self._starts = self._sizes = self._counts = None
-
-    def _fold_running(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.running_mean = (
-            self.momentum * self.running_mean + (1 - self.momentum) * mean
-        )
-        self.running_var = (
-            self.momentum * self.running_var + (1 - self.momentum) * var
-        )
 
     def forward(self, x, ctx, training):
         if not training:
@@ -321,9 +338,12 @@ class BatchNorm(Layer):
         centered = x - (mean if single else np.repeat(mean, sizes, axis=0))
         var = np.add.reduceat(centered * centered, starts, axis=0) / counts
         # Running stats fold once per graph in pack order, matching the
-        # same graphs packed one at a time bitwise.
-        for i in range(len(starts)):
-            self._fold_running(mean[i], var[i])
+        # same graphs packed one at a time bitwise: per graph, both rows
+        # become m·running + (1 − m)·stat.
+        scaled = (1 - self.momentum) * np.stack((mean, var), axis=1)
+        for stat in scaled:
+            self.running *= self.momentum
+            self.running += stat
         std = np.sqrt(var + self.eps)
         self._std = std if single else np.repeat(std, sizes, axis=0)
         self._xhat = centered / self._std
@@ -354,45 +374,41 @@ class BatchNorm(Layer):
         return out
 
 
-def _cluster_members(ctx: SampleContext, level: int) -> tuple:
-    """Per-cluster (lowest, highest) fine-member indices at ``level``.
+def cluster_members(assign: np.ndarray) -> np.ndarray:
+    """Each cluster's lowest (row 0) and highest (row 1) fine member
+    under ``assign``, as one (2, n_coarse) array.
 
     Graclus clusters hold one or two vertices, so max-pooling reduces
-    to two gathers plus an elementwise max — far cheaper than the
-    unbuffered ``np.ufunc.at`` scatter it replaces.  The member arrays
-    depend only on the static assignment, so they are memoized on the
-    context cache (per packed batch, for its lifetime) keyed by the
-    assignment's identity.
+    to two gathers plus an elementwise max, and its backward to two row
+    scatters.  The table depends only on the static assignment, so a
+    sample computes its own once (``repro.gcn.batch``) and a packed
+    batch concatenates them.
     """
-    assign = ctx.assignments[level]
-    key = ("pool-members", level)
-    cache = ctx.cache if ctx.cache is not None else {}
-    entry = cache.get(key)
-    if entry is not None and entry[0] is assign:
-        return entry
     n_coarse = int(assign.max()) + 1 if assign.size else 0
     order = np.argsort(assign, kind="stable")
     clusters = np.arange(n_coarse)
     sorted_assign = assign[order]
-    lo = order[np.searchsorted(sorted_assign, clusters, side="left")]
-    hi = order[np.searchsorted(sorted_assign, clusters, side="right") - 1]
-    entry = (assign, lo, hi)
-    cache[key] = entry
-    return entry
+    first = np.searchsorted(sorted_assign, clusters, side="left")
+    last = np.searchsorted(sorted_assign, clusters, side="right") - 1
+    return order[np.stack((first, last))]
 
 
 class GraphPool(Layer):
     """Cluster max-pooling between coarsening levels (Sec. III-B).
 
-    Uses the Graclus cluster assignment stored in the sample context:
-    each coarse vertex takes the elementwise max over its (1 or 2)
-    members — "pooling operations ... performed very efficiently" on
-    the cluster tree.  Advances ``ctx.level``.
+    Uses the Graclus clusters of the sample context: each coarse vertex
+    takes the elementwise max over its (1 or 2) members, read from the
+    context's member table — "pooling operations ... performed very
+    efficiently" on the cluster tree.  A training forward keeps the
+    members and which of them won; the backward routes each gradient
+    there with two row scatters.  Advances ``ctx.level``.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._winner: np.ndarray | None = None
+        self._lo: np.ndarray | None = None
+        self._hi: np.ndarray | None = None
+        self._high_wins: np.ndarray | None = None
         self._n_fine: int | None = None
 
     def forward(self, x, ctx, training):
@@ -400,28 +416,29 @@ class GraphPool(Layer):
             raise ModelConfigError(
                 "GraphPool used beyond the available coarsening levels"
             )
-        _, lo, hi = _cluster_members(ctx, ctx.level)
+        lo, hi = ctx.cluster_members(ctx.level)
         low, high = x[lo], x[hi]
         out = np.maximum(low, high)
         if training:
-            # Track which fine vertex supplied each max for routing
-            # grads: among a cluster's members that attain the max, the
-            # highest fine index wins.
-            self._winner = np.where(high >= low, hi[:, None], lo[:, None])
+            # Which member supplied each max, for routing grads: among
+            # a cluster's members that attain it, the highest fine
+            # index wins.
+            self._lo, self._hi = lo, hi
+            self._high_wins = high >= low
             self._n_fine = x.shape[0]
         else:
-            self._winner = self._n_fine = None
+            self._lo = self._hi = self._high_wins = self._n_fine = None
         ctx.level += 1
         return out
 
     def backward(self, grad):
         out = np.zeros((self._n_fine, grad.shape[1]))
-        cols = np.broadcast_to(
-            np.arange(grad.shape[1]), self._winner.shape
-        )
-        # One winner per (cluster, feature) and clusters are disjoint,
-        # so plain fancy assignment scatters without collisions.
-        out[self._winner, cols] = grad
+        high_wins = self._high_wins
+        # Clusters are disjoint, so each write lands on its own rows.
+        # A one-member cluster (lo == hi, where high >= low holds) gets
+        # its gradient from the second write.
+        out[self._lo] = np.where(high_wins, 0.0, grad)
+        out[self._hi] = np.where(high_wins, grad, 0.0)
         return out
 
 
@@ -444,7 +461,7 @@ class GraphUnpool(Layer):
             raise ModelConfigError("GraphUnpool at level 0 has nothing to undo")
         ctx.level -= 1
         if training:
-            _, self._lo, self._hi = _cluster_members(ctx, ctx.level)
+            self._lo, self._hi = ctx.cluster_members(ctx.level)
         else:
             self._lo = self._hi = None
         return x[ctx.assignments[ctx.level]]
@@ -453,7 +470,7 @@ class GraphUnpool(Layer):
         # Each coarse vertex sums its members' gradients in ascending
         # fine order — the order ``np.add.at(out, assign, grad)`` would
         # accumulate them in.
-        out = grad[self._lo].copy()
+        out = grad[self._lo]
         pair = self._hi != self._lo
         out[pair] += grad[self._hi[pair]]
         return out

@@ -131,7 +131,9 @@ class GCNModel:
     # -- plumbing -------------------------------------------------------
 
     def parameter_slots(self) -> list[tuple[dict, dict]]:
-        """(params, grads) pairs for the optimizer."""
+        """(params, grads) pairs of the current layers, for the
+        optimizer, which lays its parameter arena out over them
+        (:class:`~repro.gcn.optim.ParameterArena`)."""
         return [
             (layer.params, layer.grads) for layer in self.layers if layer.params
         ]
@@ -267,6 +269,12 @@ class GCNModel:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Write ``state`` into the model's arrays in place.
+
+        Parameters may be views into an optimizer's arena, so they are
+        written, never rebound: a checkpoint resume or a divergence
+        rollback keeps training the arrays the forward reads.
+        """
         for idx, layer in enumerate(self.layers):
             for key in layer.params:
                 name = f"layer{idx}.{key}"
@@ -277,10 +285,10 @@ class GCNModel:
                         f"shape mismatch for {name}: "
                         f"{state[name].shape} vs {layer.params[key].shape}"
                     )
-                layer.params[key] = state[name].copy()
+                layer.params[key][...] = state[name]
             if isinstance(layer, BatchNorm):
-                layer.running_mean = state[f"layer{idx}.running_mean"].copy()
-                layer.running_var = state[f"layer{idx}.running_var"].copy()
+                layer.running[0] = state[f"layer{idx}.running_mean"]
+                layer.running[1] = state[f"layer{idx}.running_var"]
 
     def save(self, path: str) -> None:
         """Persist parameters and the config in one npz file."""

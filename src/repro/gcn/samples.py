@@ -46,7 +46,8 @@ class GraphSample:
     graph_names: tuple[str, ...] = ()
     #: Sample-lifetime memo shared by every packing of this sample: its
     #: rows of the first-layer Chebyshev basis, which depend only on the
-    #: fixed Laplacian + features, never on weights.
+    #: fixed Laplacian + features, never on weights, and its pooling
+    #: tables (``repro.gcn.batch.sample_members``).
     runtime_cache: dict = field(default_factory=dict)
 
     def __getstate__(self) -> dict:

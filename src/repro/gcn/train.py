@@ -224,7 +224,7 @@ def _run_epoch(
     epoch_total = 0
     for batch_start in range(0, len(order), config.batch_size):
         batch = order[batch_start : batch_start + config.batch_size]
-        model.zero_grad()
+        optimizer.zero_grad()
         # One forward/backward serves the whole minibatch.  Repacked
         # per batch, so the shuffled composition is respected every
         # epoch.

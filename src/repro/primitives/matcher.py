@@ -114,10 +114,43 @@ def find_primitive_matches(
     naive reference path — per-call setup, enumerate-all-then-
     deduplicate, recording its images only in a ``context`` the caller
     passes — guaranteed to return the same matches.
+
+    This is :func:`find_primitive_images` plus the naming of its
+    images.
     """
     # The profile also carries the automorphism group used to
     # canonicalize matches, so both paths resolve it (memoized).
     profile = profile or template_profile(template)
+    try:
+        images = find_primitive_images(
+            template, target, target_index, budget,
+            profile=profile, context=context, indexed=indexed,
+        )
+    except BudgetExceeded as exc:
+        exc.partial = _translate(profile, target, exc.partial or [])
+        raise
+    return _translate(profile, target, images)
+
+
+def find_primitive_images(
+    template: PrimitiveTemplate,
+    target: CircuitGraph,
+    target_index=None,
+    budget: Budget | None = None,
+    *,
+    profile: TemplateProfile,
+    context: TargetContext | None = None,
+    indexed: bool = True,
+) -> list[tuple[int, ...]]:
+    """The search of :func:`find_primitive_matches`, without naming.
+
+    Returns the canonical, pre-predicate images (target-vertex tuples
+    in pattern-vertex order) that :func:`_claims` names, and records
+    them in ``context.searches`` as described there; on budget
+    exhaustion ``exc.partial`` holds the images found so far.
+    Largest-first matching names each launch's images once, as it
+    claims them.
+    """
     if indexed:
         context = context or TargetContext.build(target)
         if not context.index.by_exact.keys() >= profile.exact_keys:
@@ -136,13 +169,11 @@ def find_primitive_matches(
     try:
         images = _images(profile, matcher.find_all(budget=budget))
     except BudgetExceeded as exc:
-        exc.partial = _translate(
-            profile, target, _images(profile, exc.partial or [])
-        )
+        exc.partial = _images(profile, exc.partial or [])
         raise
     if context is not None:
         context.searches[profile] = images
-    return _translate(profile, target, images)
+    return images
 
 
 def _images(
@@ -477,7 +508,7 @@ def _annotate(
             started = clock()
             images = context.searches.get(profile)
             if images is None:
-                find_primitive_matches(
+                images = find_primitive_images(
                     template,
                     target,
                     None if indexed else context.index,
@@ -486,7 +517,6 @@ def _annotate(
                     context=context,
                     indexed=indexed,
                 )
-                images = context.searches[profile]
                 launches[position] += 1
             else:
                 shared[position] += 1
@@ -495,12 +525,8 @@ def _annotate(
             found[position] += len(claims)
             accept(claims, profile.kind_counts)
     except BudgetExceeded as exc:
-        # The cut search's partial matches, claimed by their names.
-        local = {dev.name: i for i, dev in enumerate(elements)}
-        accept(
-            (match, [local[name] for _, name in match.element_map])
-            for match in exc.partial or []
-        )
+        # The cut search's partial images, named and claimed.
+        accept(_claims(profile, target, exc.partial or []))
         exc.partial = finish()
         raise
     return finish()

@@ -87,10 +87,11 @@ def reset_power_net_memo() -> None:
 class DeviceKind(enum.Enum):
     """Element categories at the lowest hierarchy level (Sec. II-A).
 
-    Each member carries ``is_transistor``, ``is_passive`` and
-    ``is_source`` as plain attributes, set once below: every layer asks
-    them per device, and a property testing tuple membership paid for
-    ``Enum.__eq__`` on each call.
+    Each member carries ``is_transistor``, ``is_passive``,
+    ``is_source`` and ``terminals`` (its row of :data:`TERMINALS`) as
+    plain attributes, set once below: every layer asks them per device,
+    and a property testing tuple membership paid for ``Enum.__eq__`` on
+    each call, as a dict lookup pays for ``Enum.__hash__``.
     """
 
     NMOS = "nmos"
@@ -123,6 +124,9 @@ TERMINALS: dict[DeviceKind, tuple[str, ...]] = {
     DeviceKind.ISOURCE: ("p", "n"),
     DeviceKind.DIODE: ("p", "n"),
 }
+for _kind, _terminals in TERMINALS.items():
+    _kind.terminals = _terminals
+del _kind, _terminals
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ class Device:
     params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        expected = TERMINALS[self.kind]
+        expected = self.kind.terminals
         got = tuple([t for t, _ in self.pins])
         if got != expected:
             raise ValueError(

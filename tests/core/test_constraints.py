@@ -1,6 +1,14 @@
 """Constraint model, class rules, symmetry-axis propagation."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.constraints import (
     Constraint,
@@ -11,6 +19,7 @@ from repro.core.constraints import (
     subblock_constraints,
 )
 from repro.exceptions import ConstraintError
+from tests.conftest import EXAMPLES_DIR
 
 
 def _sym(*members, source=""):
@@ -95,6 +104,42 @@ class TestConstraintSet:
         s = ConstraintSet()
         s.extend([_sym("a", "b"), _sym("c", "d")])
         assert len(list(s)) == 2
+
+    def test_unpickled_set_still_deduplicates(self):
+        s = ConstraintSet()
+        s.extend([_sym("a", "b"), _sym("c", "d")])
+        twin = pickle.loads(pickle.dumps(s))
+        assert "_seen" not in twin.__dict__
+        assert twin == s
+        twin.add(_sym("a", "b"))
+        assert len(twin) == 2
+        twin.add(_sym("e", "f"))
+        assert len(twin) == 3
+
+    def test_pickle_bytes_do_not_follow_the_hash_seed(self):
+        """One deck's constraints pickle to the same bytes in processes
+        with different string hashing."""
+        src = Path(repro.__file__).resolve().parents[1]
+        deck = EXAMPLES_DIR / "ota_array.sp"
+        digests = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            done = subprocess.run(
+                [sys.executable, "-c", _PICKLE_CONSTRAINTS, str(deck)],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            digests.append(done.stdout.split()[-1])
+        assert digests[0] == digests[1]
+
+
+#: Prints the sha256 of ``pickle.dumps(result.constraints)`` of the
+#: deck named by its argument.
+_PICKLE_CONSTRAINTS = """
+import hashlib, pickle, sys
+from repro.core.pipeline import GanaPipeline
+result = GanaPipeline.pretrained("ota").run(open(sys.argv[1]).read())
+print(hashlib.sha256(pickle.dumps(result.constraints)).hexdigest())
+"""
 
 
 class TestSymmetryMerging:

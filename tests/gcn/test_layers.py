@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.chebyshev import chebyshev_basis
+from repro.gcn.chebyshev import chebyshev_slabs
 from repro.gcn.coarsening import build_pyramid
 from repro.gcn.layers import (
     BatchNorm,
@@ -279,7 +279,10 @@ class TestPooling:
 
 
 class TestGraphPoolVectorization:
-    """The scatter-based pool must match a per-vertex reference loop."""
+    """The pool's routing — each cluster's (lowest, highest) member and
+    whether the highest one supplied the max — must match a per-vertex
+    reference loop: the winner it implies for every (cluster, feature),
+    and the gradient its two row scatters deliver there."""
 
     @staticmethod
     def _reference_pool(x, assign):
@@ -304,7 +307,9 @@ class TestGraphPoolVectorization:
         out = pool.forward(x, ctx, training=True)
         ref_out, ref_winner = self._reference_pool(x, ctx.assignments[0])
         np.testing.assert_array_equal(out, ref_out)
-        np.testing.assert_array_equal(pool._winner, ref_winner)
+        lo, hi = ctx.cluster_members(0)
+        winner = np.where(pool._high_wins, hi[:, None], lo[:, None])
+        np.testing.assert_array_equal(winner, ref_winner)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_backward_matches_reference_routing(self, seed):
@@ -312,22 +317,23 @@ class TestGraphPoolVectorization:
         n = 12
         ctx = _ctx(n)
         x = rng.normal(size=(n, 3))
+        x[::4] = x[0]
         pool = GraphPool()
         out = pool.forward(x, ctx, training=True)
         grad_up = rng.normal(size=out.shape)
         grad = pool.backward(grad_up)
+        _, ref_winner = self._reference_pool(x, ctx.assignments[0])
         reference = np.zeros((n, 3))
         cols = np.arange(3)
         for coarse in range(out.shape[0]):
-            reference[pool._winner[coarse], cols] += grad_up[coarse]
+            reference[ref_winner[coarse], cols] += grad_up[coarse]
         np.testing.assert_array_equal(grad, reference)
 
 
 def _seeded_cache(pyramid, x: np.ndarray, order: int) -> dict:
     """A cache holding ``x``'s first-layer basis, as
     ``PackedBatch.seed_input_basis`` leaves it."""
-    basis = chebyshev_basis(pyramid.laplacians[0], x, order)
-    flat = basis.transpose(1, 0, 2).reshape(x.shape[0], order * x.shape[1])
+    flat = chebyshev_slabs(pyramid.laplacians[0], x, order)
     return {"cheb-input-flat": (x, pyramid.laplacians[0], order, flat)}
 
 

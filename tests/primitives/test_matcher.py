@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.constraints import ConstraintKind
 from repro.graph.bipartite import CircuitGraph
+from repro.primitives import matcher
 from repro.primitives.library import default_library, extended_library
 from repro.primitives.matcher import annotate_primitives, find_primitive_matches
 from repro.spice.flatten import flatten
 from repro.spice.parser import parse_netlist
+from tests.conftest import EXAMPLES_DIR
 
 LIB = default_library()
 
@@ -80,6 +82,27 @@ m3 t vb gnd! gnd! nmos
         deck = "l1 a b 1n\nc1 a b 1p\n.end\n"
         matches = find_primitive_matches(LIB.get("LC-TANK"), _graph(deck))
         assert len(matches) == 1
+
+
+class TestNamingOnce:
+    def test_annotating_names_each_launch_once(self, monkeypatch):
+        """Largest-first matching names a launch's images once, as it
+        claims them: on a new library nothing goes through the naming
+        of :func:`find_primitive_matches`, which still names its own."""
+        calls = []
+        real = matcher._translate
+
+        def counting(*args):
+            calls.append(args[0].name)
+            return real(*args)
+
+        monkeypatch.setattr(matcher, "_translate", counting)
+        graph = _graph((EXAMPLES_DIR / "ota_array.sp").read_text())
+        result = annotate_primitives(graph, default_library())
+        assert result.matches
+        assert calls == []
+        assert find_primitive_matches(LIB.get("DP-N"), graph)
+        assert calls == ["DP-N"]
 
 
 class TestOverlapResolution:

@@ -5,6 +5,7 @@ import pytest
 from repro.spice.netlist import (
     Circuit,
     Device,
+    TERMINALS,
     DeviceKind,
     is_ground_net,
     is_power_net,
@@ -137,6 +138,10 @@ class TestDevice:
         assert DeviceKind.CAPACITOR.is_passive
         assert DeviceKind.VSOURCE.is_source
         assert not DeviceKind.RESISTOR.is_transistor
+
+    def test_kind_terminals(self):
+        assert DeviceKind.PMOS.terminals == ("d", "g", "s", "b")
+        assert all(kind.terminals == TERMINALS[kind] for kind in DeviceKind)
 
     def test_make_mos_default_body(self):
         n = make_mos("m1", DeviceKind.NMOS, "d", "g", "s")
