@@ -49,10 +49,11 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         return 2
     if len(paths) > 1 and (
         args.stop_after or args.resume_from or args.save_artifacts
+        or args.export_dir
     ):
         print(
-            "error: --stop-after/--resume-from/--save-artifacts work on a "
-            "single netlist, not a batch",
+            "error: --stop-after/--resume-from/--save-artifacts/--export-dir "
+            "work on a single netlist, not a batch",
             file=sys.stderr,
         )
         return 2

@@ -77,6 +77,7 @@ from repro.core.stages import (
 )
 from repro.exceptions import WorkerCrashed
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.ccc import channel_connected_components
 from repro.graph.features import NetRole
 from repro.primitives.library import (
     PrimitiveLibrary,
@@ -865,7 +866,8 @@ class PreprocessStage:
 
 
 class GraphStage:
-    """``graph``: reduced circuit → bipartite element/net graph."""
+    """``graph``: reduced circuit → bipartite element/net graph and its
+    channel-connected components."""
 
     name = StageName.GRAPH
 
@@ -875,7 +877,8 @@ class GraphStage:
         return content_fingerprint("stage", self.name.value, upstream_fp)
 
     def run(self, upstream: Artifact, ctx: RunContext) -> dict:
-        return {"graph": CircuitGraph.from_circuit(upstream.reduced)}
+        graph = CircuitGraph.from_circuit(upstream.reduced)
+        return {"graph": graph, "partition": channel_connected_components(graph)}
 
 
 class GcnStage:
@@ -968,30 +971,14 @@ class Post1Stage:
         )
 
     def run(self, upstream: Artifact, ctx: RunContext) -> dict:
-        from repro.graph.ccc import CCCPartition
-
         pipeline = ctx.pipeline
-        # The CCC partition depends only on the graph/annotation, not on
-        # the library — key it off the upstream (gcn) derivation key so
-        # a library-only change reuses it across runs.
-        partition = None
-        partition_key = None
-        if ctx.cache is not None:
-            gcn_key = ctx.stage_keys.get(StageName.GCN)
-            if gcn_key:
-                partition_key = f"ccc-partition-{gcn_key}"
-                cached = ctx.cache.load(partition_key)
-                if isinstance(cached, CCCPartition):
-                    partition = cached
         post1 = postprocess_ccc(
             upstream.gcn_annotation,
             pipeline.library,
-            partition=partition,
+            partition=upstream.partition,
             detect_bpf=pipeline.detect_bpf,
             stats=ctx.match_stats,
         )
-        if partition is None and partition_key is not None:
-            ctx.cache.store(partition_key, post1.partition)
         tree = upstream.tree
         hier = None
         if ctx.hier and tree is not None and tree.instances:

@@ -60,6 +60,7 @@ import numpy as np
 
 from repro.exceptions import ArtifactError
 from repro.graph.bipartite import CircuitGraph
+from repro.graph.ccc import CCCPartition
 from repro.primitives.matcher import MatchStats
 from repro.runtime.cache import ArtifactCache, Memo, atomic_write
 from repro.runtime.resilience import Diagnostic
@@ -270,15 +271,19 @@ def annotator_fingerprint(annotator: "GcnAnnotator") -> str:
 # Artifacts
 # ---------------------------------------------------------------------------
 
-#: Bumped when any artifact's schema changes; saved envelopes with a
-#: different version refuse to load (and cache entries miss).
+#: Bumped when any artifact's schema changes; saved artifacts and
+#: artifact-cache entries share one envelope, so after a bump the
+#: former refuse to load and the latter miss (and are removed).
 #: Version 2: artifacts grew the hierarchy-scoped annotation fields
 #: (``tree``/``hier``) — version-1 pickles predate them.
 #: Version 3: the seven per-stage classes became one :class:`Artifact`.
 #: Version 4: ``hier`` became the four-count :class:`HierReport`.
 #: Version 5: graph edges pickle as named tuples
 #: (:class:`~repro.graph.bipartite.Edge`).
-ARTIFACT_FORMAT_VERSION = 5
+#: Version 6: the graph stage's CCC ``partition`` joined the record,
+#: and cache entries became this envelope (earlier ones were the
+#: cache's own payload, which ignored this version).
+ARTIFACT_FORMAT_VERSION = 6
 
 #: File suffix used by :meth:`Artifact.save` / :func:`load_artifacts`.
 ARTIFACT_SUFFIX = ".artifact.pkl"
@@ -353,8 +358,10 @@ class Artifact:
     net_roles: "dict[str, NetRole] | None" = None
     #: Hierarchy sidecar (``--hier`` runs only; None on the flat path).
     tree: "DesignTree | None" = None
-    # graph: the bipartite element/net graph.
+    # graph: the bipartite element/net graph and its channel-connected
+    # components (which Postprocessing I votes over).
     graph: CircuitGraph | None = None
+    partition: CCCPartition | None = None
     # gcn: per-vertex class annotation (possibly the degraded
     # template-library fallback).
     gcn_annotation: "Annotation | None" = None
@@ -380,16 +387,12 @@ class Artifact:
         )
 
     def save(self, path: str | Path) -> Path:
-        """Atomically pickle this artifact (with a format envelope)."""
+        """Atomically pickle this artifact in the versioned envelope
+        (the format of saved artifacts and artifact-cache entries)."""
         path = Path(path)
         if not self.fingerprint:
             self.fingerprint = self.content_fingerprint()
-        envelope = {
-            "format_version": ARTIFACT_FORMAT_VERSION,
-            "stage": self.stage.value,
-            "fingerprint": self.fingerprint,
-            "artifact": self,
-        }
+        envelope = {"format_version": ARTIFACT_FORMAT_VERSION, "artifact": self}
         atomic_write(
             path,
             lambda handle: pickle.dump(
@@ -421,9 +424,6 @@ class Artifact:
             artifact.stage, StageName
         ):
             raise ArtifactError(f"{path}: envelope holds no artifact")
-        artifact.fingerprint = (
-            envelope.get("fingerprint", "") or artifact.fingerprint
-        )
         return artifact
 
     def describe(self) -> str:
@@ -507,9 +507,6 @@ class RunContext:
     cache_hits: list[StageName] = field(default_factory=list)
     #: Postprocessing I's per-template matching statistics.
     match_stats: MatchStats = field(default_factory=MatchStats)
-    #: The run's derivation-key chain (filled in by the runner once per
-    #: execute); stages may key sub-stage memos off their upstream key.
-    stage_keys: dict[StageName, "str | None"] = field(default_factory=dict)
 
 
 @dataclass
@@ -573,7 +570,7 @@ class StagedRunner:
     3. probe the cache from the far end: the furthest stage whose key
        is present yields ONE artifact to deserialize, and every stage
        upstream of it is a hit that is never even loaded (with a
-       ``save_dir`` the per-stage loop loads each hit instead, so all
+       ``save_dir`` the probe loads each earlier hit too, so all
        artifacts land on disk);
     4. run the remaining stages under ``resilience.stage`` guards,
        storing each fresh artifact back to the cache.
@@ -617,7 +614,6 @@ class StagedRunner:
             ctx.artifacts[artifact.stage] = artifact
 
         keys = self._key_chain(ctx)
-        ctx.stage_keys = keys
 
         start = 0
         prev: Artifact | None = None
@@ -633,7 +629,7 @@ class StagedRunner:
         for impl in self.stages[:start]:
             ctx.stage_seconds.setdefault(impl.name, 0.0)
 
-        if ctx.cache is not None and ctx.save_dir is None:
+        if ctx.cache is not None:
             hit = self._probe_backwards(ctx, keys, start, end)
             if hit is not None:
                 start, prev = hit
@@ -643,21 +639,19 @@ class StagedRunner:
                 impl = self.stages[i]
                 name = impl.name
                 started = time.perf_counter()
-                artifact = self._load_hit(ctx, keys.get(name), name)
-                if artifact is None:
-                    with stage_guard(name, ctx.diagnostics):
-                        produced = impl.run(prev, ctx)
-                    artifact = dataclasses.replace(
-                        prev if prev is not None else Artifact(stage=name),
-                        stage=name,
-                        diagnostics=tuple(ctx.diagnostics),
-                        **produced,
-                    )
-                    key = keys.get(name)
-                    if key is not None:
-                        artifact.fingerprint = key
-                        if ctx.cache is not None:
-                            ctx.cache.store(key, artifact)
+                with stage_guard(name, ctx.diagnostics):
+                    produced = impl.run(prev, ctx)
+                artifact = dataclasses.replace(
+                    prev if prev is not None else Artifact(stage=name),
+                    stage=name,
+                    diagnostics=tuple(ctx.diagnostics),
+                    **produced,
+                )
+                key = keys.get(name)
+                if key is not None:
+                    artifact.fingerprint = key
+                    if ctx.cache is not None:
+                        ctx.cache.store(key, artifact)
                 ctx.stage_seconds[name] = ctx.stage_seconds.get(name, 0.0) + (
                     time.perf_counter() - started
                 )
@@ -710,43 +704,42 @@ class StagedRunner:
         start: int,
         end: int,
     ) -> tuple[int, Artifact] | None:
-        """Find the furthest cached stage; load only that one artifact."""
-        for i in range(end, start - 1, -1):
-            name = self.stages[i].name
-            artifact = self._load_hit(ctx, keys.get(name), name, probe=True)
-            if artifact is None:
-                continue
-            ctx.artifacts[name] = artifact
-            for impl in self.stages[start : i + 1]:
-                ctx.cache_hits.append(impl.name)
-                # Hits cost ~one deserialize; charge them zero so the
-                # timing dict reports each stage either way.
-                ctx.stage_seconds.setdefault(impl.name, 0.0)
-            ctx.diagnostics[:] = list(artifact.diagnostics)
-            return i + 1, artifact
-        return None
+        """Find the furthest cached stage and load only that artifact.
 
-    def _load_hit(
-        self,
-        ctx: RunContext,
-        key: str | None,
-        name: StageName,
-        probe: bool = False,
+        With a ``save_dir`` every stage's artifact lands on disk, so
+        the earlier hits are loaded too, and if one of them is missing
+        the run takes no hit at all.
+        """
+        for last in range(end, start - 1, -1):
+            artifact = self._cached(ctx, keys, last)
+            if artifact is not None:
+                break
+        else:
+            return None
+        hits = [artifact]
+        if ctx.save_dir is not None:
+            hits = [self._cached(ctx, keys, i) for i in range(start, last)] + hits
+            if None in hits:
+                return None
+        for hit in hits:
+            ctx.artifacts[hit.stage] = hit
+        for impl in self.stages[start : last + 1]:
+            ctx.cache_hits.append(impl.name)
+            # Hits cost ~one deserialize; charge them zero so the
+            # timing dict reports each stage either way.
+            ctx.stage_seconds.setdefault(impl.name, 0.0)
+        ctx.diagnostics[:] = list(hits[-1].diagnostics)
+        return last + 1, hits[-1]
+
+    def _cached(
+        self, ctx: RunContext, keys: dict[StageName, str | None], i: int
     ) -> Artifact | None:
-        """Cache lookup; only trusts an artifact of the stage ``name``."""
-        if key is None or ctx.cache is None:
+        """Stage ``i``'s cache entry, trusted only if it is that stage's."""
+        name = self.stages[i].name
+        key = keys.get(name)
+        artifact = None if key is None else ctx.cache.load(key)
+        if artifact is None or artifact.stage is not name:
             return None
-        if not probe and ctx.save_dir is None:
-            # Without a save dir, hits are taken by the backward probe;
-            # the forward loop only computes.
-            return None
-        artifact = ctx.cache.load(key)
-        if not isinstance(artifact, Artifact) or artifact.stage is not name:
-            return None
-        artifact.fingerprint = key
-        if not probe:
-            ctx.cache_hits.append(name)
-            ctx.diagnostics[:] = list(artifact.diagnostics)
         return artifact
 
 

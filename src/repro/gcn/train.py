@@ -191,14 +191,10 @@ class _DivergenceError(Exception):
     step can land; the handler in :func:`train` rolls back."""
 
 
-def _grad_norm(slots) -> float:
-    """Global L2 norm over every gradient tensor (NaN-propagating)."""
-    total = 0.0
-    for _params, grads in slots:
-        for grad in grads.values():
-            flat = grad.ravel()
-            total += float(np.dot(flat, flat))
-    return math.sqrt(total)
+def _grad_norm(grads: np.ndarray) -> float:
+    """Global L2 norm of the optimizer's flat gradient arena
+    (NaN-propagating)."""
+    return math.sqrt(float(np.dot(grads, grads)))
 
 
 def _run_epoch(
@@ -246,7 +242,7 @@ def _run_epoch(
                 f"non-finite loss ({batch_loss!r}) in minibatch {step}"
             )
         if grad_limit is not None:
-            norm = _grad_norm(optimizer.slots)
+            norm = _grad_norm(optimizer.arena.grads)
             if not np.isfinite(norm) or norm > grad_limit:
                 raise _DivergenceError(
                     f"gradient norm {norm:.4g} breaches the {grad_limit:g} "

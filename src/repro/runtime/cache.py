@@ -22,6 +22,7 @@ bypass the cache entirely.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -30,9 +31,14 @@ import pickle
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, TypeVar
 
 import numpy as np
+
+from repro.exceptions import ArtifactError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.stages import Artifact
 
 _T = TypeVar("_T")
 
@@ -40,8 +46,10 @@ _T = TypeVar("_T")
 CACHE_DIR_ENV = "GANA_CACHE_DIR"
 #: Environment variable disabling the cache ("1"/"true"/"yes").
 NO_CACHE_ENV = "GANA_NO_CACHE"
-#: Bumped whenever the on-disk format or training semantics change;
-#: entries with a different version are stale and ignored.  Version 2:
+#: Bumped whenever the model cache's on-disk format or training
+#: semantics change; entries with a different version are stale and
+#: ignored (artifact-cache entries carry ``ARTIFACT_FORMAT_VERSION``
+#: instead, see :class:`ArtifactCache`).  Version 2:
 #: batched minibatch training (block-diagonal packing) became the
 #: default, which reorders float accumulation relative to v1 weights.
 CACHE_FORMAT_VERSION = 2
@@ -260,16 +268,21 @@ class ModelCache:
 
 
 class ArtifactCache:
-    """Content-addressed pickle store for pipeline stage artifacts.
+    """Content-addressed store of pipeline stage artifacts.
 
     The staged runner (:mod:`repro.core.stages`) keys every stage's
-    artifact by its derivation fingerprint — a hash chain over the
-    input netlist and each stage's configuration — so an unchanged
-    fingerprint is a cache hit and the stage never re-runs.  Same
-    contract as :class:`ModelCache`: writes are atomic (temp file +
-    ``os.replace``), any read problem is a miss (the bad entry is
-    removed), and a failing write is swallowed — the cache accelerates,
-    it is never a correctness dependency.
+    :class:`~repro.core.stages.Artifact` by its derivation fingerprint
+    — a hash chain over the input netlist and each stage's
+    configuration — so an unchanged fingerprint is a cache hit and the
+    stage never re-runs.  An entry is the file
+    :meth:`~repro.core.stages.Artifact.save` writes, with the key as
+    its fingerprint: one format and one version check
+    (``ARTIFACT_FORMAT_VERSION``) for cached and saved artifacts, and
+    every entry loads with :func:`~repro.core.stages.load_artifacts`.
+    Same contract as :class:`ModelCache`: writes are atomic (temp file
+    + ``os.replace``), any read problem is a miss (the bad entry is
+    removed), and a failing write is swallowed — the cache
+    accelerates, it is never a correctness dependency.
 
     Layout: one ``<key>.pkl`` per entry under ``directory`` (default
     ``<cache dir>/artifacts``).
@@ -283,67 +296,41 @@ class ArtifactCache:
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def store(self, key: str, value: Any) -> Path | None:
-        """Atomically persist ``value`` under ``key``; None on failure."""
-        path = self.path_for(key)
-        payload = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "key": key,
-            "value": value,
-        }
+    def store(self, key: str, artifact: "Artifact") -> Path | None:
+        """Atomically save ``artifact`` under ``key``; None on failure.
+
+        The entry carries ``key`` as its fingerprint; the caller's
+        artifact is left as it was.
+        """
+        if artifact.fingerprint != key:
+            artifact = copy.copy(artifact)
+            artifact.fingerprint = key
         try:
-            atomic_write(
-                path,
-                lambda handle: pickle.dump(
-                    payload, handle, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            )
+            return artifact.save(self.path_for(key))
         except (OSError, pickle.PicklingError):
             return None
-        return path
 
-    def load(self, key: str) -> Any:
-        """The value stored under ``key``, or None on any problem."""
+    def load(self, key: str) -> "Artifact | None":
+        """The artifact saved under ``key``, or None on any problem (a
+        stale format version, another key, not an artifact)."""
+        from repro.core.stages import Artifact
+
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format_version") != CACHE_FORMAT_VERSION
-                or payload.get("key") != key
-            ):
-                raise ValueError("stale or foreign cache entry")
-            return payload["value"]
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+            artifact = Artifact.load(path)
+            if artifact.fingerprint == key:
+                return artifact
+        except ArtifactError:
+            pass
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
 
     def entries(self) -> list[Path]:
         if not self.directory.is_dir():
             return []
         return sorted(self.directory.glob("*.pkl"))
-
-    def remove(self, key: str) -> bool:
-        """Delete one entry; True when something was removed."""
-        try:
-            self.path_for(key).unlink()
-            return True
-        except OSError:
-            return False
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

@@ -163,6 +163,18 @@ class TestExportDir:
         payload = json.loads((out_dir / "constraints.json").read_text())
         assert isinstance(payload, list)
 
+    def test_export_dir_rejects_batches(self, tmp_path, deck_path, capsys):
+        """A batch has no single result to export: refused, not dropped."""
+        out_dir = tmp_path / "exports"
+        code = main(
+            ["annotate", str(deck_path), str(deck_path),
+             "--export-dir", str(out_dir)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "single netlist" in err
+        assert not out_dir.exists()
+
 
 @pytest.fixture()
 def quick_model(tmp_path, monkeypatch):

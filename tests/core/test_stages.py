@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.pipeline import GanaPipeline
 from repro.core.stages import (
+    ARTIFACT_SUFFIX,
     STAGE_ORDER,
     TIMING_STAGES,
     Artifact,
@@ -314,6 +315,150 @@ class TestIncrementalRecompute:
         assert set(relabeled.cache_hits) == {StageName.PARSE}
 
 
+def _perturbed(annotator):
+    """A copy of ``annotator`` whose weights differ in one entry: a new
+    annotator fingerprint for the same graphs."""
+    import copy
+
+    from repro.core.annotator import GcnAnnotator
+
+    model = copy.deepcopy(annotator.model)
+    state = model.state_dict()
+    key = sorted(state)[-1]
+    state[key] = state[key] + 1e-3
+    model.load_state_dict(state)
+    return GcnAnnotator(model=model, class_names=annotator.class_names)
+
+
+@pytest.fixture()
+def partition_calls(monkeypatch):
+    """Records every ``channel_connected_components`` call a run makes
+    (the graph stage's and ``postprocess_ccc``'s fallback alike)."""
+    import repro.core.pipeline as pipeline_module
+    import repro.core.postprocess as postprocess_module
+
+    real = postprocess_module.channel_connected_components
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    for module in (pipeline_module, postprocess_module):
+        monkeypatch.setattr(module, "channel_connected_components", counting)
+    return calls
+
+
+class TestOneEnvelope:
+    """A cache entry is a saved artifact: one format, one version."""
+
+    def test_format_bump_misses_every_entry(
+        self, ota_pipeline, tmp_path, monkeypatch
+    ):
+        import repro.core.stages as stages_module
+
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        monkeypatch.setattr(
+            stages_module,
+            "ARTIFACT_FORMAT_VERSION",
+            stages_module.ARTIFACT_FORMAT_VERSION + 1,
+        )
+        rerun = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        assert rerun.cache_hits == ()
+        assert pipeline_result_fingerprint(
+            ota_pipeline.result_from_staged(rerun)
+        ) == pipeline_result_fingerprint(ota_pipeline.result_from_staged(cold))
+        # The probe evicted the stale entries; the rerun stored fresh ones.
+        warm = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        assert set(warm.cache_hits) == set(STAGE_ORDER)
+
+    def test_payload_entry_is_a_miss(self, ota_pipeline, tmp_path):
+        """An entry in the cache's former ``{"format_version", "key",
+        "value"}`` payload is not an artifact envelope."""
+        import pickle
+
+        from repro.runtime.cache import CACHE_FORMAT_VERSION
+
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        key = cold.final.fingerprint
+        payload = {
+            "format_version": CACHE_FORMAT_VERSION,
+            "key": key,
+            "value": cold.final,
+        }
+        cache.path_for(key).write_bytes(pickle.dumps(payload))
+        warm = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        assert set(warm.cache_hits) == set(STAGE_ORDER) - {StageName.HIERARCHY}
+        assert warm.final.hierarchy.render() == cold.final.hierarchy.render()
+        assert Artifact.load(cache.path_for(key)).fingerprint == key
+
+    def test_warm_run_saves_every_stage(self, ota_pipeline, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        out = tmp_path / "saved"
+        warm = ota_pipeline.run_staged(
+            DIFF_OTA_DECK, artifact_cache=cache, save_artifacts=out
+        )
+        assert set(warm.cache_hits) == set(STAGE_ORDER)
+        assert len(list(out.glob(f"*{ARTIFACT_SUFFIX}"))) == len(STAGE_ORDER)
+        for name in STAGE_ORDER:
+            loaded = Artifact.load(warm.saved[name])
+            want = cold.artifacts[name]
+            assert loaded.stage is name
+            assert loaded.fingerprint == want.fingerprint
+            assert loaded.content_fingerprint() == want.content_fingerprint()
+
+    def test_missing_earlier_entry_is_a_miss(self, ota_pipeline, tmp_path):
+        """With a save dir, a hit needs every earlier stage's entry too."""
+        cache = ArtifactCache(tmp_path / "cache")
+        cold = ota_pipeline.run_staged(DIFF_OTA_DECK, artifact_cache=cache)
+        cache.path_for(cold.artifacts[StageName.GRAPH].fingerprint).unlink()
+        out = tmp_path / "saved"
+        warm = ota_pipeline.run_staged(
+            DIFF_OTA_DECK, artifact_cache=cache, save_artifacts=out
+        )
+        assert warm.cache_hits == ()
+        assert set(warm.saved) == set(STAGE_ORDER)
+        _assert_results_equivalent(
+            ota_pipeline.result_from_staged(warm),
+            ota_pipeline.result_from_staged(cold),
+        )
+
+
+class TestPartitionIsAGraphProduct:
+    """The CCC partition rides in the record from the graph stage on."""
+
+    def test_reruns_reuse_the_partition(
+        self, quick_ota_annotator, tmp_path, partition_calls
+    ):
+        from repro.primitives.library import default_library, extended_library
+
+        cache = ArtifactCache(tmp_path / "cache")
+        base = GanaPipeline(
+            annotator=quick_ota_annotator, library=default_library()
+        )
+        base.run_staged(HIERARCHICAL_DECK, artifact_cache=cache)
+        assert len(partition_calls) == 1
+        reruns = {
+            "library": GanaPipeline(
+                annotator=quick_ota_annotator, library=extended_library()
+            ),
+            "annotator": GanaPipeline(
+                annotator=_perturbed(quick_ota_annotator),
+                library=default_library(),
+            ),
+        }
+        for change, pipeline in reruns.items():
+            partition_calls.clear()
+            warm = pipeline.run_staged(HIERARCHICAL_DECK, artifact_cache=cache)
+            assert StageName.GRAPH in warm.cache_hits, change
+            assert partition_calls == [], change
+            fresh = pipeline.run(HIERARCHICAL_DECK)
+            _assert_results_equivalent(pipeline.result_from_staged(warm), fresh)
+
+
 class TestStopAndResume:
     def test_stop_after_graph(self, ota_pipeline, tmp_path):
         staged = ota_pipeline.run_staged(
@@ -383,6 +528,8 @@ class TestOneRecord:
         assert final.tree is not None and final.tree.instances
         assert final.graph is earlier[StageName.GRAPH].graph
         assert final.graph is final.gcn_annotation.graph
+        assert final.partition is earlier[StageName.GRAPH].partition
+        assert final.post1.partition is final.partition
         assert final.post1 is earlier[StageName.POST1].post1
         assert final.hier is earlier[StageName.POST1].hier
         assert final.hier is not None and final.hier.n_instances == 3
@@ -391,6 +538,8 @@ class TestOneRecord:
         staged = ota_pipeline.run_staged(DIFF_OTA_DECK, stop_after="graph")
         graph = staged.artifacts[StageName.GRAPH]
         assert graph.graph is not None and graph.report is not None
+        assert graph.partition is not None
+        assert staged.artifacts[StageName.PREPROCESS].partition is None
         assert graph.gcn_annotation is None and graph.degraded is None
         assert graph.post1 is None and graph.hierarchy is None
         assert staged.artifacts[StageName.PARSE].graph is None

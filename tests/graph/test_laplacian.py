@@ -49,8 +49,7 @@ class TestNormalizedLaplacian:
         np.testing.assert_allclose(np.diag(lap), np.ones(5))
 
     def test_isolated_vertex_identity_row(self):
-        adj = sp.csr_matrix((3, 3))
-        adj[0, 1] = adj[1, 0] = 1.0
+        adj = sp.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(3, 3)).tocsr()
         lap = normalized_laplacian(adj).toarray()
         assert lap[2, 2] == 1.0
         assert lap[2, 0] == lap[2, 1] == 0.0

@@ -16,6 +16,7 @@ ISSUE 7 acceptance:
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -36,6 +37,8 @@ from repro.datasets.synth import (
     task_classes,
 )
 from repro.exceptions import GanaError, TrainingDiverged, WorkerCrashed
+from repro.gcn.batch import pack_samples
+from repro.gcn.loss import batched_cross_entropy
 from repro.gcn.model import GCNConfig, GCNModel
 from repro.gcn.train import FaultTolerance, TrainConfig, evaluate, train
 from repro.runtime import parallel
@@ -147,6 +150,48 @@ class TestDivergenceRollback:
                 fault=FaultTolerance(
                     grad_limit=1e-12, max_divergence_retries=0
                 ),
+            )
+
+    def test_grad_norm_reads_the_gradient_arena(self, split):
+        """One dot over the optimizer's gradient arena is the norm over
+        every gradient tensor, on a real minibatch."""
+        train_module = sys.modules["repro.gcn.train"]
+        tr, _val = split
+        model = GCNModel(_model_config(tr))
+        optimizer = train_module._make_optimizer(model, TrainConfig(seed=5))
+        optimizer.zero_grad()
+        packed = pack_samples(tr[:3])
+        logits = model.forward_packed(packed, training=True)
+        _losses, _counts, grad = batched_cross_entropy(
+            logits, packed.labels, packed.mask, packed.offsets[0]
+        )
+        model.backward(grad / 3)
+        per_tensor = math.sqrt(
+            sum(
+                float(np.dot(g.ravel(), g.ravel()))
+                for _params, grads in optimizer.slots
+                for g in grads.values()
+            )
+        )
+        assert per_tensor > 0.0
+        assert train_module._grad_norm(optimizer.arena.grads) == pytest.approx(
+            per_tensor, rel=1e-12
+        )
+
+    def test_nan_gradient_trips_the_guard(self, split, monkeypatch):
+        tr, val = split
+        real = GCNModel.backward
+
+        def poisoned(self, grad):
+            real(self, grad)
+            self.parameter_slots()[0][1]["weight"].flat[0] = np.nan
+
+        monkeypatch.setattr(GCNModel, "backward", poisoned)
+        with pytest.raises(TrainingDiverged, match="gradient norm nan"):
+            train(
+                GCNModel(_model_config(tr)), tr, val,
+                TrainConfig(epochs=2, batch_size=3, seed=5),
+                fault=FaultTolerance(max_divergence_retries=0),
             )
 
 

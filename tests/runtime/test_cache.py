@@ -1,4 +1,5 @@
-"""Trained-model cache: correctness, corruption fallback, knobs.
+"""Trained-model cache: correctness, corruption fallback, knobs; and
+the artifact cache's one envelope.
 
 The load-bearing guarantee (ISSUE 1 acceptance): an annotator loaded
 from cache produces bit-identical predictions to a freshly trained
@@ -7,9 +8,13 @@ one, and any unreadable cache entry silently falls back to retraining.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.core.stages as stages_module
+from repro.core.stages import Artifact, StageName, load_artifacts
 from repro.datasets.ota import OtaSpec, generate_ota
 from repro.datasets.synth import pretrain_annotator, training_fingerprint
 from repro.gcn.model import GCNConfig
@@ -18,11 +23,14 @@ from repro.gcn.train import TrainConfig
 from repro.graph.bipartite import CircuitGraph
 from repro.runtime.cache import (
     CACHE_FORMAT_VERSION,
+    ArtifactCache,
     ModelCache,
     cache_enabled,
     default_cache_dir,
     fingerprint,
 )
+from repro.spice.parser import parse_netlist
+from tests.conftest import DIFF_OTA_DECK
 
 #: Tiny-but-real training spec shared by the tests below.
 TRAIN_KW = dict(task="ota", quick=True, train_size=12, seed=3)
@@ -149,3 +157,78 @@ class TestCacheCorrectness:
         blocked.write_text("a file, not a directory")
         cache = ModelCache(blocked)
         assert cache.store("somekey", annotator) is None  # no raise
+
+
+class TestArtifactCache:
+    """Entries are :meth:`Artifact.save` envelopes with the key as
+    fingerprint; anything else under a key is a miss and is removed."""
+
+    @pytest.fixture()
+    def artifact(self):
+        return Artifact(
+            stage=StageName.PARSE,
+            source=parse_netlist(DIFF_OTA_DECK),
+            mode="strict",
+        )
+
+    def test_store_leaves_the_artifact_unchanged(self, tmp_path, artifact):
+        cache = ArtifactCache(tmp_path)
+        before = artifact.content_fingerprint()
+        assert cache.store("key-a", artifact) is not None
+        assert artifact.fingerprint == ""
+        artifact.fingerprint = "key-b"
+        cache.store("key-c", artifact)
+        assert artifact.fingerprint == "key-b"
+        assert artifact.content_fingerprint() == before
+        assert cache.load("key-a").fingerprint == "key-a"
+        assert cache.load("key-c").fingerprint == "key-c"
+
+    def test_entry_is_a_saved_artifact(self, tmp_path, artifact):
+        cache = ArtifactCache(tmp_path)
+        path = cache.store("some-key", artifact)
+        loaded = Artifact.load(path)
+        assert loaded.fingerprint == "some-key"
+        assert loaded.content_fingerprint() == artifact.content_fingerprint()
+        [listed] = load_artifacts(path)
+        assert listed.fingerprint == "some-key"
+
+    def test_format_bump_is_a_miss(self, tmp_path, artifact, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        path = cache.store("some-key", artifact)
+        monkeypatch.setattr(
+            stages_module,
+            "ARTIFACT_FORMAT_VERSION",
+            stages_module.ARTIFACT_FORMAT_VERSION + 1,
+        )
+        assert cache.load("some-key") is None
+        assert not path.exists()
+
+    def test_payload_entry_is_a_miss(self, tmp_path, artifact):
+        cache = ArtifactCache(tmp_path)
+        path = cache.path_for("some-key")
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format_version": CACHE_FORMAT_VERSION,
+                    "key": "some-key",
+                    "value": artifact,
+                }
+            )
+        )
+        assert cache.load("some-key") is None
+        assert not path.exists()
+
+    def test_entry_under_another_key_is_a_miss(self, tmp_path, artifact):
+        cache = ArtifactCache(tmp_path)
+        cache.store("key-a", artifact)
+        moved = cache.path_for("key-b")
+        moved.write_bytes(cache.path_for("key-a").read_bytes())
+        assert cache.load("key-b") is None
+        assert not moved.exists()
+        assert cache.load("key-a") is not None
+
+    def test_store_survives_unwritable_directory(self, tmp_path, artifact):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file, not a directory")
+        assert ArtifactCache(blocked).store("some-key", artifact) is None
+        assert artifact.fingerprint == ""
