@@ -328,12 +328,9 @@ class GanaPipeline:
     detect_bpf: bool = True
     degrade: bool = True
     confidence_floor: float = 0.0
-    #: Injected template recognizer for the degradation fallback, to
-    #: control its topology library; None builds the task's default.
-    fallback_recognizer: TemplateRecognizer | None = None
-    #: The default fallback, built on first use.  It depends only on
-    #: ``class_names``, so unlike an injected one it keeps the pool key
-    #: and the gcn-stage cache key stable.
+    #: The degradation fallback, built on first use.  It depends only
+    #: on ``class_names``, so it keeps the pool key and the gcn-stage
+    #: cache key stable.
     _built_fallback: TemplateRecognizer | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -526,8 +523,6 @@ class GanaPipeline:
     # -- graceful degradation ---------------------------------------------
 
     def _fallback(self) -> TemplateRecognizer:
-        if self.fallback_recognizer is not None:
-            return self.fallback_recognizer
         if self._built_fallback is None:
             self._built_fallback = task_fallback_recognizer(self.class_names)
         return self._built_fallback
@@ -741,10 +736,8 @@ class GanaPipeline:
         rail conventions are part of it: a worker forked under other
         rail regexes would annotate under those.
         ``None`` (no reuse) when any component lacks a stable
-        fingerprint (injected fallbacks, stub annotators in tests).
+        fingerprint (stub annotators in tests).
         """
-        if self.fallback_recognizer is not None:
-            return None
         try:
             return content_fingerprint(
                 "pipeline-pool",
@@ -894,10 +887,6 @@ class GcnStage:
             # A precomputed annotation came from a multi-graph packed
             # forward whose logits can differ from the deck packed alone
             # by fp64 rounding; keep it out of the content-addressed store.
-            return None
-        if pipeline.fallback_recognizer is not None and pipeline.degrade:
-            # An injected fallback has no stable fingerprint; a cached
-            # degraded annotation could silently outlive it.
             return None
         return content_fingerprint(
             "stage",

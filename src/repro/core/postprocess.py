@@ -395,7 +395,6 @@ def postprocess_ccc(
     library: PrimitiveLibrary,
     partition: CCCPartition | None = None,
     detect_bpf: bool = True,
-    standalone_primitives: frozenset[str] | None = None,
     mirror_vote: bool = True,
     absorb_orphans: bool = True,
     stats: MatchStats | None = None,
@@ -404,9 +403,9 @@ def postprocess_ccc(
     """Postprocessing I: CCC vote, primitive annotation, stand-alone
     separation, BPF detection.  Returns a new annotation.
 
-    ``standalone_primitives`` overrides which templates may be pulled
-    out as stand-alone units; by default the auxiliary INV/BUF cells
-    are separated only when the annotation uses the RF vocabulary.
+    The auxiliary INV/BUF cells (:data:`STANDALONE_PRIMITIVES`) are
+    separated as stand-alone units only when the annotation uses the RF
+    vocabulary.
     ``mirror_vote`` and ``absorb_orphans`` toggle the two vote-repair
     heuristics (exposed for the ablation benchmark).  ``stats``
     receives the per-template matching statistics; ``indexed=False``
@@ -432,10 +431,7 @@ def postprocess_ccc(
     tallies = _ccc_tallies(annotation, partition)
     ccc_classes = _ccc_vote(tallies)
     rf_vocab = all(c in annotation.class_names for c in RF_CLASSES)
-    if standalone_primitives is None:
-        standalone_primitives = (
-            STANDALONE_PRIMITIVES if rf_vocab else frozenset()
-        )
+    standalone_primitives = STANDALONE_PRIMITIVES if rf_vocab else frozenset()
 
     result = PostprocessResult(
         annotation=annotation, partition=partition, ccc_classes=ccc_classes

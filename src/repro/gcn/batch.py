@@ -13,11 +13,12 @@ every sample's sparse product in one call, the three-term Chebyshev
 recurrence runs once for the whole batch, and every dense layer sees a
 single tall GEMM instead of B short ones.  Cluster assignments are
 concatenated with per-sample *coarse* offsets so pooling/unpooling stay
-within their own block, and each sample's pooling tables (its clusters'
-lowest and highest fine members, computed once per sample) with its
-*fine* offsets.  Packing is concatenation: every packed array is one
-``np.concatenate`` of the samples' arrays plus one ``np.repeat`` of
-their block offsets.
+within their own block, and each pyramid's pooling tables (its clusters'
+lowest and highest fine members) with its *fine* offsets.  Packing is
+concatenation: every packed array is one ``np.concatenate`` of the
+samples' arrays plus one ``np.repeat`` of their block offsets, and the
+first layer's Chebyshev basis is the samples' own, stacked
+(:meth:`PackedBatch.input_basis`).
 
 Every GCN forward is packed; a single graph runs as a pack of one.
 Block isolation — a graph's rows do not depend on its pack-mates:
@@ -43,15 +44,14 @@ so G counts graphs, not samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
-from repro.gcn.chebyshev import chebyshev_slabs
-from repro.gcn.layers import SampleContext, cluster_members
+from repro.gcn.layers import SampleContext
 from repro.gcn.samples import GraphSample
 from repro.utils.sparse import csr_from_arrays
 
@@ -92,24 +92,6 @@ def _starts(sizes: list[int], dtype=np.int64) -> np.ndarray:
     return np.fromiter(accumulate(sizes[:-1], initial=0), dtype, len(sizes))
 
 
-def sample_members(sample: GraphSample) -> list[np.ndarray]:
-    """Every level's (2, n_coarse) cluster-member table of ``sample``:
-    each cluster's lowest and highest fine member
-    (:func:`~repro.gcn.layers.cluster_members`).
-
-    The tables depend only on the sample's fixed pyramid, so they are
-    computed once and kept in its :attr:`GraphSample.runtime_cache`,
-    next to its first-layer Chebyshev basis; every later packing
-    concatenates them.
-    """
-    assignments = sample.pyramid.assignments
-    entry = sample.runtime_cache.get("pool-members")
-    if entry is None or entry[0] is not assignments:
-        entry = (assignments, [cluster_members(a) for a in assignments])
-        sample.runtime_cache["pool-members"] = entry
-    return entry[1]
-
-
 @dataclass
 class PackedPyramid:
     """Coarsening pyramid of a packed batch: block-diagonal Laplacians
@@ -132,9 +114,6 @@ class PackedBatch:
     mask: np.ndarray  # (Σn_i,) concatenated
     pyramid: PackedPyramid
     offsets: list[np.ndarray]  # per level: (G+1,) per-graph boundaries
-    #: Packed-lifetime memo (the packed first-layer Chebyshev basis);
-    #: mirrors :attr:`GraphSample.runtime_cache`.
-    runtime_cache: dict = field(default_factory=dict)
 
     @property
     def n_graphs(self) -> int:
@@ -148,12 +127,18 @@ class PackedBatch:
     def name(self) -> str:
         return "+".join(sample.name for sample in self.samples)
 
+    def input_basis(self, order: int) -> np.ndarray:
+        """The first layer's Chebyshev basis of :attr:`features`: each
+        sample's own, stacked in pack order.  Block isolation makes it
+        the packed Laplacian's basis bit for bit."""
+        bases = [sample.input_basis(order) for sample in self.samples]
+        return bases[0] if len(bases) == 1 else np.vstack(bases)
+
     def context(self) -> SampleContext:
         """Fresh per-forward context carrying the segment offsets."""
         return SampleContext(
             laplacians=self.pyramid.laplacians,
             assignments=self.pyramid.assignments,
-            cache=self.runtime_cache,
             offsets=self.offsets,
             members=self.pyramid.members,
         )
@@ -164,73 +149,6 @@ class PackedBatch:
         return [
             array[bounds[i] : bounds[i + 1]] for i in range(self.n_graphs)
         ]
-
-    def seed_input_basis(self, order: int) -> None:
-        """Populate the packed first-layer Chebyshev-basis cache.
-
-        The basis depends only on each sample's fixed Laplacian and
-        features, never on the weights, so it is shared across every
-        epoch *and* every batch composition.  Strategy:
-
-        * all samples cold → one packed recurrence over the
-          block-diagonal Laplacian, then store per-sample views back on
-          each :attr:`GraphSample.runtime_cache` for later repackings;
-        * any sample warm → fill the cold ones individually and vstack
-          (one concatenate instead of K sparse products).
-
-        Both routes produce bitwise-identical packed flats.
-        """
-        lap0 = self.pyramid.laplacians[0]
-        packed = self.runtime_cache.get("cheb-input-flat")
-        if (
-            packed is not None
-            and packed[0] is self.features
-            and packed[1] is lap0
-            and packed[2] == order
-        ):
-            return
-
-        def _cached_flat(sample: GraphSample) -> np.ndarray | None:
-            entry = sample.runtime_cache.get("cheb-input-flat")
-            if (
-                entry is not None
-                and entry[0] is sample.features
-                and entry[1] is sample.pyramid.laplacians[0]
-                and entry[2] == order
-            ):
-                return entry[3]
-            return None
-
-        per_sample = [_cached_flat(sample) for sample in self.samples]
-        if all(flat is None for flat in per_sample):
-            flat = chebyshev_slabs(lap0, self.features, order)
-            bounds = np.cumsum([0] + [s.n_vertices for s in self.samples])
-            for i, sample in enumerate(self.samples):
-                sample.runtime_cache["cheb-input-flat"] = (
-                    sample.features,
-                    sample.pyramid.laplacians[0],
-                    order,
-                    flat[bounds[i] : bounds[i + 1]],
-                )
-        else:
-            for i, sample in enumerate(self.samples):
-                if per_sample[i] is None:
-                    per_sample[i] = chebyshev_slabs(
-                        sample.pyramid.laplacians[0], sample.features, order
-                    )
-                    sample.runtime_cache["cheb-input-flat"] = (
-                        sample.features,
-                        sample.pyramid.laplacians[0],
-                        order,
-                        per_sample[i],
-                    )
-            flat = (
-                per_sample[0] if len(per_sample) == 1
-                else np.vstack(per_sample)
-            )
-        self.runtime_cache["cheb-input-flat"] = (
-            self.features, lap0, order, flat,
-        )
 
 
 def pack_samples(samples: list[GraphSample]) -> PackedBatch:
@@ -249,7 +167,6 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
     if not samples:
         raise ModelConfigError("cannot pack an empty sample batch")
     levels = min(len(s.pyramid.assignments) for s in samples)
-    tables = [sample_members(s)[:levels] for s in samples]
     if len(samples) == 1:
         (sample,) = samples
         pyramid = sample.pyramid
@@ -261,7 +178,7 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
             pyramid=PackedPyramid(
                 laplacians=pyramid.laplacians[: levels + 1],
                 assignments=pyramid.assignments[:levels],
-                members=tables[0],
+                members=pyramid.members[:levels],
             ),
             offsets=pyramid.offsets[: levels + 1],
         )
@@ -295,7 +212,7 @@ def pack_samples(samples: list[GraphSample]) -> PackedBatch:
             + np.repeat(starts[level + 1], sizes[level])
         )
         members.append(
-            np.concatenate([table[level] for table in tables], axis=1)
+            np.concatenate([p.members[level] for p in pyramids], axis=1)
             + np.repeat(starts[level], sizes[level + 1])
         )
 

@@ -102,13 +102,15 @@ class CoarseningPyramid:
     rescaled normalized Laplacian at each level, ready for ChebConv.
     ``offsets[ℓ]`` is the (B+1,) array of block boundaries at level ℓ:
     graph ``i`` of the union owns vertices
-    ``offsets[ℓ][i]:offsets[ℓ][i+1]`` there.
+    ``offsets[ℓ][i]:offsets[ℓ][i+1]`` there.  ``members[ℓ]`` is the
+    pooling table of ``assignments[ℓ]`` (:func:`cluster_members`).
     """
 
     adjacencies: list[sp.csr_matrix]
     assignments: list[np.ndarray]
     laplacians: list[sp.csr_matrix]
     offsets: list[np.ndarray]
+    members: list[np.ndarray]
 
     @property
     def n_levels(self) -> int:
@@ -118,11 +120,31 @@ class CoarseningPyramid:
         return [a.shape[0] for a in self.adjacencies]
 
 
+def cluster_members(assign: np.ndarray) -> np.ndarray:
+    """Each cluster's lowest (row 0) and highest (row 1) fine member
+    under ``assign``, as one (2, n_coarse) array.
+
+    Graclus clusters hold one or two vertices, so max-pooling reduces
+    to two gathers plus an elementwise max, and its backward to two row
+    scatters.  The table depends only on the static assignment, so a
+    pyramid builds its own with its levels and a packed batch
+    concatenates them.
+    """
+    n_coarse = int(assign.max()) + 1 if assign.size else 0
+    order = np.argsort(assign, kind="stable")
+    clusters = np.arange(n_coarse)
+    sorted_assign = assign[order]
+    first = np.searchsorted(sorted_assign, clusters, side="left")
+    last = np.searchsorted(sorted_assign, clusters, side="right") - 1
+    return order[np.stack((first, last))]
+
+
 def build_pyramid(
     adjacency: sp.spmatrix, levels: int, rng
 ) -> CoarseningPyramid:
     """Coarsen one graph ``levels`` times and precompute every level's
-    Laplacian (a union of one, see :func:`build_union_pyramid`)."""
+    Laplacian and pooling table (a union of one, see
+    :func:`build_union_pyramid`)."""
     n = adjacency.shape[0]
     return build_union_pyramid(
         adjacency, levels, [rng], np.array([0, n], dtype=np.int64)
@@ -133,7 +155,7 @@ def build_union_pyramid(
     adjacency: sp.spmatrix, levels: int, rngs: list, bounds: np.ndarray
 ) -> CoarseningPyramid:
     """Coarsen the disjoint union of ``len(rngs)`` graphs ``levels``
-    times and precompute every level's Laplacian.
+    times and precompute every level's Laplacian and pooling table.
 
     Graph ``i`` owns rows ``bounds[i]:bounds[i+1]`` of ``adjacency``
     and no edge leaves its block.  Each level runs one greedy matching
@@ -168,4 +190,5 @@ def build_union_pyramid(
         assignments=assignments,
         laplacians=[chebyshev_laplacian(a) for a in adjacencies],
         offsets=offsets,
+        members=[cluster_members(a) for a in assignments],
     )

@@ -5,7 +5,9 @@ its own reverse-mode gradient.  The contract:
 
 * ``forward(x, ctx, training)`` consumes an (n, F) activation and the
   batch's :class:`SampleContext` (graph Laplacians and pooling maps
-  at every coarsening level) and returns the next activation;
+  at every coarsening level, plus the first layer's Chebyshev basis of
+  the input features, which the samples compute once) and returns the
+  next activation;
 * ``backward(grad)`` consumes ∂loss/∂output, accumulates parameter
   gradients into ``self.grads`` and returns ∂loss/∂input.
 
@@ -32,6 +34,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ModelConfigError
 from repro.gcn.chebyshev import chebyshev_slabs, chebyshev_slabs_backward
+from repro.gcn.coarsening import cluster_members
 
 
 @dataclass
@@ -43,17 +46,18 @@ class SampleContext:
     rescaled Laplacian at coarsening level ℓ (level 0 = original
     graphs).  ``assignments[ℓ]`` maps fine vertex → coarse vertex
     between level ℓ and ℓ+1, and ``members[ℓ]`` is its (2, n_coarse)
-    lowest/highest fine-member table (:func:`cluster_members`), which
+    lowest/highest fine-member table
+    (:func:`~repro.gcn.coarsening.cluster_members`), which
     :meth:`~repro.gcn.batch.PackedBatch.context` brings from the
-    samples and a hand-built context derives from ``assignments``.
-    ``level`` is mutated by pool/unpool layers as the batch flows
-    through the network.
+    samples' pyramids and a hand-built context derives from
+    ``assignments``.  ``level`` is mutated by pool/unpool layers as the
+    batch flows through the network.
 
-    ``cache`` is the batch's memo dict.  The first ChebConv layer reads
-    its Chebyshev basis there: the basis depends only on the fixed
-    Laplacian and input features, not on the weights, so
-    :meth:`~repro.gcn.batch.PackedBatch.seed_input_basis` computes it
-    once per graph and every later packing of that graph reuses it.
+    ``input_basis`` is the first ChebConv layer's Chebyshev basis of
+    the batch's features, which
+    :meth:`~repro.gcn.model.GCNModel.forward_packed` stacks from the
+    samples' own (:meth:`~repro.gcn.samples.GraphSample.input_basis`);
+    ``None`` makes that layer compute it.
 
     ``offsets[ℓ][i]`` is the first packed row of graph ``i`` at
     coarsening level ℓ.  Layers whose math is *not* row-local
@@ -65,7 +69,7 @@ class SampleContext:
     laplacians: list[sp.csr_matrix]
     assignments: list[np.ndarray] = field(default_factory=list)
     level: int = 0
-    cache: dict | None = None
+    input_basis: np.ndarray | None = None
     offsets: list[np.ndarray] | None = None
     members: list[np.ndarray] | None = None
 
@@ -149,27 +153,14 @@ class ChebConv(Layer):
         self._laplacian: sp.csr_matrix | None = None
         #: Set by :class:`~repro.gcn.model.GCNModel` on the first conv
         #: layer: its input is the sample's (constant) feature matrix,
-        #: so ∂loss/∂input is never consumed and the K sparse products
-        #: of the basis backward pass can be skipped entirely.
+        #: so it takes its basis from ``ctx.input_basis`` when given
+        #: one, ∂loss/∂input is never consumed, and the K sparse
+        #: products of the basis backward pass can be skipped entirely.
         self.input_layer = False
 
     def forward(self, x, ctx, training):
         laplacian = ctx.laplacian
-        flat = None
-        if ctx.cache is not None and self.input_layer:
-            entry = ctx.cache.get("cheb-input-flat")
-            # Identity check: a hit requires the very same input and
-            # Laplacian array objects (the entry holds strong
-            # references, so their ids cannot be recycled) at the same
-            # order.  ``PackedBatch.seed_input_basis`` fills the entry;
-            # weight updates never invalidate it.
-            if (
-                entry is not None
-                and entry[0] is x
-                and entry[1] is laplacian
-                and entry[2] == self.order
-            ):
-                flat = entry[3]
+        flat = ctx.input_basis if self.input_layer else None
         if flat is None:
             flat = chebyshev_slabs(laplacian, x, self.order)  # (n, K·Fin)
         if training:
@@ -372,25 +363,6 @@ class BatchNorm(Layer):
             rows = np.repeat(single_vertex, sizes)
             out[rows] = gg[rows] / std[rows]
         return out
-
-
-def cluster_members(assign: np.ndarray) -> np.ndarray:
-    """Each cluster's lowest (row 0) and highest (row 1) fine member
-    under ``assign``, as one (2, n_coarse) array.
-
-    Graclus clusters hold one or two vertices, so max-pooling reduces
-    to two gathers plus an elementwise max, and its backward to two row
-    scatters.  The table depends only on the static assignment, so a
-    sample computes its own once (``repro.gcn.batch``) and a packed
-    batch concatenates them.
-    """
-    n_coarse = int(assign.max()) + 1 if assign.size else 0
-    order = np.argsort(assign, kind="stable")
-    clusters = np.arange(n_coarse)
-    sorted_assign = assign[order]
-    first = np.searchsorted(sorted_assign, clusters, side="left")
-    last = np.searchsorted(sorted_assign, clusters, side="right") - 1
-    return order[np.stack((first, last))]
 
 
 class GraphPool(Layer):

@@ -19,7 +19,6 @@ fast test paths.
 
 from __future__ import annotations
 
-import io
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -124,8 +123,9 @@ class GCNModel:
         layers.append(Dense(config.fc_size, config.n_classes, rng))
         self.layers = layers
         # The first conv consumes the sample's constant feature matrix:
-        # its Chebyshev basis is cacheable across epochs, and its input
-        # gradient is dead (nothing upstream consumes it).
+        # its Chebyshev basis is each sample's own (forward_packed hands
+        # it over), and its input gradient is dead (nothing upstream
+        # consumes it).
         layers[0].input_layer = True
 
     # -- plumbing -------------------------------------------------------
@@ -144,14 +144,6 @@ class GCNModel:
 
     def n_parameters(self) -> int:
         return sum(layer.n_parameters() for layer in self.layers)
-
-    def weight_arrays(self) -> list[np.ndarray]:
-        """All weight matrices (for L2 regularization reporting)."""
-        return [
-            layer.params["weight"]
-            for layer in self.layers
-            if "weight" in layer.params
-        ]
 
     # -- forward/backward ------------------------------------------------
 
@@ -194,10 +186,10 @@ class GCNModel:
         """
         for sample in batch.samples:
             self._check_levels(sample)
+        ctx = batch.context()
         first = self.layers[0]
         if isinstance(first, ChebConv):
-            batch.seed_input_basis(first.order)
-        ctx = batch.context()
+            ctx.input_basis = batch.input_basis(first.order)
         x = batch.features
         for layer in self.layers:
             x = layer.forward(x, ctx, training)
@@ -319,13 +311,3 @@ class GCNModel:
         model = cls(config)
         model.load_state_dict(state)
         return model
-
-    def clone(self) -> "GCNModel":
-        """Deep copy (used by early stopping to keep the best epoch)."""
-        twin = GCNModel(self.config)
-        buffer = io.BytesIO()
-        np.savez(buffer, **self.state_dict())
-        buffer.seek(0)
-        with np.load(buffer) as data:
-            twin.load_state_dict({k: data[k] for k in data.files})
-        return twin

@@ -3,10 +3,11 @@ of several, per sample.
 
 A :class:`GraphSample` bundles everything the GCN needs for its
 graphs: the 18-feature matrix, per-vertex integer labels with a
-validity mask, and the precomputed coarsening pyramid (Laplacians +
-cluster assignments at every level).  Building the pyramid once per
-sample keeps training O(K·E) per epoch; building one sample for a
-whole inference chunk builds one pyramid for all of its graphs.
+validity mask, and the precomputed coarsening pyramid (Laplacians,
+cluster assignments and pooling tables at every level).  Building the
+pyramid once per sample keeps training O(K·E) per epoch; building one
+sample for a whole inference chunk builds one pyramid for all of its
+graphs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ModelConfigError
+from repro.gcn.chebyshev import chebyshev_slabs
 from repro.gcn.coarsening import CoarseningPyramid, build_union_pyramid
 from repro.graph.bipartite import CircuitGraph
 from repro.graph.features import NetRole, feature_matrix
@@ -33,6 +35,12 @@ class GraphSample:
     ``offsets`` say which rows each member graph owns at every level.
     It runs as a pack of one, and its per-graph results are split back
     by those offsets.  Only a one-graph sample keeps its ``graph``.
+
+    A sample's arrays are never rebound or written after construction,
+    so what is derived from them alone is computed once: the pyramid
+    carries its pooling tables, and :meth:`input_basis` memoizes the
+    first-layer Chebyshev basis.  A changed sample is a new one
+    (``dataclasses.replace``), which starts with an empty memo.
     """
 
     name: str
@@ -44,11 +52,8 @@ class GraphSample:
     #: Each member graph's circuit name, in union order (empty for a
     #: sample built by hand).
     graph_names: tuple[str, ...] = ()
-    #: Sample-lifetime memo shared by every packing of this sample: its
-    #: rows of the first-layer Chebyshev basis, which depend only on the
-    #: fixed Laplacian + features, never on weights, and its pooling
-    #: tables (``repro.gcn.batch.sample_members``).
-    runtime_cache: dict = field(default_factory=dict)
+    #: :meth:`input_basis` by filter order.
+    runtime_cache: dict = field(default_factory=dict, init=False)
 
     def __getstate__(self) -> dict:
         """Pickle without the runtime memo — workers rebuild it lazily."""
@@ -59,6 +64,18 @@ class GraphSample:
     @property
     def n_vertices(self) -> int:
         return self.features.shape[0]
+
+    def input_basis(self, order: int) -> np.ndarray:
+        """The first ChebConv layer's order-``order`` basis of
+        ``features`` (:func:`~repro.gcn.chebyshev.chebyshev_slabs`),
+        shared by every epoch and every packing of this sample."""
+        basis = self.runtime_cache.get(order)
+        if basis is None:
+            basis = chebyshev_slabs(
+                self.pyramid.laplacians[0], self.features, order
+            )
+            self.runtime_cache[order] = basis
+        return basis
 
     @classmethod
     def from_graph(

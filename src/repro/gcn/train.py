@@ -160,8 +160,10 @@ def _evaluate_packed(model: GCNModel, packs: list) -> float:
     """Accuracy over pre-packed evaluation chunks.
 
     The training loop packs its validation chunks once and reuses them
-    every epoch — the packed Laplacians and the first-layer Chebyshev
-    basis cache stay warm across epochs.
+    every epoch, so each epoch's forward reuses their block-diagonal
+    Laplacians; the first-layer basis is each sample's own, computed
+    once (:meth:`~repro.gcn.samples.GraphSample.input_basis`) and
+    stacked per forward.
     """
     correct = 0
     total = 0

@@ -438,18 +438,6 @@ def check_warm_cache(deck: GeneratedDeck, ctx: OracleContext) -> None:
         for s in warm_staged.artifacts
         if s not in warm_staged.cache_hits
     ]
-    # The gcn stage (and everything downstream of it) deliberately
-    # opts out of the content-addressed store when the pipeline holds
-    # an injected fallback recognizer (no stable fingerprint) — mirror
-    # that contract: parse/preprocess/graph must always hit warm; gcn+
-    # only while gcn stays cacheable.
-    gcn_cacheable = not (
-        pipeline.fallback_recognizer is not None and pipeline.degrade
-    )
-    always_cached = {"parse", "preprocess", "graph"}
-    missed = [
-        s for s in missed if gcn_cacheable or s in always_cached
-    ]
     if missed:
         _diverge(
             "warm_cache",

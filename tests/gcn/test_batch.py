@@ -12,6 +12,7 @@ exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -23,7 +24,10 @@ from repro.datasets.synth import (
     task_classes,
 )
 from repro.exceptions import ModelConfigError
+from repro.gcn import layers as layers_module
+from repro.gcn import samples as samples_module
 from repro.gcn.batch import block_diag_csr, pack_samples
+from repro.gcn.chebyshev import chebyshev_slabs
 from repro.gcn.layers import BatchNorm
 from repro.gcn.loss import batched_cross_entropy, cross_entropy, softmax
 from repro.gcn.model import GCNConfig, GCNModel
@@ -200,20 +204,54 @@ class TestForwardParity:
                     layer_ref.running_var, layer_packed.running_var
                 )
 
-    def test_input_basis_cache_reused_across_packings(self, pool_samples):
-        samples = pool_samples[:3]
-        model = GCNModel(_config())
-        first = pack_samples(samples)
-        model.forward_packed(first, training=False)
-        assert all("cheb-input-flat" in s.runtime_cache for s in samples)
-        # Repacking takes the warm vstack route; the flat is bitwise
-        # identical to the cold packed recurrence.
-        second = pack_samples(samples)
-        model.forward_packed(second, training=False)
-        assert np.array_equal(
-            first.runtime_cache["cheb-input-flat"][3],
-            second.runtime_cache["cheb-input-flat"][3],
+    def test_input_basis_cache_reused_across_packings(
+        self, pool_samples, monkeypatch
+    ):
+        """Each sample's first-layer basis is computed once, however
+        often it is repacked and whoever its pack-mates are, and the
+        input layer never recomputes it."""
+        samples = [dataclasses.replace(s) for s in pool_samples[:6]]
+        fills: list[int] = []
+        recomputed: list[int] = []
+
+        def counting(calls, slabs):
+            def wrapped(laplacian, x, order):
+                calls.append(x.shape[1])
+                return slabs(laplacian, x, order)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            samples_module, "chebyshev_slabs",
+            counting(fills, samples_module.chebyshev_slabs),
         )
+        monkeypatch.setattr(
+            layers_module, "chebyshev_slabs",
+            counting(recomputed, layers_module.chebyshev_slabs),
+        )
+        model = GCNModel(_config())
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            order = rng.permutation(len(samples)).tolist()
+            for start in (0, 3):
+                pack = pack_samples([samples[i] for i in order[start : start + 3]])
+                model.forward_packed(pack, training=True)
+        assert len(fills) == len(samples)
+        assert all(list(s.runtime_cache) == [4] for s in samples)
+        # Only the second conv layer computes a basis (8 channels in).
+        assert set(recomputed) == {8}
+
+    @pytest.mark.parametrize("size", [1, 2, 8])
+    def test_stacked_basis_is_the_packed_recurrence(self, pool_samples, size):
+        """The samples' own bases, stacked, equal one recurrence over
+        the block-diagonal Laplacian bit for bit."""
+        packed = pack_samples(
+            [dataclasses.replace(s) for s in pool_samples[:size]]
+        )
+        got = packed.input_basis(4)
+        want = chebyshev_slabs(packed.pyramid.laplacians[0], packed.features, 4)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBackwardParity:

@@ -330,54 +330,48 @@ class TestGraphPoolVectorization:
         np.testing.assert_array_equal(grad, reference)
 
 
-def _seeded_cache(pyramid, x: np.ndarray, order: int) -> dict:
-    """A cache holding ``x``'s first-layer basis, as
-    ``PackedBatch.seed_input_basis`` leaves it."""
-    flat = chebyshev_slabs(pyramid.laplacians[0], x, order)
-    return {"cheb-input-flat": (x, pyramid.laplacians[0], order, flat)}
-
-
 class TestChebConvInputCache:
-    def test_cached_forward_is_identical(self):
-        """A seeded entry for the very same input is read, not
-        recomputed, and gives the uncached output bit for bit."""
-        rng = seeded_rng(7)
-        layer = ChebConv(3, 4, order=5, rng=rng)
-        layer.input_layer = True
-        pyramid = build_pyramid(_ring_adj(8), levels=1, rng=seeded_rng(0))
-        x = np.random.default_rng(1).normal(size=(8, 3))
-        cache = _seeded_cache(pyramid, x, order=5)
+    """The input layer takes the memoized basis a context carries
+    (``ctx.input_basis``) as it is given, and computes its own only
+    when the context carries none."""
 
-        def ctx(cache):
-            return SampleContext(
-                laplacians=pyramid.laplacians,
-                assignments=pyramid.assignments,
-                cache=cache,
-            )
-
-        cached = layer.forward(x, ctx(cache), training=True)
-        assert layer._flat is cache["cheb-input-flat"][3]
-        uncached = layer.forward(x, ctx(None), training=True)
-        np.testing.assert_array_equal(cached, uncached)
-
-    def test_different_input_misses(self):
-        """Another input array misses the seeded entry, and the layer
-        leaves the entry as it found it."""
+    @staticmethod
+    def _layer_and_ctx(basis=None):
         layer = ChebConv(3, 4, order=5, rng=seeded_rng(7))
         layer.input_layer = True
         pyramid = build_pyramid(_ring_adj(8), levels=1, rng=seeded_rng(0))
-        rng = np.random.default_rng(1)
-        cache = _seeded_cache(pyramid, rng.normal(size=(8, 3)), order=5)
-        seeded = cache["cheb-input-flat"]
         ctx = SampleContext(
             laplacians=pyramid.laplacians,
             assignments=pyramid.assignments,
-            cache=cache,
+            input_basis=basis,
         )
-        layer.forward(rng.normal(size=(8, 3)), ctx, training=True)
-        assert layer._flat is not seeded[3]
-        assert list(cache) == ["cheb-input-flat"]
-        assert cache["cheb-input-flat"] is seeded
+        return layer, ctx, pyramid
+
+    def test_cached_forward_is_identical(self):
+        """A given basis is used as is, and gives the output of a layer
+        that computes its own bit for bit."""
+        x = np.random.default_rng(1).normal(size=(8, 3))
+        _, _, pyramid = self._layer_and_ctx()
+        basis = chebyshev_slabs(pyramid.laplacians[0], x, 5)
+        layer, ctx, _ = self._layer_and_ctx(basis)
+        given = layer.forward(x, ctx, training=True)
+        assert layer._flat is basis
+        own_layer, own_ctx, _ = self._layer_and_ctx()
+        own = own_layer.forward(x, own_ctx, training=True)
+        assert own_layer._flat is not basis
+        np.testing.assert_array_equal(own_layer._flat, basis)
+        np.testing.assert_array_equal(given, own)
+
+    def test_only_the_input_layer_reads_it(self):
+        """A later conv layer computes its own basis even when the
+        context carries the input layer's."""
+        x = np.random.default_rng(1).normal(size=(8, 3))
+        layer, ctx, pyramid = self._layer_and_ctx(np.zeros((8, 15)))
+        layer.input_layer = False
+        layer.forward(x, ctx, training=True)
+        np.testing.assert_array_equal(
+            layer._flat, chebyshev_slabs(pyramid.laplacians[0], x, 5)
+        )
 
     def test_input_layer_backward_skips_dead_gradient(self):
         layer = ChebConv(3, 4, order=5, rng=seeded_rng(7))

@@ -358,8 +358,8 @@ class TestPoolReference:
 
     def test_pack_of_one(self, ota_samples):
         packed = _check_pack(ota_samples[:1])
-        cached = ota_samples[0].runtime_cache["pool-members"][1]
-        assert all(a is b for a, b in zip(packed.pyramid.members, cached))
+        own = ota_samples[0].pyramid.members
+        assert all(a is b for a, b in zip(packed.pyramid.members, own))
 
     def test_packs_of_training_samples(self, ota_samples):
         for batch in (ota_samples[:2], ota_samples[::-1], ota_samples[1:6]):

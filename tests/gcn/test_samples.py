@@ -1,10 +1,17 @@
-"""GraphSample construction, masking, and the disjoint-union sample."""
+"""GraphSample construction, masking, the disjoint-union sample, and
+the inputs a sample computes once: pooling tables and the first-layer
+basis."""
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelConfigError
 from repro.gcn.batch import pack_samples
+from repro.gcn.chebyshev import chebyshev_slabs
+from repro.gcn.coarsening import cluster_members
 from repro.gcn.samples import GraphSample
 from repro.graph.bipartite import CircuitGraph
 from repro.spice.flatten import flatten
@@ -56,6 +63,51 @@ class TestFromGraph:
     def test_keep_graph_flag(self, graph):
         sample = GraphSample.from_graph(graph, {}, levels=1, keep_graph=False)
         assert sample.graph is None
+
+
+class TestFixedInputs:
+    """A sample's pooling tables come with its pyramid; its first-layer
+    basis is memoized per filter order, never pickled, and never
+    carried into a changed copy."""
+
+    def test_pyramid_carries_its_pooling_tables(self, graph):
+        for sample in (
+            GraphSample.from_graph(graph, {}, levels=3),
+            GraphSample.from_graphs(_fleet_graphs(3), levels=2),
+        ):
+            pyramid = sample.pyramid
+            assert len(pyramid.members) == len(pyramid.assignments) > 0
+            for members, assign in zip(pyramid.members, pyramid.assignments):
+                _assert_same_array(members, cluster_members(assign))
+
+    def test_basis_is_memoized_per_order(self, graph):
+        sample = GraphSample.from_graph(graph, {}, levels=2)
+        assert sample.runtime_cache == {}
+        basis = sample.input_basis(4)
+        _assert_same_array(
+            basis,
+            chebyshev_slabs(sample.pyramid.laplacians[0], sample.features, 4),
+        )
+        assert sample.input_basis(4) is basis
+        assert sample.input_basis(3).shape == (sample.n_vertices, 3 * 18)
+        assert sorted(sample.runtime_cache) == [3, 4]
+
+    def test_pickle_drops_the_memo_and_rebuilds_the_same_bits(self, graph):
+        sample = GraphSample.from_graph(graph, {}, levels=2)
+        basis = sample.input_basis(4)
+        restored = pickle.loads(pickle.dumps(sample))
+        assert sample.runtime_cache and restored.runtime_cache == {}
+        _assert_same_array(restored.input_basis(4), basis)
+
+    def test_replace_starts_with_an_empty_memo(self, graph):
+        sample = GraphSample.from_graph(graph, {}, levels=2)
+        sample.input_basis(4)
+        changed = dataclasses.replace(sample, features=sample.features * 2)
+        assert changed.runtime_cache == {}
+        _assert_same_array(
+            changed.input_basis(4),
+            chebyshev_slabs(changed.pyramid.laplacians[0], changed.features, 4),
+        )
 
 
 def _assert_same_array(got: np.ndarray, want: np.ndarray) -> None:

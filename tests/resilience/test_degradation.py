@@ -89,8 +89,6 @@ class TestDegradation:
         first = pipeline._fallback()
         pipeline.run(deck)
         assert pipeline._fallback() is first
-        # The public field names an injected recognizer only.
-        assert pipeline.fallback_recognizer is None
 
     def test_degraded_run_keeps_pool_and_stage_cache_keys(
         self, quick_ota_annotator, deck, tmp_path
